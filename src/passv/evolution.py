@@ -1,10 +1,12 @@
 """Brute-force evolution of truncated multimode Fock states.
 
 States live on a dense (d+1)^m amplitude tensor with a per-mode occupation
-cutoff d. Two-mode mixers act exactly within each total-photon sector via the
-matrix exponential of the sector generator; amplitude pushed past the cutoff
-is dropped and its squared magnitude accumulated in ``truncation_loss``, so
-squared norm plus recorded loss is conserved.
+cutoff d. Two-mode mixers act exactly within each total-photon sector N: the
+sector rotation exp(theta K_N) is assembled from an eigenbasis of the
+generator K_N that is computed once per N and cached, so no matrix
+exponential is evaluated per call. Amplitude pushed past the cutoff is dropped
+and its squared magnitude accumulated in ``truncation_loss``, so squared norm
+plus recorded loss is conserved.
 
 Element lists follow the matrix-factor order used by the decomposition
 module: the first element of a list is the last operation applied to a state,
@@ -15,10 +17,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import expm  # noqa: F401  (unused; perfbench/tracing.py wraps this name)
 
 from .configurations import ModeConfiguration, ParityPattern, _as_configuration
 from .distributions import OutputDistribution
@@ -55,6 +57,14 @@ def as_squeezing(value) -> Squeezing:
     return Squeezing(float(value))
 
 
+def _check_state_size(modes: int, cutoff: int) -> None:
+    """Refuse a (cutoff+1)^modes tensor over STATE_SIZE_LIMIT before it is built."""
+    if (int(cutoff) + 1) ** int(modes) > STATE_SIZE_LIMIT:
+        raise SizeLimitError(
+            f"state tensor {(cutoff + 1,) * modes} exceeds {STATE_SIZE_LIMIT} amplitudes"
+        )
+
+
 class TruncatedFockState:
     """Dense amplitudes over (cutoff+1)^modes occupation tuples.
 
@@ -68,11 +78,8 @@ class TruncatedFockState:
             raise ValidationError(f"mode count must be positive, got {modes}")
         if cutoff < 0:
             raise ValidationError(f"cutoff must be non-negative, got {cutoff}")
+        _check_state_size(modes, cutoff)
         shape = (cutoff + 1,) * modes
-        if np.prod(shape, dtype=np.int64) > STATE_SIZE_LIMIT:
-            raise SizeLimitError(
-                f"state tensor {shape} exceeds {STATE_SIZE_LIMIT} amplitudes"
-            )
         if amplitudes is None:
             amplitudes = np.zeros(shape, dtype=np.complex128)
             amplitudes[(0,) * modes] = 1.0
@@ -100,6 +107,7 @@ class TruncatedFockState:
         lengths = {v.shape for v in vectors}
         if len(lengths) != 1 or vectors[0].ndim != 1:
             raise ValidationError("mode vectors must be 1-D and equally long")
+        _check_state_size(len(vectors), vectors[0].shape[0] - 1)
         tensor = reduce(np.multiply.outer, vectors)
         return cls(len(vectors), vectors[0].shape[0] - 1, tensor, truncation_loss)
 
@@ -238,13 +246,33 @@ def _sector_generator(total: int) -> np.ndarray:
     return k
 
 
+@lru_cache(maxsize=None)
+def _sector_eigenbasis(total: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues w and unitary eigenvectors u of the Hermitian 1j * K_N.
+
+    Then exp(theta K_N) = u diag(exp(-1j theta w)) u^H for every theta. The
+    eigenvalues are the integers N - 2p, so eigh is well conditioned.
+    """
+    w, u = np.linalg.eigh(1j * _sector_generator(total))
+    w.flags.writeable = False
+    u.flags.writeable = False
+    return w, u
+
+
+def _sector_rotation(total: int, theta: float) -> np.ndarray:
+    """The real orthogonal matrix exp(theta K_N) of a mixer on photon total N."""
+    w, u = _sector_eigenbasis(total)
+    return ((u * np.exp(-1j * theta * w)) @ u.conj().T).real
+
+
 def apply_beamsplitter(state: TruncatedFockState, i: int, j: int,
                        theta: float) -> TruncatedFockState:
     """Mix modes i and j in place with the real rotation of angle theta.
 
-    Acts exactly within each two-mode photon-total sector using the sector
-    matrix exponential; sectors whose total exceeds the cutoff lose the
-    amplitude routed past it, which is added to ``truncation_loss``.
+    Acts exactly within each two-mode photon-total sector with the rotation
+    built from that sector's cached eigenbasis; sectors whose total exceeds
+    the cutoff lose the amplitude routed past it, which is added to
+    ``truncation_loss``.
     """
     if i == j:
         raise ValidationError("beamsplitter modes must differ")
@@ -254,13 +282,17 @@ def apply_beamsplitter(state: TruncatedFockState, i: int, j: int,
         )
     d = state.cutoff
     dim = d + 1
+    # Fill the cache before the loop: entries first built between the loop's
+    # temporaries would pin freed heap pages and raise the peak RSS.
+    for total in range(1, 2 * d + 1):
+        _sector_eigenbasis(total)
     moved = np.moveaxis(state.amplitudes, (i, j), (0, 1))
     arr = np.ascontiguousarray(moved).reshape(dim, dim, -1)
     for total in range(1, 2 * d + 1):
         lo = max(0, total - d)
         hi = min(d, total)
         ps = np.arange(lo, hi + 1)
-        full = expm(theta * _sector_generator(total))
+        full = _sector_rotation(total, theta)
         block = full if total <= d else full[np.ix_(ps, ps)]
         vin = arr[ps, total - ps, :]
         vout = block @ vin

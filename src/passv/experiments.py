@@ -20,7 +20,7 @@ from .configurations import (
     collision_free_configurations,
     parity_pattern_of,
 )
-from .distributions import OutputDistribution, total_variation_distance  # noqa: F401
+from .distributions import OutputDistribution
 from .errors import SizeLimitError, ValidationError
 from .evolution import (
     ADDED,
@@ -33,10 +33,15 @@ from .evolution import (
     required_cutoff,
     state_overlap,
 )
-from .networks import LinearNetwork, ORTHOGONAL, haar_special_orthogonal, reck_decompose
+from .networks import (
+    LinearNetwork,
+    ORTHOGONAL,
+    haar_special_orthogonal,
+    reck_decompose,
+    scattering_submatrix,
+)
 from .permanents import permanent_ryser
 from .sampling import uniform_input
-from .networks import scattering_submatrix
 
 MAX_ORACLE_MODES = 5
 MAX_SQUEEZING = 1.0

@@ -16,7 +16,7 @@ from .configurations import (
     configuration_count,
     enumerate_configurations,
 )
-from .distributions import OutputDistribution, draw_samples  # noqa: F401  (re-export)
+from .distributions import OutputDistribution
 from .errors import SizeLimitError, ValidationError
 from .networks import LinearNetwork, scattering_submatrix
 from .permanents import permanent_ryser

@@ -160,6 +160,19 @@ def test_sample_passv_cutoff_override(tmp_path):
     assert config["cutoff"] == 8
 
 
+def test_sample_passv_oversized_state_exits_two_before_allocating(tmp_path, capsys):
+    # cutoff 62 over 5 modes is 63^5 amplitudes (about 14.8 GiB): the guard
+    # must refuse it before the product tensor is built.
+    code, out = _run(tmp_path, "parity.csv",
+                     ["sample-passv", "--n", "2", "--m", "5", "--xi", "1.0",
+                      "--seed", "7"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "size limit" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_sample_passv_subtracted_vacuum_is_rejected(tmp_path, capsys):
     code, _ = _run(tmp_path, "parity.csv",
                    ["sample-passv", "--n", "1", "--m", "2", "--xi", "0.0",

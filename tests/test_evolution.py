@@ -3,15 +3,19 @@
 The beamsplitter is cross-checked against an independent oracle: the matrix
 exponential of the full two-mode generator built from dense Kronecker
 products of ladder matrices, which is exact whenever no amplitude crosses
-the cutoff.
+the cutoff. The sector rotations, which the mixer builds from a cached
+eigenbasis, are checked against scipy's ``expm`` of each sector generator,
+and so is the mixer itself when sectors overflow the cutoff.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from passv import evolution
 from passv.configurations import ModeConfiguration, ParityPattern
 from passv.errors import SizeLimitError, ValidationError
 from passv.evolution import (
@@ -30,6 +34,8 @@ from passv.evolution import (
     required_cutoff,
     squeezed_vacuum_vector,
     state_overlap,
+    _sector_generator,
+    _sector_rotation,
 )
 from passv.networks import TwoModeElement, haar_special_orthogonal, haar_unitary, reck_decompose
 
@@ -190,6 +196,19 @@ def test_state_size_guard():
         TruncatedFockState(8, 11)
 
 
+def test_product_size_guard_fires_before_allocation(monkeypatch):
+    monkeypatch.setattr(evolution, "STATE_SIZE_LIMIT", 1_000_000)
+    vectors = [np.ones(101)] * 3  # 101^3 amplitudes, 16.5 MB if built
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimitError):
+            TruncatedFockState.from_product(vectors)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 def test_state_copy_is_independent():
     st = TruncatedFockState(1, 2)
     clone = st.copy()
@@ -306,6 +325,53 @@ def test_splitter_matches_dense_generator_oracle():
     expected = expm(generator) @ amp.reshape(-1)
     assert np.max(np.abs(st.amplitudes.reshape(-1) - expected)) < 1e-12
     assert st.truncation_loss == 0.0
+
+
+ROTATION_ANGLES = (-math.pi, -1.3, 0.3, math.pi / 4.0, math.pi / 2.0, 2.9)
+
+
+def test_sector_rotation_matches_expm_oracle():
+    for total in range(1, 65):
+        generator = _sector_generator(total)
+        for theta in ROTATION_ANGLES:
+            expected = expm(theta * generator)
+            assert np.max(np.abs(_sector_rotation(total, theta) - expected)) < 1e-12
+
+
+def test_sector_rotation_is_orthogonal():
+    for total in range(1, 65):
+        for theta in ROTATION_ANGLES:
+            r = _sector_rotation(total, theta)
+            assert r.dtype == np.float64
+            assert np.max(np.abs(r @ r.T - np.eye(total + 1))) < 1e-13
+
+
+def test_sector_rotations_compose():
+    for total in (1, 7, 30, 64):
+        for a, b in ((0.3, -1.3), (math.pi / 4.0, 2.9), (-math.pi, math.pi / 2.0)):
+            product = _sector_rotation(total, a) @ _sector_rotation(total, b)
+            assert np.max(np.abs(product - _sector_rotation(total, a + b))) < 1e-12
+
+
+def test_splitter_overflowing_cutoff_matches_sliced_expm_oracle():
+    d = 20
+    rng = np.random.default_rng(2718)
+    amp = rng.standard_normal((d + 1, d + 1)) + 1j * rng.standard_normal((d + 1, d + 1))
+    amp /= np.linalg.norm(amp)  # every sector populated, totals up to 2d
+    theta = 1.1
+    expected = np.zeros_like(amp)
+    expected_loss = 0.0
+    for total in range(2 * d + 1):
+        ps = np.arange(max(0, total - d), min(d, total) + 1)
+        routed = expm(theta * _sector_generator(total))[:, ps] @ amp[ps, total - ps]
+        expected[ps, total - ps] = routed[ps]
+        # the loss is the mass routed to occupations past the cutoff
+        expected_loss += np.sum(np.abs(np.delete(routed, ps)) ** 2)
+    st = TruncatedFockState(2, d, amp)
+    apply_beamsplitter(st, 0, 1, theta)
+    assert np.max(np.abs(st.amplitudes - expected)) < 1e-12
+    assert expected_loss > 0.1
+    assert st.truncation_loss == pytest.approx(expected_loss, abs=1e-14)
 
 
 def test_splitter_conserves_photon_number_sectors():
