@@ -21,11 +21,12 @@ import os
 import sys
 import tempfile
 import time
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
 from .configurations import ModeConfiguration
-from .distributions import OutputDistribution, draw_samples
+from .distributions import OutputDistribution, draw_indices
 from .errors import SizeLimitError, ValidationError
 from .evolution import (
     apply_network,
@@ -51,6 +52,8 @@ from .sampling import output_distribution, uniform_input
 logger = logging.getLogger("passv")
 
 LOG_LEVELS = {"quiet": logging.WARNING, "info": logging.INFO, "debug": logging.DEBUG}
+
+SAMPLE_CHUNK = 8192  # sample rows per chunk written to the samples artifact
 
 
 def _configure_logging():
@@ -185,15 +188,20 @@ def _resolve_network(args) -> tuple[LinearNetwork, dict]:
     return net, {"m": args.m, "kind": args.kind, "seed": args.seed}
 
 
-def _write_artifact(path: str | None, text: str):
+def _write_artifact(path: str | None, chunks: str | Iterable[str]):
+    """Write text, or an iterable of text chunks, to stdout or atomically to ``path``."""
+    if isinstance(chunks, str):
+        chunks = (chunks,)
     if path is None:
-        sys.stdout.write(text)
+        for chunk in chunks:
+            sys.stdout.write(chunk)
         return
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".passv-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -238,14 +246,20 @@ def _run_sample_fock(args):
     else:
         _write_artifact(args.output, _distribution_json(dist, config))
     if args.shots:
-        samples = draw_samples(dist, int(args.seed) + 1, args.shots)
-        buf = io.StringIO()
-        buf.write(_config_comment(config) + "\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["sample"])
-        for key in samples:
-            writer.writerow([key.serialize()])
-        _write_artifact(_samples_path(args.output), buf.getvalue())
+        indices = draw_indices(dist, int(args.seed) + 1, args.shots)
+        _write_artifact(_samples_path(args.output), _samples_csv(dist, indices, config))
+
+
+def _samples_csv(dist: OutputDistribution, indices, config: dict) -> Iterator[str]:
+    """The sample CSV in chunks of SAMPLE_CHUNK rows; each key is formatted once."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["sample"])
+    writer.writerows([key.serialize()] for key in dist.keys)
+    header, *lines = buf.getvalue().splitlines(keepends=True)
+    yield _config_comment(config) + "\n" + header
+    for start in range(0, len(indices), SAMPLE_CHUNK):
+        yield "".join([lines[i] for i in indices[start:start + SAMPLE_CHUNK].tolist()])
 
 
 def _samples_path(path: str | None) -> str | None:

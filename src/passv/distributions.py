@@ -81,11 +81,11 @@ class OutputDistribution:
         )
 
 
-def draw_samples(distribution: OutputDistribution, seed: int, shots: int) -> list:
-    """Draw keys by inverse-CDF sampling, deterministic for a given seed.
+def draw_indices(distribution: OutputDistribution, seed: int, shots: int) -> np.ndarray:
+    """Draw indices into ``distribution.keys`` by inverse-CDF sampling.
 
-    The distribution must be normalized within 1e-6; the residual defect is
-    renormalized away before drawing.
+    Deterministic for a given seed. The distribution must be normalized within
+    1e-6; the residual defect is renormalized away before drawing.
     """
     if shots < 0:
         raise ValidationError(f"shots must be non-negative, got {shots}")
@@ -106,9 +106,13 @@ def draw_samples(distribution: OutputDistribution, seed: int, shots: int) -> lis
     rng = np.random.default_rng(seed)
     draws = rng.random(shots)
     idx = np.searchsorted(cdf, draws, side="right")
-    idx = np.minimum(idx, len(cdf) - 1)
+    return np.minimum(idx, len(cdf) - 1)
+
+
+def draw_samples(distribution: OutputDistribution, seed: int, shots: int) -> list:
+    """Draw keys by inverse-CDF sampling; the keys at ``draw_indices``."""
     keys = distribution.keys
-    return [keys[i] for i in idx]
+    return [keys[i] for i in draw_indices(distribution, seed, shots)]
 
 
 def total_variation_distance(p: OutputDistribution, q: OutputDistribution) -> float:

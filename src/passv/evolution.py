@@ -30,7 +30,7 @@ from .networks import ReckDecomposition, TwoModeElement
 ADDED = "added"
 SUBTRACTED = "subtracted"
 
-STATE_SIZE_LIMIT = 40_000_000  # complex amplitudes; ~640 MB
+STATE_SIZE_LIMIT = 25_000_000  # complex amplitudes; 400 MB
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,8 @@ def _check_state_size(modes: int, cutoff: int) -> None:
     """Refuse a (cutoff+1)^modes tensor over STATE_SIZE_LIMIT before it is built."""
     if (int(cutoff) + 1) ** int(modes) > STATE_SIZE_LIMIT:
         raise SizeLimitError(
-            f"state tensor {(cutoff + 1,) * modes} exceeds {STATE_SIZE_LIMIT} amplitudes"
+            f"state tensor {(cutoff + 1,) * modes} exceeds {STATE_SIZE_LIMIT} "
+            "amplitudes; reduce the squeezing or epsilon_tail"
         )
 
 
@@ -108,8 +109,14 @@ class TruncatedFockState:
         if len(lengths) != 1 or vectors[0].ndim != 1:
             raise ValidationError("mode vectors must be 1-D and equally long")
         _check_state_size(len(vectors), vectors[0].shape[0] - 1)
-        tensor = reduce(np.multiply.outer, vectors)
-        return cls(len(vectors), vectors[0].shape[0] - 1, tensor, truncation_loss)
+        # The outer product is a fresh array (the copied first vector covers
+        # m = 1), so the state takes it over without __init__'s copy.
+        state = cls.__new__(cls)
+        state.modes = len(vectors)
+        state.cutoff = vectors[0].shape[0] - 1
+        state.amplitudes = reduce(np.multiply.outer, vectors[1:], vectors[0].copy())
+        state.truncation_loss = float(truncation_loss)
+        return state
 
     def copy(self) -> "TruncatedFockState":
         return TruncatedFockState(
@@ -211,21 +218,19 @@ def apply_ladder(state: TruncatedFockState, mode: int, direction: str) -> Trunca
     """
     if direction not in ("raise", "lower"):
         raise ValidationError(f"ladder direction must be 'raise' or 'lower', got {direction!r}")
-    src = _mode_axis_view(state, mode)
+    # One occupation slice at a time, in the order that reads each slice
+    # before it is overwritten, so no second state tensor is allocated.
+    a = _mode_axis_view(state, mode)
     d = state.cutoff
-    out = np.zeros_like(state.amplitudes)
-    dst = np.moveaxis(out, mode, 0)
-    factors = np.sqrt(np.arange(1, d + 1, dtype=np.float64))
-    shape = (-1,) + (1,) * (state.modes - 1)
     if direction == "raise":
-        if d >= 1:
-            dst[1:] = src[:-1] * factors.reshape(shape)
-        dropped = float(np.sum(np.abs(src[d]) ** 2)) * (d + 1)
-        state.truncation_loss += dropped
+        state.truncation_loss += float(np.sum(np.abs(a[d]) ** 2)) * (d + 1)
+        for k in range(d, 0, -1):
+            a[k] = a[k - 1] * math.sqrt(k)
+        a[0] = 0.0
     else:
-        if d >= 1:
-            dst[:-1] = src[1:] * factors.reshape(shape)
-    state.amplitudes = out
+        for k in range(d):
+            a[k] = a[k + 1] * math.sqrt(k + 1)
+        a[d] = 0.0
     return state
 
 

@@ -21,7 +21,7 @@ from .configurations import (
     parity_pattern_of,
 )
 from .distributions import OutputDistribution
-from .errors import SizeLimitError, ValidationError
+from .errors import ValidationError
 from .evolution import (
     ADDED,
     SUBTRACTED,
@@ -38,10 +38,8 @@ from .networks import (
     ORTHOGONAL,
     haar_special_orthogonal,
     reck_decompose,
-    scattering_submatrix,
 )
-from .permanents import permanent_ryser
-from .sampling import uniform_input
+from .sampling import outcome_probabilities, uniform_input
 
 MAX_ORACLE_MODES = 5
 MAX_SQUEEZING = 1.0
@@ -89,13 +87,9 @@ def predicted_parity_distribution(network: LinearNetwork, total_photons: int,
     if variant == SUBTRACTED:
         entries = np.conj(entries) if convention == CONJUGATE else entries.T
     effective = LinearNetwork(entries, ORTHOGONAL, allow_reflection=True)
-    pump = uniform_input(n, m)
-    pairs = []
-    for s in collision_free_configurations(n, m):
-        sub = scattering_submatrix(effective, pump, s)
-        prob = abs(permanent_ryser(sub)) ** 2
-        pairs.append((parity_pattern_of(s), prob))
-    return OutputDistribution(pairs)
+    outcomes = collision_free_configurations(n, m)
+    probs = outcome_probabilities(effective, uniform_input(n, m), outcomes)
+    return OutputDistribution(zip(map(parity_pattern_of, outcomes), probs.tolist()))
 
 
 @dataclass
@@ -208,14 +202,10 @@ def run_equivalence_experiment(total_photons: int, modes: int, xi_values,
         # Sector overflow during mixing loses more amplitude than the
         # single-mode tails alone, so grow the cutoff until the recorded
         # loss fits the declared budget. Each step of two shrinks the
-        # overflow by roughly tanh(r)^2.
+        # overflow by roughly tanh(r)^2; the state size guard in
+        # build_passv_input stops the growth before anything is allocated.
         cutoff = required_cutoff(sq, epsilon_tail, headroom=n)
         while True:
-            if (cutoff + 1) ** m > 25_000_000:
-                raise SizeLimitError(
-                    f"cutoff {cutoff} over {m} modes exceeds the oracle memory "
-                    "budget; reduce the squeezing or epsilon_tail"
-                )
             state = build_passv_input(n, m, sq, variant, cutoff)
             apply_network(state, decomposition)
             if state.truncation_loss <= budget:

@@ -4,11 +4,20 @@ The amplitude for input configuration T and output configuration S is
 Per(M[S, T]) / sqrt(prod(t_i!) * prod(s_i!)), with the scattering submatrix
 built by repeating rows per output occupation and columns per input
 occupation.
+
+Tables are built in one batch: every outcome shares the input columns, so
+``outcome_probabilities`` hands the whole outcome list to
+``permanent_table`` (one Gray-code Ryser pass, vectorized across outcomes).
+``output_distribution`` and the parity predictions in ``experiments`` both
+go through it. ``transition_amplitude`` evaluates a single amplitude with
+``permanent_ryser``.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from .configurations import (
     ModeConfiguration,
@@ -19,7 +28,7 @@ from .configurations import (
 from .distributions import OutputDistribution
 from .errors import SizeLimitError, ValidationError
 from .networks import LinearNetwork, scattering_submatrix
-from .permanents import permanent_ryser
+from .permanents import permanent_ryser, permanent_table
 
 AMPLITUDE_PHOTON_LIMIT = 20
 SUPPORT_SIZE_LIMIT = 1_000_000
@@ -45,6 +54,37 @@ def transition_amplitude(network: LinearNetwork, input_config, output_config) ->
     return permanent_ryser(sub) / math.sqrt(norm)
 
 
+def outcome_probabilities(network: LinearNetwork, input_config, outcomes) -> np.ndarray:
+    """|Per(M[S, T])|^2 / (prod(t_i!) * prod(s_i!)) for each outcome S, in order.
+
+    All permanents come from one ``permanent_table`` call over the input
+    columns of T. Every outcome must cover the network's modes and carry the
+    input's photon total.
+    """
+    t = _as_configuration(input_config)
+    m = network.dimension
+    n = t.total
+    if t.modes != m:
+        raise ValidationError(f"input over {t.modes} modes does not match m={m}")
+    if n > AMPLITUDE_PHOTON_LIMIT:
+        raise SizeLimitError(
+            f"transition amplitudes are limited to {AMPLITUDE_PHOTON_LIMIT} photons"
+        )
+    occupations = [_as_configuration(s).occupations for s in outcomes]
+    k = len(occupations)
+    if any(len(occ) != m for occ in occupations):
+        raise ValidationError(f"outcomes must be configurations over m={m} modes")
+    occupations = np.array(occupations, dtype=np.intp).reshape(k, m)
+    if np.any(occupations.sum(axis=1) != n):
+        raise ValidationError(f"outcomes must carry the input's {n} photons")
+    rows = np.repeat(np.tile(np.arange(m), k), occupations.ravel()).reshape(k, n)
+    columns = network.entries[:, np.repeat(np.arange(m), t.occupations)]
+    factorials = np.array([math.factorial(j) for j in range(n + 1)], dtype=np.float64)
+    weights = factorials[occupations].prod(axis=1) * factorials[list(t.occupations)].prod()
+    per = permanent_table(columns, rows)
+    return (per.real ** 2 + per.imag ** 2) / weights
+
+
 def output_distribution(network: LinearNetwork, input_config) -> OutputDistribution:
     """Exact output distribution over every configuration of the photon total.
 
@@ -60,11 +100,9 @@ def output_distribution(network: LinearNetwork, input_config) -> OutputDistribut
         raise SizeLimitError(
             f"output support C({n + m - 1},{n}) exceeds {SUPPORT_SIZE_LIMIT} entries"
         )
-    pairs = []
-    for s in enumerate_configurations(n, m):
-        amp = transition_amplitude(network, t, s)
-        pairs.append((s, abs(amp) ** 2))
-    return OutputDistribution(pairs)
+    outcomes = enumerate_configurations(n, m)
+    probs = outcome_probabilities(network, t, outcomes)
+    return OutputDistribution(zip(outcomes, probs.tolist()))
 
 
 def uniform_input(total_photons: int, modes: int) -> ModeConfiguration:

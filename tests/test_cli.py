@@ -8,6 +8,7 @@ byte-identical across repeat runs with the same arguments.
 """
 
 import csv
+import io
 import json
 import os
 import subprocess
@@ -16,8 +17,11 @@ import sys
 import numpy as np
 import pytest
 
+from passv import cli
 from passv.cli import execute
-from passv.networks import haar_unitary
+from passv.distributions import draw_samples
+from passv.networks import haar_special_orthogonal, haar_unitary
+from passv.sampling import output_distribution, uniform_input
 
 
 def _run(tmp_path, name, args):
@@ -106,6 +110,33 @@ def test_sample_fock_draws_shots_into_sibling_file(tmp_path):
     assert len(rows) == 26
 
 
+def test_sample_fock_streamed_samples_match_per_sample_csv(tmp_path, monkeypatch, capsys):
+    # Small chunks, so the artifact is written in many pieces.
+    monkeypatch.setattr(cli, "SAMPLE_CHUNK", 7)
+    code, out = _run(tmp_path, "fock.csv",
+                     ["sample-fock", "--n", "3", "--m", "5", "--shots", "2000",
+                      "--seed", "4"])
+    assert code == 0
+    config = {"subcommand": "sample-fock", "n": 3, "input": "1,1,1,0,0", "shots": 2000,
+              "m": 5, "kind": "orthogonal", "seed": 4}
+    dist = output_distribution(haar_special_orthogonal(5, 4), uniform_input(3, 5))
+    buf = io.StringIO()
+    buf.write("# config " + json.dumps(config, sort_keys=True) + "\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["sample"])
+    for key in draw_samples(dist, 5, 2000):
+        writer.writerow([key.serialize()])
+    reference = buf.getvalue()
+    assert '"1,0,1,0,1"' in reference  # keys are quoted, since they hold commas
+    assert (tmp_path / "fock.samples.csv").read_text(encoding="utf-8") == reference
+
+    # Without --output both artifacts go to stdout, table first.
+    capsys.readouterr()
+    assert execute(["sample-fock", "--n", "3", "--m", "5", "--shots", "2000",
+                    "--seed", "4"]) == 0
+    assert capsys.readouterr().out == out.read_text(encoding="utf-8") + reference
+
+
 def test_sample_fock_json_format(tmp_path):
     code, out = _run(tmp_path, "fock.json",
                      ["sample-fock", "--n", "1", "--m", "2", "--kind", "unitary",
@@ -173,6 +204,18 @@ def test_sample_passv_oversized_state_exits_two_before_allocating(tmp_path, caps
     assert not out.exists()
 
 
+def test_sample_passv_state_over_the_shared_limit_exits_two(tmp_path, capsys):
+    # 31^5 amplitudes (about 28.6 million) is over the one STATE_SIZE_LIMIT.
+    code, out = _run(tmp_path, "parity.csv",
+                     ["sample-passv", "--n", "2", "--m", "5", "--xi", "0.3",
+                      "--seed", "7", "--cutoff", "30"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "size limit" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_sample_passv_subtracted_vacuum_is_rejected(tmp_path, capsys):
     code, _ = _run(tmp_path, "parity.csv",
                    ["sample-passv", "--n", "1", "--m", "2", "--xi", "0.0",
@@ -194,6 +237,19 @@ def test_compare_json_report(tmp_path):
     assert data["report"]["passes"] is True
     assert data["report"]["n"] == 2
     assert data["report"]["max_deviation"] <= data["report"]["tolerance"]
+
+
+def test_compare_oracle_size_limit_exits_two_with_hint(tmp_path, capsys):
+    # At r = 1.0 the oracle needs a cutoff near 60 over 5 modes, far over the
+    # state size limit; the guard fires before the input is prepared.
+    code, out = _run(tmp_path, "report.json",
+                     ["compare", "--n", "2", "--m", "5", "--xi", "1.0", "--seed", "7"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "size limit" in err
+    assert "reduce the squeezing or epsilon_tail" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_compare_is_byte_identical_across_runs(tmp_path):

@@ -209,6 +209,28 @@ def test_product_size_guard_fires_before_allocation(monkeypatch):
     assert peak < 1_000_000
 
 
+def test_from_product_does_not_alias_the_mode_vectors():
+    for modes in (1, 3):
+        vectors = [np.array([1.0, 0.5, 0.25], dtype=np.complex128) for _ in range(modes)]
+        st = TruncatedFockState.from_product(vectors)
+        st.amplitudes[(0,) * modes] = 7.0
+        assert all(v.tolist() == [1.0, 0.5, 0.25] for v in vectors)
+        vectors[0][1] = -3.0
+        assert st.amplitude((1,) + (0,) * (modes - 1)) == 0.5
+
+
+def test_passv_input_preparation_holds_one_state():
+    # 41^3 amplitudes, 1.1 MB: the product and both ladders reuse one tensor.
+    state_bytes = 41 ** 3 * 16
+    tracemalloc.start()
+    try:
+        build_passv_input(2, 3, 0.5, ADDED, 40)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * state_bytes
+
+
 def test_state_copy_is_independent():
     st = TruncatedFockState(1, 2)
     clone = st.copy()

@@ -6,9 +6,11 @@ their invariances under mode relabeling.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from passv.configurations import (
     ModeConfiguration,
@@ -21,8 +23,16 @@ from passv.networks import (
     LinearNetwork,
     haar_special_orthogonal,
     haar_unitary,
+    scattering_submatrix,
 )
-from passv.sampling import output_distribution, transition_amplitude, uniform_input
+from passv.permanents import permanent_naive
+from passv.sampling import (
+    AMPLITUDE_PHOTON_LIMIT,
+    outcome_probabilities,
+    output_distribution,
+    transition_amplitude,
+    uniform_input,
+)
 
 HOM = LinearNetwork(
     np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0), ORTHOGONAL,
@@ -144,3 +154,81 @@ def test_distribution_support_size_guard():
     # C(44, 6) ~ 7 million outcome configurations exceeds the enumeration cap.
     with pytest.raises(SizeLimitError):
         output_distribution(haar_unitary(39, 3), uniform_input(6, 39))
+
+
+# ------------------------------------------------- the batched output table
+
+TABLE_TOL = 1e-13
+
+
+def _check_table_entries(net, input_config):
+    dist = output_distribution(net, input_config)
+    t = ModeConfiguration(tuple(input_config))
+    for config, p in dist.items():
+        amp = transition_amplitude(net, t, config)
+        assert abs(p - abs(amp) ** 2) <= TABLE_TOL
+        weight = math.prod(math.factorial(k) for k in t.occupations + config.occupations)
+        naive = abs(permanent_naive(scattering_submatrix(net, t, config))) ** 2 / weight
+        assert abs(p - naive) <= TABLE_TOL
+
+
+@pytest.mark.parametrize("maker", [haar_unitary, haar_special_orthogonal])
+@pytest.mark.parametrize("n,m", [(1, 2), (2, 3), (3, 4), (2, 5)])
+def test_table_entries_match_single_amplitudes(maker, n, m):
+    _check_table_entries(maker(m, 600 + 10 * n + m), uniform_input(n, m))
+
+
+@pytest.mark.parametrize("maker", [haar_unitary, haar_special_orthogonal])
+@pytest.mark.parametrize("input_config", [(2, 1, 0), (3, 0, 0, 1, 0)])
+def test_table_entries_match_single_amplitudes_for_bunched_inputs(maker, input_config):
+    _check_table_entries(maker(len(input_config), 77), input_config)
+
+
+def test_zero_photon_table_is_a_point_mass():
+    dist = output_distribution(haar_unitary(3, 5), uniform_input(0, 3))
+    assert list(dist.items()) == [(ModeConfiguration((0, 0, 0)), 1.0)]
+
+
+def test_outcome_probabilities_validation():
+    net = haar_unitary(3, 6)
+    with pytest.raises(ValidationError):
+        outcome_probabilities(net, (1, 1), [(1, 1, 0)])
+    with pytest.raises(ValidationError):
+        outcome_probabilities(net, (1, 1, 0), [(1, 1)])
+    with pytest.raises(ValidationError):
+        outcome_probabilities(net, (1, 1, 0), [(1, 1, 1)])
+    assert outcome_probabilities(net, (1, 1, 0), []).shape == (0,)
+
+
+def test_table_guards_fire_before_allocation():
+    net = haar_unitary(39, 3)
+    tracemalloc.start()
+    try:
+        # C(44, 6), about 7 million outcomes, exceeds the support limit.
+        with pytest.raises(SizeLimitError):
+            output_distribution(net, uniform_input(6, 39))
+        # More photons than AMPLITUDE_PHOTON_LIMIT allows.
+        with pytest.raises(SizeLimitError):
+            output_distribution(haar_unitary(2, 4), (AMPLITUDE_PHOTON_LIMIT + 1, 0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+@settings(max_examples=25, deadline=None)
+@given(m=st.integers(2, 5), n=st.integers(1, 3), seed=st.integers(0, 10_000),
+       perm_seed=st.integers(0, 10_000))
+def test_table_is_complete_and_covariant_under_relabeling(m, n, seed, perm_seed):
+    n = min(n, m)
+    net = haar_unitary(m, seed)
+    t = uniform_input(n, m)
+    base = output_distribution(net, t)
+    assert abs(base.total() - 1.0) <= 1e-12
+    perm = np.random.default_rng(perm_seed).permutation(m)
+    p = np.eye(m)[perm]  # p @ x relabels mode perm[k] as mode k
+    moved = output_distribution(LinearNetwork(p @ net.entries @ p.T, net.kind),
+                                tuple(t[perm[k]] for k in range(m)))
+    for config, prob in base.items():
+        image = ModeConfiguration(tuple(config[perm[k]] for k in range(m)))
+        assert abs(moved.probability(image) - prob) <= 1e-12
