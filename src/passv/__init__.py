@@ -33,6 +33,7 @@ from .evolution import (
 )
 from .experiments import (
     EquivalenceReport,
+    brute_force_parity,
     predicted_parity_distribution,
     run_equivalence_experiment,
     squeezed_invariance_check,
@@ -73,6 +74,7 @@ __all__ = [
     "apply_ladder",
     "apply_network",
     "build_passv_input",
+    "brute_force_parity",
     "build_squeezed_product",
     "collision_free_configurations",
     "configuration_count",

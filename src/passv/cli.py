@@ -6,6 +6,10 @@ written atomically (temp file plus rename), and a repeated invocation with
 identical flags produces byte-identical output. The one exception is
 bench-permanent, whose nanosecond column is a wall-clock measurement.
 
+sample-passv and compare both run ``experiments.brute_force_parity``, so they
+share its guards (n <= m <= 5, squeezing r <= 1.0), its cutoff policy and its
+truncation budget; the cutoff is chosen by the oracle and recorded, never set.
+
 Exit codes: 0 success, 1 validation failure or bad usage, 2 size-limit guard.
 The PASSV_LOG environment variable (quiet, info, debug) sets stderr verbosity.
 """
@@ -28,14 +32,7 @@ import numpy as np
 from .configurations import ModeConfiguration
 from .distributions import OutputDistribution, draw_indices
 from .errors import SizeLimitError, ValidationError
-from .evolution import (
-    apply_network,
-    as_squeezing,
-    build_passv_input,
-    parity_distribution,
-    required_cutoff,
-)
-from .experiments import run_equivalence_experiment
+from .experiments import brute_force_parity, run_equivalence_experiment
 from .networks import (
     LinearNetwork,
     embed_unitary_as_orthogonal,
@@ -98,7 +95,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=["added", "subtracted"], default="added")
     p.add_argument("--seed", type=int, required=True, help="network seed")
     p.add_argument("--epsilon-tail", type=float, default=1e-8)
-    p.add_argument("--cutoff", type=int, help="override the computed occupation cutoff")
     p.add_argument("--output", help="output path (default: stdout)")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
 
@@ -270,17 +266,14 @@ def _samples_path(path: str | None) -> str | None:
 
 
 def _run_sample_passv(args):
-    sq = as_squeezing(args.xi)
-    cutoff = args.cutoff if args.cutoff is not None else required_cutoff(
-        sq, args.epsilon_tail, headroom=args.n
+    dist, cutoff, loss = brute_force_parity(
+        args.n, args.m, args.xi, args.variant,
+        seed=args.seed, epsilon_tail=args.epsilon_tail,
     )
-    state = build_passv_input(args.n, args.m, sq, args.variant, cutoff)
-    apply_network(state, reck_decompose(haar_special_orthogonal(args.m, args.seed)))
-    dist = parity_distribution(state)
     config = {
         "subcommand": "sample-passv", "n": args.n, "m": args.m, "xi": args.xi,
         "variant": args.variant, "seed": args.seed, "cutoff": cutoff,
-        "epsilon_tail": args.epsilon_tail, "truncation_loss": state.truncation_loss,
+        "epsilon_tail": args.epsilon_tail, "truncation_loss": loss,
     }
     if args.format == "csv":
         _write_artifact(args.output, _distribution_csv(dist, config))

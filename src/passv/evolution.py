@@ -286,27 +286,25 @@ def apply_beamsplitter(state: TruncatedFockState, i: int, j: int,
             f"modes ({i}, {j}) out of range for {state.modes} modes"
         )
     d = state.cutoff
-    dim = d + 1
     # Fill the cache before the loop: entries first built between the loop's
     # temporaries would pin freed heap pages and raise the peak RSS.
     for total in range(1, 2 * d + 1):
         _sector_eigenbasis(total)
-    moved = np.moveaxis(state.amplitudes, (i, j), (0, 1))
-    arr = np.ascontiguousarray(moved).reshape(dim, dim, -1)
+    # A view with modes i and j in front: each sector is gathered, rotated
+    # and written back through it, so no second state tensor is allocated.
+    a = np.moveaxis(state.amplitudes, (i, j), (0, 1))
     for total in range(1, 2 * d + 1):
         lo = max(0, total - d)
         hi = min(d, total)
         ps = np.arange(lo, hi + 1)
         full = _sector_rotation(total, theta)
         block = full if total <= d else full[np.ix_(ps, ps)]
-        vin = arr[ps, total - ps, :]
+        vin = a[ps, total - ps].reshape(len(ps), -1)
         vout = block @ vin
         if total > d:
             lost = float(np.sum(np.abs(vin) ** 2) - np.sum(np.abs(vout) ** 2))
             state.truncation_loss += max(0.0, lost)
-        arr[ps, total - ps, :] = vout
-    restored = np.moveaxis(arr.reshape((dim,) * state.modes), (0, 1), (i, j))
-    state.amplitudes = np.ascontiguousarray(restored)
+        a[ps, total - ps] = vout.reshape((len(ps),) + a.shape[2:])
     return state
 
 

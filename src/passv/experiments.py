@@ -7,6 +7,10 @@ modes and the first n columns. The identity is exact and independent of the
 squeezing strength; the harness checks it numerically against the truncated
 Fock oracle and measures, rather than assumes, everything else (collision
 sector mass, truncation loss, the subtracted-variant matrix convention).
+
+``brute_force_parity`` is that oracle, with its guards, its cutoff policy and
+its truncation budget in one place; ``compare`` and ``sample-passv`` both run
+it, so the library and the command line refuse and truncate alike.
 """
 
 from __future__ import annotations
@@ -53,8 +57,12 @@ BUDGET_FACTOR = 10.0
 TOLERANCE_FLOOR = 1e-9
 
 
+def truncation_budget(modes: int, epsilon_tail: float) -> float:
+    return BUDGET_FACTOR * modes * epsilon_tail
+
+
 def comparison_tolerance(modes: int, epsilon_tail: float) -> float:
-    return BUDGET_FACTOR * modes * epsilon_tail + TOLERANCE_FLOOR
+    return truncation_budget(modes, epsilon_tail) + TOLERANCE_FLOOR
 
 
 def predicted_parity_distribution(network: LinearNetwork, total_photons: int,
@@ -162,15 +170,21 @@ class EquivalenceReport:
         return rows
 
 
-def run_equivalence_experiment(total_photons: int, modes: int, xi_values,
-                               variant: str = ADDED, *, seed: int,
-                               epsilon_tail: float = 1e-8) -> EquivalenceReport:
-    """Compare permanent predictions with brute-force parity statistics.
+def brute_force_parity(total_photons: int, modes: int, xi, variant: str = ADDED, *,
+                       seed: int, epsilon_tail: float = 1e-8
+                       ) -> tuple[OutputDistribution, int, float]:
+    """The truncated-Fock oracle: parity statistics of one input behind network ``seed``.
 
-    Draws one Haar special-orthogonal network from ``seed``, evolves the
-    photon-added or photon-subtracted squeezed input through its two-mode
-    elements at every requested squeezing magnitude, and tabulates the parity
-    probabilities of the collision-free patterns against |Per(O_S)|^2.
+    Refuses inputs outside the oracle's range (1 <= n <= m <= MAX_ORACLE_MODES,
+    r <= MAX_SQUEEZING) before anything is built. The cutoff starts at
+    ``required_cutoff(xi, epsilon_tail, headroom=n)`` and grows by two until
+    the recorded loss of the evolved state fits ``truncation_budget``: sector
+    overflow during mixing loses more than the single-mode tails alone, each
+    step of two shrinks it by roughly tanh(r)^2, and the state size guard in
+    build_passv_input stops the growth before anything is allocated.
+
+    Returns the parity distribution over all 2^m patterns, the cutoff and the
+    recorded truncation loss.
     """
     n, m = total_photons, modes
     if not (1 <= n <= m):
@@ -179,62 +193,51 @@ def run_equivalence_experiment(total_photons: int, modes: int, xi_values,
         raise ValidationError(
             f"the brute-force oracle is limited to m <= {MAX_ORACLE_MODES} modes"
         )
+    sq = as_squeezing(xi)
+    if sq.r > MAX_SQUEEZING:
+        raise ValidationError(
+            f"squeezing magnitude {sq.r} exceeds the supported {MAX_SQUEEZING}"
+        )
+    decomposition = reck_decompose(haar_special_orthogonal(m, seed))
+    budget = truncation_budget(m, epsilon_tail)
+    cutoff = required_cutoff(sq, epsilon_tail, headroom=n)
+    while True:
+        state = build_passv_input(n, m, sq, variant, cutoff)
+        apply_network(state, decomposition)
+        if state.truncation_loss <= budget:
+            return parity_distribution(state), cutoff, state.truncation_loss
+        cutoff += 2
+
+
+def run_equivalence_experiment(total_photons: int, modes: int, xi_values,
+                               variant: str = ADDED, *, seed: int,
+                               epsilon_tail: float = 1e-8) -> EquivalenceReport:
+    """Compare permanent predictions with brute-force parity statistics.
+
+    Runs ``brute_force_parity`` on the Haar special-orthogonal network drawn
+    from ``seed`` at every requested squeezing magnitude, and tabulates the
+    parity probabilities of the collision-free patterns against |Per(O_S)|^2.
+    """
+    n, m = total_photons, modes
     xi_list = [as_squeezing(x) for x in xi_values]
     if not xi_list:
         raise ValidationError("at least one squeezing value is required")
-    for sq in xi_list:
-        if sq.r > MAX_SQUEEZING:
-            raise ValidationError(
-                f"squeezing magnitude {sq.r} exceeds the supported {MAX_SQUEEZING}"
-            )
+    oracle = [
+        brute_force_parity(n, m, sq, variant, seed=seed, epsilon_tail=epsilon_tail)
+        for sq in xi_list
+    ]
     network = haar_special_orthogonal(m, seed)
-    decomposition = reck_decompose(network)
     predicted_dist = predicted_parity_distribution(network, n, variant)
     patterns = predicted_dist.keys
     predicted = [predicted_dist.probability(p) for p in patterns]
-
-    budget = BUDGET_FACTOR * m * epsilon_tail
-    brute_rows: list[list[float]] = []
-    collision_mass: list[float] = []
-    losses: list[float] = []
-    cutoffs: list[int] = []
-    for sq in xi_list:
-        # Sector overflow during mixing loses more amplitude than the
-        # single-mode tails alone, so grow the cutoff until the recorded
-        # loss fits the declared budget. Each step of two shrinks the
-        # overflow by roughly tanh(r)^2; the state size guard in
-        # build_passv_input stops the growth before anything is allocated.
-        cutoff = required_cutoff(sq, epsilon_tail, headroom=n)
-        while True:
-            state = build_passv_input(n, m, sq, variant, cutoff)
-            apply_network(state, decomposition)
-            if state.truncation_loss <= budget:
-                break
-            cutoff += 2
-        cutoffs.append(cutoff)
-        parity = parity_distribution(state)
-        row = [parity.probability(p) for p in patterns]
-        brute_rows.append(row)
-        collision_mass.append(max(0.0, 1.0 - sum(row)))
-        losses.append(state.truncation_loss)
-
-    max_dev = max(
-        abs(row[k] - predicted[k]) for row in brute_rows for k in range(len(patterns))
-    )
-    cross = 0.0
-    for a in range(len(brute_rows)):
-        for b in range(a + 1, len(brute_rows)):
-            for k in range(len(patterns)):
-                cross = max(cross, abs(brute_rows[a][k] - brute_rows[b][k]))
+    brute_rows = [[parity.probability(p) for p in patterns] for parity, _, _ in oracle]
+    brute = np.array(brute_rows)
 
     transpose_dev = None
     if variant == SUBTRACTED:
         alt = predicted_parity_distribution(network, n, variant, convention=TRANSPOSE)
-        transpose_dev = max(
-            abs(row[k] - alt.probability(patterns[k]))
-            for row in brute_rows
-            for k in range(len(patterns))
-        )
+        alt_row = [alt.probability(p) for p in patterns]
+        transpose_dev = float(np.max(np.abs(brute - alt_row)))
 
     return EquivalenceReport(
         total_photons=n,
@@ -243,15 +246,17 @@ def run_equivalence_experiment(total_photons: int, modes: int, xi_values,
         xi_values=[sq.r for sq in xi_list],
         seed=int(seed),
         epsilon_tail=float(epsilon_tail),
-        cutoffs=cutoffs,
+        cutoffs=[cutoff for _, cutoff, _ in oracle],
         patterns=patterns,
         predicted=predicted,
         brute=brute_rows,
-        max_deviation=float(max_dev),
-        cross_xi_deviation=float(cross),
-        collision_sector_mass=collision_mass,
-        truncation_loss=losses,
-        truncation_budget=budget,
+        max_deviation=float(np.max(np.abs(brute - predicted))),
+        # Peak to peak over xi is the largest pairwise gap, bit for bit:
+        # rounded subtraction is monotone.
+        cross_xi_deviation=float(np.max(np.ptp(brute, axis=0))),
+        collision_sector_mass=[max(0.0, 1.0 - sum(row)) for row in brute_rows],
+        truncation_loss=[loss for _, _, loss in oracle],
+        truncation_budget=truncation_budget(m, epsilon_tail),
         tolerance=comparison_tolerance(m, epsilon_tail),
         transpose_convention_deviation=transpose_dev,
     )

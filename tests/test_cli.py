@@ -182,13 +182,43 @@ def test_sample_passv_parity_table(tmp_path):
     assert rows["--"] == 0.0
 
 
-def test_sample_passv_cutoff_override(tmp_path):
+def test_sample_passv_grows_the_cutoff_until_the_loss_fits_the_budget(tmp_path):
+    # required_cutoff gives 28 here, whose recorded loss (about 6e-7) is over
+    # the 10 * m * epsilon_tail = 4e-7 budget; compare grows the same case to 30.
     code, out = _run(tmp_path, "parity.csv",
-                     ["sample-passv", "--n", "1", "--m", "2", "--xi", "0.4",
-                      "--seed", "6", "--cutoff", "8"])
+                     ["sample-passv", "--n", "2", "--m", "4", "--xi", "0.6",
+                      "--seed", "7"])
     assert code == 0
     config = json.loads(out.read_text().splitlines()[0].removeprefix("# config "))
-    assert config["cutoff"] == 8
+    assert config["cutoff"] == 30
+    assert config["truncation_loss"] <= 4e-7
+
+
+def test_sample_passv_refuses_more_modes_than_the_oracle_supports(tmp_path, capsys):
+    code, out = _run(tmp_path, "parity.csv",
+                     ["sample-passv", "--n", "2", "--m", "6", "--xi", "0.1",
+                      "--seed", "7"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "m <= 5" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("variant, xi", [("added", "0.6"), ("subtracted", "0.4")])
+def test_sample_passv_table_matches_the_compare_brute_row_exactly(tmp_path, variant, xi):
+    common = ["--n", "2", "--m", "3", "--xi", xi, "--variant", variant, "--seed", "11"]
+    code, table = _run(tmp_path, "parity.csv", ["sample-passv", *common])
+    assert code == 0
+    code, report = _run(tmp_path, "report.json", ["compare", *common])
+    assert code == 0
+    lines = table.read_text().splitlines()
+    config = json.loads(lines[0].removeprefix("# config "))
+    rows = {r[0]: float(r[1]) for r in csv.reader(lines[2:])}
+    data = json.loads(report.read_text())["report"]
+    assert config["cutoff"] == data["cutoffs"][0]
+    assert config["truncation_loss"] == data["truncation_loss"][0]
+    assert [rows[p] for p in data["patterns"]] == data["brute"][0]
 
 
 def test_sample_passv_oversized_state_exits_two_before_allocating(tmp_path, capsys):
@@ -205,10 +235,11 @@ def test_sample_passv_oversized_state_exits_two_before_allocating(tmp_path, caps
 
 
 def test_sample_passv_state_over_the_shared_limit_exits_two(tmp_path, capsys):
-    # 31^5 amplitudes (about 28.6 million) is over the one STATE_SIZE_LIMIT.
+    # Four added photons at r = 0.6 start at cutoff 30: 31^5 amplitudes (about
+    # 28.6 million) is over the one STATE_SIZE_LIMIT.
     code, out = _run(tmp_path, "parity.csv",
-                     ["sample-passv", "--n", "2", "--m", "5", "--xi", "0.3",
-                      "--seed", "7", "--cutoff", "30"])
+                     ["sample-passv", "--n", "4", "--m", "5", "--xi", "0.6",
+                      "--seed", "7"])
     assert code == 2
     err = capsys.readouterr().err
     assert "size limit" in err

@@ -13,6 +13,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 from scipy.linalg import expm
 
 from passv import evolution
@@ -422,6 +423,31 @@ def test_splitter_truncation_loss_balances_norm():
     apply_beamsplitter(st, 0, 1, 0.9)
     assert st.squared_norm() + st.truncation_loss == pytest.approx(start, abs=1e-10)
     assert st.truncation_loss > 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=strategies.integers(3, 4), d=strategies.integers(1, 6),
+       order=strategies.permutations(range(4)), seed=strategies.integers(0, 10_000),
+       theta=strategies.floats(-math.pi, math.pi))
+def test_splitter_on_any_pair_is_the_front_pair_mixer_relabeled(m, d, order, seed, theta):
+    # Any pair, in either order and not necessarily adjacent, is mixed in place
+    # through a strided view; the reference moves the pair to the front of a
+    # contiguous copy and mixes modes (0, 1) there.
+    i, j = [k for k in order if k < m][:2]
+    rng = np.random.default_rng(seed)
+    amps = rng.standard_normal((d + 1,) * m) + 1j * rng.standard_normal((d + 1,) * m)
+    state = TruncatedFockState(m, d, amps / np.linalg.norm(amps), truncation_loss=0.25)
+    before = state.squared_norm() + state.truncation_loss
+    reference = TruncatedFockState(m, d, np.moveaxis(state.amplitudes, (i, j), (0, 1)),
+                                   truncation_loss=0.25)
+    array = state.amplitudes
+    apply_beamsplitter(state, i, j, theta)
+    apply_beamsplitter(reference, 0, 1, theta)
+    assert state.amplitudes is array
+    assert abs(state.squared_norm() + state.truncation_loss - before) <= 1e-12
+    expected = np.moveaxis(reference.amplitudes, (0, 1), (i, j))
+    assert np.max(np.abs(state.amplitudes - expected)) <= 1e-14
+    assert abs(state.truncation_loss - reference.truncation_loss) <= 1e-14
 
 
 def test_splitter_validation():

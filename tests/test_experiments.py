@@ -13,10 +13,12 @@ import pytest
 
 from passv.configurations import ParityPattern, collision_free_configurations, parity_pattern_of
 from passv.errors import ValidationError
+from passv import experiments
 from passv.experiments import (
     CONJUGATE,
     TRANSPOSE,
     EquivalenceReport,
+    brute_force_parity,
     comparison_tolerance,
     predicted_parity_distribution,
     run_equivalence_experiment,
@@ -125,6 +127,43 @@ def test_equivalence_validation():
         run_equivalence_experiment(2, 3, [], seed=1)
     with pytest.raises(ValidationError):
         run_equivalence_experiment(2, 3, [0.0], variant="removed", seed=1)
+
+
+@pytest.mark.parametrize("n, m, xi", [(2, 6, 0.1), (4, 3, 0.1), (0, 3, 0.1), (2, 3, 1.5)])
+def test_oracle_guards_fire_before_anything_is_built(monkeypatch, n, m, xi):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("built past a guard")
+
+    monkeypatch.setattr(experiments, "haar_special_orthogonal", unreachable)
+    monkeypatch.setattr(experiments, "build_passv_input", unreachable)
+    with pytest.raises(ValidationError):
+        brute_force_parity(n, m, xi, seed=1)
+
+
+def test_report_rows_are_the_oracle_distributions():
+    report = run_equivalence_experiment(2, 3, [0.0, 0.4], seed=11)
+    for row, xi, cutoff, loss in zip(report.brute, report.xi_values, report.cutoffs,
+                                     report.truncation_loss):
+        parity, oracle_cutoff, oracle_loss = brute_force_parity(2, 3, xi, seed=11)
+        assert (oracle_cutoff, oracle_loss) == (cutoff, loss)
+        assert row == [parity.probability(p) for p in report.patterns]
+        assert len(parity) == 2 ** 3
+
+
+def test_report_deviations_are_the_pairwise_maxima():
+    n, m, seed = 2, 3, 7
+    report = run_equivalence_experiment(n, m, [0.2, 0.4, 0.6], SUBTRACTED, seed=seed)
+    rows, predicted = report.brute, report.predicted
+    k = range(len(report.patterns))
+    assert report.max_deviation == max(abs(r[i] - predicted[i]) for r in rows for i in k)
+    assert report.cross_xi_deviation == max(
+        abs(a[i] - b[i]) for a in rows for b in rows for i in k
+    )
+    alt = predicted_parity_distribution(haar_special_orthogonal(m, seed), n, SUBTRACTED,
+                                        convention=TRANSPOSE)
+    assert report.transpose_convention_deviation == max(
+        abs(r[i] - alt.probability(report.patterns[i])) for r in rows for i in k
+    )
 
 
 def test_invariance_holds_for_rotations():
