@@ -21,10 +21,10 @@ from .evolution import (
     Squeezing,
     TruncatedFockState,
     apply_beamsplitter,
-    apply_ladder,
     apply_network,
     build_passv_input,
     build_squeezed_product,
+    mode_ladder,
     number_distribution,
     parity_distribution,
     required_cutoff,
@@ -71,7 +71,6 @@ __all__ = [
     "UNITARY",
     "ValidationError",
     "apply_beamsplitter",
-    "apply_ladder",
     "apply_network",
     "build_passv_input",
     "brute_force_parity",
@@ -83,6 +82,7 @@ __all__ = [
     "enumerate_configurations",
     "haar_special_orthogonal",
     "haar_unitary",
+    "mode_ladder",
     "number_distribution",
     "output_distribution",
     "parity_distribution",

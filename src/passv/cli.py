@@ -1,17 +1,18 @@
 """Deterministic command-line front-end.
 
-Subcommands: sample-fock, sample-passv, compare, decompose, embed,
-bench-permanent. Every artifact embeds the run configuration, files are
-written atomically (temp file plus rename), and a repeated invocation with
-identical flags produces byte-identical output. The one exception is
-bench-permanent, whose nanosecond column is a wall-clock measurement.
+Subcommands: sample-fock, sample-passv, compare, decompose, embed. Every
+artifact embeds the run configuration, files are written atomically (temp
+file plus rename), and a repeated invocation with identical flags produces
+byte-identical output.
 
 sample-passv and compare both run ``experiments.brute_force_parity``, so they
-share its guards (n <= m <= 5, squeezing r <= 1.0), its cutoff policy and its
-truncation budget; the cutoff is chosen by the oracle and recorded, never set.
+share its guards (n <= m <= 5, squeezing r <= 1.0, the state size limit), its
+cutoff choice and its truncation budget; the cutoff is chosen by the oracle
+and recorded, never set.
 
 Exit codes: 0 success, 1 validation failure or bad usage, 2 size-limit guard.
-The PASSV_LOG environment variable (quiet, info, debug) sets stderr verbosity.
+The PASSV_LOG environment variable (quiet, info, debug) sets stderr
+verbosity; any other value is a usage error.
 """
 
 from __future__ import annotations
@@ -24,12 +25,10 @@ import logging
 import os
 import sys
 import tempfile
-import time
 from collections.abc import Iterable, Iterator
 
 import numpy as np
 
-from .configurations import ModeConfiguration
 from .distributions import OutputDistribution, draw_indices
 from .errors import SizeLimitError, ValidationError
 from .experiments import brute_force_parity, run_equivalence_experiment
@@ -43,7 +42,6 @@ from .networks import (
     reconstruct,
     UNITARY,
 )
-from .permanents import NAIVE_LIMIT, permanent_naive, permanent_ryser
 from .sampling import output_distribution, uniform_input
 
 logger = logging.getLogger("passv")
@@ -53,11 +51,7 @@ LOG_LEVELS = {"quiet": logging.WARNING, "info": logging.INFO, "debug": logging.D
 SAMPLE_CHUNK = 8192  # sample rows per chunk written to the samples artifact
 
 
-def _configure_logging():
-    level_name = os.environ.get("PASSV_LOG", "info").lower()
-    level = LOG_LEVELS.get(level_name)
-    if level is None:
-        level = logging.INFO
+def _configure_logging(level: int):
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(logging.Formatter("%(levelname)s %(message)s"))
     logger.handlers = [handler]
@@ -116,17 +110,17 @@ def _build_parser() -> argparse.ArgumentParser:
     add_matrix_source(p, need_n=False)
     p.add_argument("--output", help="output path (default: stdout)")
 
-    p = sub.add_parser("bench-permanent", help="time the permanent kernels")
-    p.add_argument("--sizes", default="2,4,6,8", help="comma-separated matrix sizes")
-    p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--output", help="output path (default: stdout)")
     return parser
 
 
 def execute(argv) -> int:
     """Run one invocation; returns the process exit code."""
-    _configure_logging()
+    level_name = os.environ.get("PASSV_LOG", "info").lower()
+    _configure_logging(LOG_LEVELS.get(level_name, logging.INFO))
+    if level_name not in LOG_LEVELS:
+        logger.error("usage: PASSV_LOG must be one of %s, got %r",
+                     ", ".join(LOG_LEVELS), level_name)
+        return 1
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -141,7 +135,6 @@ def execute(argv) -> int:
         "compare": _run_compare,
         "decompose": _run_decompose,
         "embed": _run_embed,
-        "bench-permanent": _run_bench,
     }
     try:
         handlers[args.command](args)
@@ -335,44 +328,6 @@ def _run_embed(args):
     doubled = embed_unitary_as_orthogonal(net)
     record = {"config": {"subcommand": "embed", **source}, **doubled.to_json_dict()}
     _write_artifact(args.output, json.dumps(record, sort_keys=True, indent=2) + "\n")
-
-
-def _parse_sizes(text: str) -> list[int]:
-    try:
-        sizes = [int(part) for part in str(text).split(",") if part != ""]
-    except ValueError as exc:
-        raise ValidationError(f"cannot parse --sizes list {text!r}") from exc
-    if not sizes or any(s < 0 for s in sizes):
-        raise ValidationError("--sizes needs non-negative integers")
-    return sizes
-
-
-def _run_bench(args):
-    sizes = _parse_sizes(args.sizes)
-    if args.repeats < 1:
-        raise ValidationError("--repeats must be at least 1")
-    rng = np.random.default_rng(int(args.seed))
-    config = {"subcommand": "bench-permanent", "sizes": sizes,
-              "repeats": args.repeats, "seed": args.seed}
-    buf = io.StringIO()
-    buf.write(_config_comment(config) + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["n", "kernel", "nanoseconds", "checksum"])
-    for n in sizes:
-        matrix = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        kernels = [("ryser", permanent_ryser)]
-        if n <= NAIVE_LIMIT:
-            kernels.insert(0, ("naive", permanent_naive))
-        for name, kernel in kernels:
-            best = None
-            value = None
-            for _ in range(args.repeats):
-                start = time.perf_counter_ns()
-                value = kernel(matrix)
-                elapsed = time.perf_counter_ns() - start
-                best = elapsed if best is None else min(best, elapsed)
-            writer.writerow([n, name, best, f"{abs(value):.9e}"])
-    _write_artifact(args.output, buf.getvalue())
 
 
 if __name__ == "__main__":

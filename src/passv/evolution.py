@@ -1,12 +1,16 @@
 """Brute-force evolution of truncated multimode Fock states.
 
-States live on a dense (d+1)^m amplitude tensor with a per-mode occupation
-cutoff d. Two-mode mixers act exactly within each total-photon sector N: the
-sector rotation exp(theta K_N) is assembled from an eigenbasis of the
-generator K_N that is computed once per N and cached, so no matrix
-exponential is evaluated per call. Amplitude pushed past the cutoff is dropped
-and its squared magnitude accumulated in ``truncation_loss``, so squared norm
-plus recorded loss is conserved.
+A state over m modes holds one amplitude for every occupation tuple whose
+total photon number is at most the cutoff D: C(D+m, m) amplitudes in one
+flat vector, in lexicographic order with the first mode most significant.
+Passive networks never move amplitude between photon totals, so nothing is
+lost while a network is applied. A two-mode mixer gathers, for each subtotal
+s of its pair, the (s+1) x G block of the pair's splits of s against the G
+occupations of the other modes that fit under D - s, rotates it with
+exp(theta K_s) and scatters it back. Each sector rotation is assembled from
+an eigenbasis of the generator K_s that is computed once per s and cached.
+The only truncation is the input's: its mass above total D, recorded in
+``truncation_loss`` when the state is prepared.
 
 Element lists follow the matrix-factor order used by the decomposition
 module: the first element of a list is the last operation applied to a state,
@@ -17,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import expm  # noqa: F401  (unused; perfbench/tracing.py wraps this name)
@@ -30,7 +34,7 @@ from .networks import ReckDecomposition, TwoModeElement
 ADDED = "added"
 SUBTRACTED = "subtracted"
 
-STATE_SIZE_LIMIT = 25_000_000  # complex amplitudes; 400 MB
+STATE_SIZE_LIMIT = 400_000_000  # bytes per state, as counted by _state_bytes
 
 
 @dataclass(frozen=True)
@@ -57,20 +61,77 @@ def as_squeezing(value) -> Squeezing:
     return Squeezing(float(value))
 
 
+def _state_bytes(modes: int, cutoff: int) -> int:
+    """Bytes of every array a state over ``modes`` up to ``cutoff`` photons needs.
+
+    Per amplitude: the amplitude and one amplitude-sized workspace (a copy or
+    gather of the amplitudes, or the parity weights and pattern indices), 16
+    bytes each; one cached occupation per mode; one cached 4-byte gather
+    index per mode pair.
+    """
+    per_amplitude = (32 + modes * np.min_scalar_type(cutoff).itemsize
+                     + 2 * modes * (modes - 1))
+    return math.comb(cutoff + modes, modes) * per_amplitude
+
+
 def _check_state_size(modes: int, cutoff: int) -> None:
-    """Refuse a (cutoff+1)^modes tensor over STATE_SIZE_LIMIT before it is built."""
-    if (int(cutoff) + 1) ** int(modes) > STATE_SIZE_LIMIT:
+    """Refuse a state whose arrays would exceed STATE_SIZE_LIMIT, before any is built."""
+    needed = _state_bytes(modes, cutoff)
+    if needed > STATE_SIZE_LIMIT:
         raise SizeLimitError(
-            f"state tensor {(cutoff + 1,) * modes} exceeds {STATE_SIZE_LIMIT} "
-            "amplitudes; reduce the squeezing or epsilon_tail"
+            f"a {modes}-mode state up to {cutoff} photons "
+            f"({math.comb(cutoff + modes, modes)} amplitudes) needs {needed} bytes, "
+            f"over the {STATE_SIZE_LIMIT} byte limit; reduce the squeezing or epsilon_tail"
         )
 
 
-class TruncatedFockState:
-    """Dense amplitudes over (cutoff+1)^modes occupation tuples.
+@lru_cache(maxsize=4)
+def _index_tables(modes: int, cutoff: int) -> tuple[np.ndarray, dict]:
+    """Occupation table of (modes, cutoff) and a dict of its pairs' gather orders.
 
-    Mutated in place by the apply_* operations; callers that need the original
-    should ``copy()`` first.
+    The table is (modes, K), column k for amplitude k; ``_pair_gather`` fills
+    the dict on first use. A partial tuple with b photons left expands into
+    b + 1 tuples, one per occupation of the next mode, so the order stays
+    lexicographic.
+    """
+    table = np.zeros((0, 1), dtype=np.min_scalar_type(cutoff))
+    left = np.array([cutoff])
+    for _ in range(modes):
+        counts = left + 1
+        parent = np.repeat(np.arange(len(left)), counts)
+        level = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts, counts)
+        table = np.vstack((table[:, parent], level.astype(table.dtype)))
+        left = left[parent] - level
+    table.flags.writeable = False
+    return table, {}
+
+
+def _pair_gather(modes: int, cutoff: int, i: int, j: int) -> tuple[np.ndarray, list[int]]:
+    """Gather order and sector bounds of a mixer on modes (i, j).
+
+    A stable sort by the pair's subtotal s, then by mode i's occupation, lays
+    sector s out as s + 1 equal runs, one per occupation p of mode i. Within
+    a run the other modes keep their lexicographic order, which is the same
+    in every run, so ``order[bounds[s]:bounds[s + 1]].reshape(s + 1, -1)``
+    indexes the block that the sector rotation acts on, row p.
+    """
+    occupations, gathers = _index_tables(modes, cutoff)
+    if (i, j) not in gathers:
+        subtotal = occupations[i] + occupations[j]
+        order = np.lexsort((occupations[i], subtotal)).astype(np.int32)
+        order.flags.writeable = False
+        sizes = np.bincount(subtotal, minlength=cutoff + 1)
+        gathers[i, j] = order, [0, *np.cumsum(sizes).tolist()]
+    return gathers[i, j]
+
+
+class TruncatedFockState:
+    """Amplitudes of the occupation tuples over ``modes`` with total <= ``cutoff``.
+
+    ``amplitudes`` is flat, ordered like the columns of the occupation table
+    of ``_index_tables``; the vacuum comes first. Mutated in place by the
+    apply_* operations; callers that need the original should ``copy()``
+    first.
     """
 
     def __init__(self, modes: int, cutoff: int, amplitudes: np.ndarray | None = None,
@@ -80,43 +141,37 @@ class TruncatedFockState:
         if cutoff < 0:
             raise ValidationError(f"cutoff must be non-negative, got {cutoff}")
         _check_state_size(modes, cutoff)
-        shape = (cutoff + 1,) * modes
+        shape = (math.comb(cutoff + modes, modes),)
         if amplitudes is None:
             amplitudes = np.zeros(shape, dtype=np.complex128)
-            amplitudes[(0,) * modes] = 1.0
+            amplitudes[0] = 1.0
         else:
-            amplitudes = np.asarray(amplitudes, dtype=np.complex128)
+            amplitudes = np.array(amplitudes, dtype=np.complex128)
             if amplitudes.shape != shape:
                 raise ValidationError(
-                    f"amplitude tensor shape {amplitudes.shape} does not match {shape}"
+                    f"amplitude vector shape {amplitudes.shape} does not match {shape}"
                 )
-            amplitudes = amplitudes.copy()
         self.modes = modes
         self.cutoff = cutoff
         self.amplitudes = amplitudes
         self.truncation_loss = float(truncation_loss)
 
     @classmethod
-    def vacuum(cls, modes: int, cutoff: int) -> "TruncatedFockState":
-        return cls(modes, cutoff)
-
-    @classmethod
     def from_product(cls, vectors, truncation_loss: float = 0.0) -> "TruncatedFockState":
+        """The product of one amplitude vector per mode (occupations 0..D), up to total D."""
         vectors = [np.asarray(v, dtype=np.complex128) for v in vectors]
         if not vectors:
             raise ValidationError("product state needs at least one mode vector")
         lengths = {v.shape for v in vectors}
         if len(lengths) != 1 or vectors[0].ndim != 1:
             raise ValidationError("mode vectors must be 1-D and equally long")
-        _check_state_size(len(vectors), vectors[0].shape[0] - 1)
-        # The outer product is a fresh array (the copied first vector covers
-        # m = 1), so the state takes it over without __init__'s copy.
-        state = cls.__new__(cls)
-        state.modes = len(vectors)
-        state.cutoff = vectors[0].shape[0] - 1
-        state.amplitudes = reduce(np.multiply.outer, vectors[1:], vectors[0].copy())
-        state.truncation_loss = float(truncation_loss)
-        return state
+        modes, cutoff = len(vectors), vectors[0].shape[0] - 1
+        _check_state_size(modes, cutoff)
+        occupations = _index_tables(modes, cutoff)[0]
+        amplitudes = vectors[0][occupations[0]]
+        for vector, levels in zip(vectors[1:], occupations[1:]):
+            amplitudes *= vector[levels]
+        return cls(modes, cutoff, amplitudes, truncation_loss)
 
     def copy(self) -> "TruncatedFockState":
         return TruncatedFockState(
@@ -132,23 +187,11 @@ class TruncatedFockState:
             raise ValidationError(
                 f"configuration over {config.modes} modes does not match {self.modes}"
             )
-        if any(k > self.cutoff for k in config):
+        if config.total > self.cutoff:
             return 0.0 + 0.0j
-        return complex(self.amplitudes[config.occupations])
-
-    def snapshot_dict(self, threshold: float = 1e-14) -> dict:
-        """Debug record: indices and amplitudes above ``threshold`` in modulus."""
-        entries = []
-        for idx in np.ndindex(self.amplitudes.shape):
-            a = self.amplitudes[idx]
-            if abs(a) > threshold:
-                entries.append([list(idx), float(a.real), float(a.imag)])
-        return {
-            "m": self.modes,
-            "d": self.cutoff,
-            "loss": float(self.truncation_loss),
-            "amps": entries,
-        }
+        table = _index_tables(self.modes, self.cutoff)[0]
+        (k,) = np.flatnonzero((table.T == config.occupations).all(axis=1))
+        return complex(self.amplitudes[k])
 
 
 def squeezed_vacuum_vector(xi, cutoff: int) -> tuple[np.ndarray, float]:
@@ -180,65 +223,58 @@ def squeezed_vacuum_vector(xi, cutoff: int) -> tuple[np.ndarray, float]:
     return vec, tail
 
 
-def required_cutoff(xi, epsilon_tail: float = 1e-8, headroom: int = 0) -> int:
-    """Minimal even cutoff whose squeezed-vacuum tail mass is <= epsilon_tail,
-    plus ``headroom`` extra levels for subsequent photon additions."""
+def required_cutoff(xi, epsilon_tail: float = 1e-8, modes: int = 1, photons: int = 0) -> int:
+    """Smallest total photon cutoff whose input tail mass is <= epsilon_tail.
+
+    The input is ``modes`` identically squeezed vacua with a ladder operator
+    on each of the first ``photons``, as in ``build_passv_input``; the defaults
+    give one squeezed vacuum. With t = tanh r, a squeezed vacuum's pair count
+    has generating function ((1 - t^2) / (1 - t^2 z))^(1/2); a raised or a
+    lowered one alike puts (2k+1) C(2k, k) (t/2)^(2k) (1 - t^2)^(3/2) on 2k + 1
+    photons, exponent 3/2. So the total is photons + 2k with k negative
+    binomial, P(k) = C(k + a - 1, k) (1 - t^2)^a t^(2k), a = modes/2 + photons.
+    """
     sq = as_squeezing(xi)
     if epsilon_tail <= 0.0:
         raise ValidationError(f"epsilon_tail must be positive, got {epsilon_tail}")
-    if headroom < 0:
-        raise ValidationError(f"headroom must be non-negative, got {headroom}")
-    if sq.r == 0.0:
-        return headroom
-    t = math.tanh(sq.r)
-    c2 = 1.0 / math.cosh(sq.r)
-    retained = c2
-    d = 0
+    if modes < 1 or photons < 0:
+        raise ValidationError(f"need modes >= 1 and photons >= 0, got {modes}, {photons}")
+    t2 = math.tanh(sq.r) ** 2
+    a = modes / 2.0 + photons
+    p = math.cosh(sq.r) ** (-2.0 * a)
+    retained = p
+    k = 0
     while 1.0 - retained > epsilon_tail:
-        c2 = c2 * t * t * (2 * d + 1) * (2 * d + 2) / (4.0 * (d + 1.0) ** 2)
-        d += 1
-        retained += c2
-        if d > 100_000:
+        p *= t2 * (k + a) / (k + 1.0)
+        k += 1
+        retained += p
+        if k > 100_000:
             raise SizeLimitError("squeezed tail does not reach the requested epsilon")
-    return 2 * d + headroom
+    return photons + 2 * k
 
 
-def _mode_axis_view(state: TruncatedFockState, mode: int) -> np.ndarray:
-    if not (0 <= mode < state.modes):
-        raise ValidationError(f"mode {mode} out of range for {state.modes} modes")
-    return np.moveaxis(state.amplitudes, mode, 0)
+def mode_ladder(vector, direction: str) -> np.ndarray:
+    """A creation ("raise") or annihilation ("lower") operator on one mode's amplitudes.
 
-
-def apply_ladder(state: TruncatedFockState, mode: int, direction: str) -> TruncatedFockState:
-    """Apply a creation ("raise") or annihilation ("lower") operator in place.
-
-    Raising maps occupation k to k+1 with weight sqrt(k+1); the component at
-    the cutoff is dropped and recorded in ``truncation_loss``. Lowering is
-    exact. The state is generally unnormalized afterwards.
+    Raising maps occupation k to k+1 with weight sqrt(k+1) and drops the top
+    occupation, which has no level to go to; lowering is exact. Returns a new
+    vector, generally unnormalized.
     """
     if direction not in ("raise", "lower"):
         raise ValidationError(f"ladder direction must be 'raise' or 'lower', got {direction!r}")
-    # One occupation slice at a time, in the order that reads each slice
-    # before it is overwritten, so no second state tensor is allocated.
-    a = _mode_axis_view(state, mode)
-    d = state.cutoff
+    vector = np.asarray(vector, dtype=np.complex128)
+    out = np.zeros_like(vector)
+    weights = np.sqrt(np.arange(1, len(vector)))
     if direction == "raise":
-        state.truncation_loss += float(np.sum(np.abs(a[d]) ** 2)) * (d + 1)
-        for k in range(d, 0, -1):
-            a[k] = a[k - 1] * math.sqrt(k)
-        a[0] = 0.0
+        out[1:] = vector[:-1] * weights
     else:
-        for k in range(d):
-            a[k] = a[k + 1] * math.sqrt(k + 1)
-        a[d] = 0.0
-    return state
+        out[:-1] = vector[1:] * weights
+    return out
 
 
 def _apply_mode_factors(state: TruncatedFockState, mode: int, factors: np.ndarray):
-    view = _mode_axis_view(state, mode)
-    view *= np.asarray(factors, dtype=np.complex128).reshape(
-        (-1,) + (1,) * (state.modes - 1)
-    )
+    factors = np.asarray(factors, dtype=np.complex128)
+    state.amplitudes *= factors[_index_tables(state.modes, state.cutoff)[0][mode]]
 
 
 def _sector_generator(total: int) -> np.ndarray:
@@ -275,9 +311,8 @@ def apply_beamsplitter(state: TruncatedFockState, i: int, j: int,
     """Mix modes i and j in place with the real rotation of angle theta.
 
     Acts exactly within each two-mode photon-total sector with the rotation
-    built from that sector's cached eigenbasis; sectors whose total exceeds
-    the cutoff lose the amplitude routed past it, which is added to
-    ``truncation_loss``.
+    built from that sector's cached eigenbasis. Every sector fits under the
+    cutoff, so the squared norm is kept and ``truncation_loss`` is untouched.
     """
     if i == j:
         raise ValidationError("beamsplitter modes must differ")
@@ -286,25 +321,15 @@ def apply_beamsplitter(state: TruncatedFockState, i: int, j: int,
             f"modes ({i}, {j}) out of range for {state.modes} modes"
         )
     d = state.cutoff
-    # Fill the cache before the loop: entries first built between the loop's
+    # Fill the caches before the loop: entries first built between the loop's
     # temporaries would pin freed heap pages and raise the peak RSS.
-    for total in range(1, 2 * d + 1):
+    for total in range(1, d + 1):
         _sector_eigenbasis(total)
-    # A view with modes i and j in front: each sector is gathered, rotated
-    # and written back through it, so no second state tensor is allocated.
-    a = np.moveaxis(state.amplitudes, (i, j), (0, 1))
-    for total in range(1, 2 * d + 1):
-        lo = max(0, total - d)
-        hi = min(d, total)
-        ps = np.arange(lo, hi + 1)
-        full = _sector_rotation(total, theta)
-        block = full if total <= d else full[np.ix_(ps, ps)]
-        vin = a[ps, total - ps].reshape(len(ps), -1)
-        vout = block @ vin
-        if total > d:
-            lost = float(np.sum(np.abs(vin) ** 2) - np.sum(np.abs(vout) ** 2))
-            state.truncation_loss += max(0.0, lost)
-        a[ps, total - ps] = vout.reshape((len(ps),) + a.shape[2:])
+    order, bounds = _pair_gather(state.modes, d, i, j)
+    a = state.amplitudes
+    for total in range(1, d + 1):
+        index = order[bounds[total]:bounds[total + 1]].reshape(total + 1, -1)
+        a[index] = _sector_rotation(total, theta) @ a[index]
     return state
 
 
@@ -347,7 +372,7 @@ def apply_network(state: TruncatedFockState, network) -> TruncatedFockState:
 
 
 def build_squeezed_product(modes: int, xi, cutoff: int) -> TruncatedFockState:
-    """Identically squeezed vacuum in every mode, with tail loss recorded."""
+    """Identically squeezed vacuum in every mode up to total ``cutoff``, tail loss recorded."""
     if modes < 1:
         raise ValidationError(f"mode count must be positive, got {modes}")
     vec, _ = squeezed_vacuum_vector(xi, cutoff)
@@ -360,10 +385,11 @@ def build_passv_input(total_photons: int, modes: int, xi, variant: str,
                       cutoff: int) -> TruncatedFockState:
     """Photon-added or photon-subtracted squeezed vacuum over the first n modes.
 
-    Each of the first n modes receives one ladder operation on top of its
-    squeezed vacuum, then the exact analytic normalization is applied
-    (cosh(r)^-n for "added", sinh(r)^-n for "subtracted"), so the squared norm
-    falls short of 1 only by the recorded truncation loss. Subtracting from an
+    Each of the first n mode vectors receives one ladder operation on top of
+    its squeezed vacuum and the exact analytic normalization (1/cosh r for
+    "added", 1/sinh r for "subtracted"); the product is kept up to total
+    ``cutoff``, so the squared norm falls short of 1 only by the recorded
+    truncation loss, the input's tail above the cutoff. Subtracting from an
     unsqueezed mode annihilates the vacuum and raises a validation error.
     """
     if variant not in (ADDED, SUBTRACTED):
@@ -378,12 +404,13 @@ def build_passv_input(total_photons: int, modes: int, xi, variant: str,
             "photon subtraction from vacuum (xi = 0) yields the zero state"
         )
     vec, _ = squeezed_vacuum_vector(sq, cutoff)
-    state = TruncatedFockState.from_product([vec] * modes)
-    direction = "raise" if variant == ADDED else "lower"
-    for mode in range(total_photons):
-        apply_ladder(state, mode, direction)
-    scale = math.cosh(sq.r) if variant == ADDED else math.sinh(sq.r)
-    state.amplitudes *= scale ** (-total_photons)
+    if variant == ADDED:
+        laddered = mode_ladder(vec, "raise") / math.cosh(sq.r)
+    else:
+        laddered = mode_ladder(vec, "lower") / math.sinh(sq.r)
+    state = TruncatedFockState.from_product(
+        [laddered] * total_photons + [vec] * (modes - total_photons)
+    )
     norm2 = state.squared_norm()
     if norm2 <= 1e-12:
         raise ValidationError(
@@ -403,16 +430,20 @@ def parity_distribution(state: TruncatedFockState) -> OutputDistribution:
         raise ValidationError("parity distribution is undefined for the zero state")
     if norm2 > 1.0 + 1e-9:
         raise ValidationError(f"state squared norm {norm2} exceeds 1")
-    probs = np.abs(state.amplitudes) ** 2
-    dim = state.cutoff + 1
-    for axis in range(state.modes):
-        even = probs.take(np.arange(0, dim, 2), axis=axis).sum(axis=axis)
-        odd = probs.take(np.arange(1, dim, 2), axis=axis).sum(axis=axis)
-        probs = np.stack([even, odd], axis=axis)
+    # Pattern index of every amplitude: one bit per mode, set when odd, the
+    # first mode most significant.
+    occupations = _index_tables(state.modes, state.cutoff)[0]
+    pattern = np.zeros(occupations.shape[1], dtype=np.intp)
+    for levels in occupations:
+        pattern <<= 1
+        pattern |= levels & 1
+    probs = np.abs(state.amplitudes)
+    probs **= 2
+    table = np.bincount(pattern, weights=probs, minlength=2 ** state.modes)
     pairs = []
-    for idx in np.ndindex((2,) * state.modes):
-        pattern = ParityPattern(tuple(1 if b == 0 else -1 for b in idx))
-        pairs.append((pattern, float(probs[idx]) / norm2))
+    for idx, p in zip(np.ndindex((2,) * state.modes), table.tolist()):
+        pattern_key = ParityPattern(tuple(1 if b == 0 else -1 for b in idx))
+        pairs.append((pattern_key, p / norm2))
     return OutputDistribution(pairs)
 
 
@@ -422,9 +453,10 @@ def number_distribution(state: TruncatedFockState) -> OutputDistribution:
     if norm2 <= 1e-300:
         raise ValidationError("number distribution is undefined for the zero state")
     probs = np.abs(state.amplitudes) ** 2 / norm2
+    occupations = _index_tables(state.modes, state.cutoff)[0]
     pairs = [
-        (ModeConfiguration(idx), float(probs[idx]))
-        for idx in np.ndindex(state.amplitudes.shape)
+        (ModeConfiguration(tuple(config)), p)
+        for config, p in zip(occupations.T.tolist(), probs.tolist())
     ]
     return OutputDistribution(pairs)
 

@@ -50,15 +50,11 @@ MAX_SQUEEZING = 1.0
 CONJUGATE = "conjugate"
 TRANSPOSE = "transpose"
 
-# Amplitudes dropped at the cutoff can compound while the network is applied
-# element by element, so the comparison tolerance carries a 10x safety factor
-# over the raw m * epsilon_tail budget.
-BUDGET_FACTOR = 10.0
 TOLERANCE_FLOOR = 1e-9
 
 
 def truncation_budget(modes: int, epsilon_tail: float) -> float:
-    return BUDGET_FACTOR * modes * epsilon_tail
+    return modes * epsilon_tail
 
 
 def comparison_tolerance(modes: int, epsilon_tail: float) -> float:
@@ -176,12 +172,12 @@ def brute_force_parity(total_photons: int, modes: int, xi, variant: str = ADDED,
     """The truncated-Fock oracle: parity statistics of one input behind network ``seed``.
 
     Refuses inputs outside the oracle's range (1 <= n <= m <= MAX_ORACLE_MODES,
-    r <= MAX_SQUEEZING) before anything is built. The cutoff starts at
-    ``required_cutoff(xi, epsilon_tail, headroom=n)`` and grows by two until
-    the recorded loss of the evolved state fits ``truncation_budget``: sector
-    overflow during mixing loses more than the single-mode tails alone, each
-    step of two shrinks it by roughly tanh(r)^2, and the state size guard in
-    build_passv_input stops the growth before anything is allocated.
+    r <= MAX_SQUEEZING) before anything is built. The total photon cutoff is
+    chosen once, from the input's analytic photon-number distribution: the
+    smallest one, of the parity of n, whose tail fits ``truncation_budget``.
+    Mixing loses nothing, so that tail is the whole recorded loss. The state
+    size guard in build_passv_input refuses an oversized state before any of
+    its arrays is allocated.
 
     Returns the parity distribution over all 2^m patterns, the cutoff and the
     recorded truncation loss.
@@ -198,15 +194,10 @@ def brute_force_parity(total_photons: int, modes: int, xi, variant: str = ADDED,
         raise ValidationError(
             f"squeezing magnitude {sq.r} exceeds the supported {MAX_SQUEEZING}"
         )
-    decomposition = reck_decompose(haar_special_orthogonal(m, seed))
-    budget = truncation_budget(m, epsilon_tail)
-    cutoff = required_cutoff(sq, epsilon_tail, headroom=n)
-    while True:
-        state = build_passv_input(n, m, sq, variant, cutoff)
-        apply_network(state, decomposition)
-        if state.truncation_loss <= budget:
-            return parity_distribution(state), cutoff, state.truncation_loss
-        cutoff += 2
+    cutoff = required_cutoff(sq, truncation_budget(m, epsilon_tail), modes=m, photons=n)
+    state = build_passv_input(n, m, sq, variant, cutoff)
+    apply_network(state, reck_decompose(haar_special_orthogonal(m, seed)))
+    return parity_distribution(state), cutoff, state.truncation_loss
 
 
 def run_equivalence_experiment(total_photons: int, modes: int, xi_values,

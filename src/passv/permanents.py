@@ -2,7 +2,7 @@
 
 The permutation sum is the trusted oracle at factorial cost. ``permanent_ryser``
 uses Gray-code subset iteration with running row sums for O(2^n * n) work on a
-single matrix (single transition amplitudes and ``bench-permanent``).
+single matrix (single transition amplitudes).
 ``permanent_table`` runs the same Gray-code pass once for a whole table of
 outcomes that share their n input columns, vectorized across the outcomes; the
 output distributions and the parity predictions are built from it.

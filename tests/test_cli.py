@@ -10,16 +10,20 @@ byte-identical across repeat runs with the same arguments.
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from passv import cli
+from passv import cli, evolution
 from passv.cli import execute
 from passv.distributions import draw_samples
+from passv.evolution import required_cutoff
+from passv.experiments import brute_force_parity
 from passv.networks import haar_special_orthogonal, haar_unitary
 from passv.sampling import output_distribution, uniform_input
 
@@ -183,15 +187,15 @@ def test_sample_passv_parity_table(tmp_path):
 
 
 def test_sample_passv_grows_the_cutoff_until_the_loss_fits_the_budget(tmp_path):
-    # required_cutoff gives 28 here, whose recorded loss (about 6e-7) is over
-    # the 10 * m * epsilon_tail = 4e-7 budget; compare grows the same case to 30.
+    # The total cutoff grows two photons at a time until the input's tail fits
+    # m * epsilon_tail = 4e-8; total 36 would leave about 9.8e-8 above it.
     code, out = _run(tmp_path, "parity.csv",
                      ["sample-passv", "--n", "2", "--m", "4", "--xi", "0.6",
                       "--seed", "7"])
     assert code == 0
     config = json.loads(out.read_text().splitlines()[0].removeprefix("# config "))
-    assert config["cutoff"] == 30
-    assert config["truncation_loss"] <= 4e-7
+    assert config["cutoff"] == 38
+    assert config["truncation_loss"] <= 4e-8
 
 
 def test_sample_passv_refuses_more_modes_than_the_oracle_supports(tmp_path, capsys):
@@ -222,8 +226,8 @@ def test_sample_passv_table_matches_the_compare_brute_row_exactly(tmp_path, vari
 
 
 def test_sample_passv_oversized_state_exits_two_before_allocating(tmp_path, capsys):
-    # cutoff 62 over 5 modes is 63^5 amplitudes (about 14.8 GiB): the guard
-    # must refuse it before the product tensor is built.
+    # Total cutoff 92 over 5 modes is C(97, 5) = 64 million amplitudes (about
+    # 5 GB with the index tables): the guard must refuse it before any is built.
     code, out = _run(tmp_path, "parity.csv",
                      ["sample-passv", "--n", "2", "--m", "5", "--xi", "1.0",
                       "--seed", "7"])
@@ -235,10 +239,10 @@ def test_sample_passv_oversized_state_exits_two_before_allocating(tmp_path, caps
 
 
 def test_sample_passv_state_over_the_shared_limit_exits_two(tmp_path, capsys):
-    # Four added photons at r = 0.6 start at cutoff 30: 31^5 amplitudes (about
-    # 28.6 million) is over the one STATE_SIZE_LIMIT.
+    # Three added photons at r = 1.0 need total cutoff 101: C(106, 5) = 101
+    # million amplitudes, about 7.8 GB, over the one STATE_SIZE_LIMIT.
     code, out = _run(tmp_path, "parity.csv",
-                     ["sample-passv", "--n", "4", "--m", "5", "--xi", "0.6",
+                     ["sample-passv", "--n", "3", "--m", "5", "--xi", "1.0",
                       "--seed", "7"])
     assert code == 2
     err = capsys.readouterr().err
@@ -271,7 +275,7 @@ def test_compare_json_report(tmp_path):
 
 
 def test_compare_oracle_size_limit_exits_two_with_hint(tmp_path, capsys):
-    # At r = 1.0 the oracle needs a cutoff near 60 over 5 modes, far over the
+    # At r = 1.0 the oracle needs total cutoff 92 over 5 modes, far over the
     # state size limit; the guard fires before the input is prepared.
     code, out = _run(tmp_path, "report.json",
                      ["compare", "--n", "2", "--m", "5", "--xi", "1.0", "--seed", "7"])
@@ -281,6 +285,60 @@ def test_compare_oracle_size_limit_exits_two_with_hint(tmp_path, capsys):
     assert "reduce the squeezing or epsilon_tail" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_compare_three_photons_in_five_modes_at_r_0_6_passes(tmp_path):
+    # Total cutoff 43: C(48, 5) = 1.7 million amplitudes, where a cutoff on
+    # each mode would need 44^5 = 165 million.
+    code, out = _run(tmp_path, "report.json",
+                     ["compare", "--n", "3", "--m", "5", "--xi", "0.6", "--variant",
+                      "subtracted", "--seed", "7"])
+    assert code == 0
+    report = json.loads(out.read_text())["report"]
+    assert report["passes"] is True
+    assert report["cutoffs"] == [43]
+    assert report["max_deviation"] <= 1e-13
+    assert report["truncation_loss"][0] <= 5e-8
+
+
+def test_largest_admitted_state_peaks_within_the_limit_and_the_next_exits_two(
+        monkeypatch, capsys):
+    n, m, xi, seed = 2, 4, 0.6, 7
+    cutoff = required_cutoff(xi, 4e-8, modes=m, photons=n)
+    limit = evolution._state_bytes(m, cutoff)
+    monkeypatch.setattr(evolution, "STATE_SIZE_LIMIT", limit)
+    # Sector eigenbases are cached per photon total, not per amplitude.
+    for total in range(1, cutoff + 3):
+        evolution._sector_eigenbasis(total)
+    evolution._index_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        brute_force_parity(n, m, xi, seed=seed)
+        held, peak = tracemalloc.get_traced_memory()  # held: the cached index tables
+        tracemalloc.reset_peak()
+        # xi = 0.61 needs the next total up, cutoff + 2.
+        assert required_cutoff(0.61, 4e-8, modes=m, photons=n) == cutoff + 2
+        code = execute(["sample-passv", "--n", str(n), "--m", str(m), "--xi", "0.61",
+                        "--seed", str(seed)])
+        _, refused_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit
+    assert code == 2
+    # Less than one byte per amplitude of the refused state: none of its
+    # arrays was allocated.
+    assert refused_peak - held < math.comb(cutoff + 2 + m, m)
+    err = capsys.readouterr().err
+    assert "size limit" in err and "Traceback" not in err
+
+
+def test_unknown_log_level_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("PASSV_LOG", "verbose")
+    assert execute(["sample-fock", "--n", "1", "--m", "2", "--seed", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "PASSV_LOG must be one of quiet, info, debug" in captured.err
+    assert "'verbose'" in captured.err
 
 
 def test_compare_is_byte_identical_across_runs(tmp_path):
@@ -310,7 +368,7 @@ def test_compare_rejects_bad_xi_list(tmp_path, capsys):
     capsys.readouterr()
 
 
-# ------------------------------------------------- decompose / embed / bench
+# ------------------------------------------------------- decompose / embed
 
 
 def test_decompose_round_trip_error_is_reported(tmp_path):
@@ -339,30 +397,6 @@ def test_embed_rejects_orthogonal_input(tmp_path, capsys):
                    ["embed", "--m", "3", "--kind", "orthogonal", "--seed", "13"])
     assert code == 1
     assert "unitary" in capsys.readouterr().err
-
-
-def test_bench_reports_timings_and_checksums(tmp_path):
-    code, out = _run(tmp_path, "bench.csv",
-                     ["bench-permanent", "--sizes", "2,4", "--repeats", "2",
-                      "--seed", "1"])
-    assert code == 0
-    lines = out.read_text().splitlines()
-    rows = list(csv.reader(lines[1:]))
-    assert rows[0] == ["n", "kernel", "nanoseconds", "checksum"]
-    kernels = {(r[0], r[1]) for r in rows[1:]}
-    assert ("2", "naive") in kernels and ("4", "ryser") in kernels
-    for row in rows[1:]:
-        assert int(row[2]) > 0
-        assert float(row[3]) > 0.0
-
-
-def test_bench_checksums_are_stable(tmp_path):
-    args = ["bench-permanent", "--sizes", "3", "--repeats", "1", "--seed", "5"]
-    _, first = _run(tmp_path, "a.csv", args)
-    _, second = _run(tmp_path, "b.csv", args)
-    first_rows = [r[:2] + r[3:] for r in csv.reader(first.read_text().splitlines()[1:])]
-    second_rows = [r[:2] + r[3:] for r in csv.reader(second.read_text().splitlines()[1:])]
-    assert first_rows == second_rows  # everything but the timing column
 
 
 # ------------------------------------------------------------- entry points

@@ -2,12 +2,15 @@
 
 The beamsplitter is cross-checked against an independent oracle: the matrix
 exponential of the full two-mode generator built from dense Kronecker
-products of ladder matrices, which is exact whenever no amplitude crosses
-the cutoff. The sector rotations, which the mixer builds from a cached
-eigenbasis, are checked against scipy's ``expm`` of each sector generator,
-and so is the mixer itself when sectors overflow the cutoff.
+products of ladder matrices. States keep every occupation tuple up to a total
+photon number, so no mixer sector ever crosses the cutoff and that oracle is
+exact. The sector rotations, which the mixer builds from a cached eigenbasis,
+are checked against scipy's ``expm`` of each sector generator. Cutoffs and
+recorded losses are checked against the tail of the input's total photon
+number, convolved here from the one-mode number distributions.
 """
 
+import itertools
 import math
 import tracemalloc
 
@@ -25,16 +28,17 @@ from passv.evolution import (
     Squeezing,
     TruncatedFockState,
     apply_beamsplitter,
-    apply_ladder,
     apply_network,
     as_squeezing,
     build_passv_input,
     build_squeezed_product,
+    mode_ladder,
     number_distribution,
     parity_distribution,
     required_cutoff,
     squeezed_vacuum_vector,
     state_overlap,
+    _index_tables,
     _sector_generator,
     _sector_rotation,
 )
@@ -52,6 +56,31 @@ def _lowering_matrix(d: int) -> np.ndarray:
     for p in range(1, d + 1):
         a[p - 1, p] = math.sqrt(p)
     return a
+
+
+def _fock(modes_occupations, cutoff: int) -> TruncatedFockState:
+    """The Fock state with the given occupations, as a product of unit mode vectors."""
+    return TruncatedFockState.from_product(
+        [np.eye(cutoff + 1)[k] for k in modes_occupations]
+    )
+
+
+def _input_tail(total_photons, modes, r, variant, cutoff) -> float:
+    """Mass of the prepared input above total ``cutoff``, from 1-D number distributions.
+
+    Each mode's distribution comes from its own ladder-applied, normalized
+    squeezed vector; the total's distribution up to the cutoff is their
+    convolution, which needs no occupation above the cutoff in any mode.
+    """
+    vec, _ = squeezed_vacuum_vector(r, cutoff)
+    if variant == ADDED:
+        laddered = mode_ladder(vec, "raise") / math.cosh(r)
+    else:
+        laddered = mode_ladder(vec, "lower") / math.sinh(r)
+    total = np.array([1.0])
+    for v in [laddered] * total_photons + [vec] * (modes - total_photons):
+        total = np.convolve(total, np.abs(v) ** 2)[:cutoff + 1]
+    return 1.0 - math.fsum(total)
 
 
 # ---------------------------------------------------------------- squeezing
@@ -165,12 +194,33 @@ def test_required_cutoff_is_minimal_and_even():
 
 def test_required_cutoff_headroom_and_degenerate_cases():
     assert required_cutoff(0.0) == 0
-    assert required_cutoff(0.0, headroom=3) == 3
-    assert required_cutoff(0.5, 1e-8, headroom=2) == 22
+    # The n ladder photons are headroom: without squeezing the input is the
+    # n-photon Fock state, total n.
+    assert required_cutoff(0.0, modes=3, photons=3) == 3
+    assert required_cutoff(0.5, 1e-8, modes=1, photons=0) == required_cutoff(0.5, 1e-8)
     with pytest.raises(ValidationError):
         required_cutoff(0.5, 0.0)
     with pytest.raises(ValidationError):
         required_cutoff(0.5, -1e-3)
+    with pytest.raises(ValidationError):
+        required_cutoff(0.5, 1e-8, modes=0)
+    with pytest.raises(ValidationError):
+        required_cutoff(0.5, 1e-8, photons=-1)
+
+
+@pytest.mark.parametrize("n, m, r, variant", [
+    (1, 1, 0.5, ADDED), (2, 3, 0.4, ADDED), (2, 4, 0.6, ADDED), (3, 4, 0.8, ADDED),
+    (1, 2, 0.3, SUBTRACTED), (2, 3, 0.5, SUBTRACTED), (3, 5, 0.3, SUBTRACTED),
+])
+def test_required_cutoff_is_the_smallest_total_whose_input_tail_fits(n, m, r, variant):
+    budget = m * 1e-8
+    d = required_cutoff(r, budget, modes=m, photons=n)
+    assert d % 2 == n % 2  # every input total has the parity of n
+    tail = _input_tail(n, m, r, variant, d)
+    assert tail <= budget < _input_tail(n, m, r, variant, d - 2)
+    # The recorded loss of the prepared state is exactly that tail.
+    assert build_passv_input(n, m, r, variant, d).truncation_loss == pytest.approx(
+        tail, abs=1e-14)
 
 
 # ----------------------------------------------------------------- the state
@@ -193,13 +243,14 @@ def test_state_shape_validation():
 
 
 def test_state_size_guard():
-    with pytest.raises(SizeLimitError):
-        TruncatedFockState(8, 11)
+    # C(125, 5) = 2.3e8 amplitudes over 5 modes, 18 GB with the index tables.
+    with pytest.raises(SizeLimitError, match="reduce the squeezing or epsilon_tail"):
+        TruncatedFockState(5, 120)
 
 
 def test_product_size_guard_fires_before_allocation(monkeypatch):
     monkeypatch.setattr(evolution, "STATE_SIZE_LIMIT", 1_000_000)
-    vectors = [np.ones(101)] * 3  # 101^3 amplitudes, 16.5 MB if built
+    vectors = [np.ones(101)] * 3  # C(103, 3) amplitudes, 8.3 MB with the index tables
     tracemalloc.start()
     try:
         with pytest.raises(SizeLimitError):
@@ -214,116 +265,111 @@ def test_from_product_does_not_alias_the_mode_vectors():
     for modes in (1, 3):
         vectors = [np.array([1.0, 0.5, 0.25], dtype=np.complex128) for _ in range(modes)]
         st = TruncatedFockState.from_product(vectors)
-        st.amplitudes[(0,) * modes] = 7.0
+        st.amplitudes[0] = 7.0  # the vacuum
         assert all(v.tolist() == [1.0, 0.5, 0.25] for v in vectors)
         vectors[0][1] = -3.0
         assert st.amplitude((1,) + (0,) * (modes - 1)) == 0.5
 
 
 def test_passv_input_preparation_holds_one_state():
-    # 41^3 amplitudes, 1.1 MB: the product and both ladders reuse one tensor.
-    state_bytes = 41 ** 3 * 16
+    # C(43, 3) amplitudes: the ladders act on mode vectors, and the product
+    # holds the amplitudes, one gathered factor at a time and the occupation
+    # table, all within what the size guard counts for one state.
+    _index_tables.cache_clear()
     tracemalloc.start()
     try:
         build_passv_input(2, 3, 0.5, ADDED, 40)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * state_bytes
+    assert peak < evolution._state_bytes(3, 40)
 
 
 def test_state_copy_is_independent():
     st = TruncatedFockState(1, 2)
     clone = st.copy()
-    apply_ladder(st, 0, "raise")
+    st.amplitudes[:] = mode_ladder(st.amplitudes, "raise")
     assert clone.amplitude((0,)) == 1.0
     assert st.amplitude((0,)) == 0.0
 
 
-def test_snapshot_dict_drops_negligible_entries():
-    st = TruncatedFockState(1, 4)
-    st.amplitudes[2] = 1e-16
-    snap = st.snapshot_dict()
-    assert snap["m"] == 1 and snap["d"] == 4
-    recorded = {tuple(entry[0]) for entry in snap["amps"]}
-    assert (0,) in recorded and (2,) not in recorded
+def test_occupation_table_is_lexicographic_and_looked_up():
+    for m, d in ((1, 4), (2, 3), (3, 5), (4, 2)):
+        occupations, _ = _index_tables(m, d)
+        columns = [tuple(c) for c in occupations.T.tolist()]
+        expected = [t for t in itertools.product(range(d + 1), repeat=m) if sum(t) <= d]
+        assert columns == expected  # itertools.product is lexicographic
+        st = TruncatedFockState(m, d, np.arange(len(expected)))
+        assert [st.amplitude(t) for t in expected] == list(range(len(expected)))
+        assert st.amplitude((d + 1,) + (0,) * (m - 1)) == 0.0  # past the cutoff
 
 
 # ------------------------------------------------------------------- ladders
 
 
 def test_raise_on_vacuum_gives_one_photon():
-    st = TruncatedFockState(2, 3)
-    apply_ladder(st, 1, "raise")
+    vacuum = np.eye(4)[0]
+    st = TruncatedFockState.from_product([vacuum, mode_ladder(vacuum, "raise")])
     assert st.amplitude((0, 1)) == 1.0
     assert st.squared_norm() == pytest.approx(1.0)
 
 
 def test_ladder_matrix_elements():
     d = 6
-    st = TruncatedFockState(1, d)
-    st.amplitudes[:] = 0.0
-    st.amplitudes[3] = 1.0
-    apply_ladder(st, 0, "raise")
-    assert st.amplitude((4,)) == pytest.approx(math.sqrt(4.0))
-    st.amplitudes[:] = 0.0
-    st.amplitudes[3] = 1.0
-    apply_ladder(st, 0, "lower")
-    assert st.amplitude((2,)) == pytest.approx(math.sqrt(3.0))
+    three = np.eye(d + 1)[3]
+    raised = mode_ladder(three, "raise")
+    assert raised[4] == pytest.approx(math.sqrt(4.0))
+    assert np.count_nonzero(raised) == 1
+    lowered = mode_ladder(three, "lower")
+    assert lowered[2] == pytest.approx(math.sqrt(3.0))
+    assert np.count_nonzero(lowered) == 1
+    assert three[3] == 1.0  # the input vector is left alone
 
 
 def test_lower_on_vacuum_is_zero_state():
-    st = TruncatedFockState(1, 3)
-    apply_ladder(st, 0, "lower")
-    assert st.squared_norm() == 0.0
+    assert not np.any(mode_ladder(np.eye(4)[0], "lower"))
 
 
 def test_raise_at_cutoff_records_loss():
     d = 3
-    st = TruncatedFockState(1, d)
-    st.amplitudes[:] = 0.0
-    st.amplitudes[d] = 1.0
-    apply_ladder(st, 0, "raise")
-    assert st.squared_norm() == 0.0
-    assert st.truncation_loss == pytest.approx(d + 1.0)
+    # The top occupation has no level to go to.
+    assert not np.any(mode_ladder(np.eye(d + 1)[d], "raise"))
+    # In a prepared input that mass is the recorded loss: one added photon on
+    # squeezed vacuum keeps 1 and 3 photons below d = 3, with weights
+    # (2k+1)|c_2k|^2 / cosh(r)^2.
+    st = build_passv_input(1, 1, 0.5, ADDED, d)
+    kept = (C0_HALF**2 + 3.0 * C2_HALF**2) / math.cosh(0.5) ** 2
+    assert st.truncation_loss == pytest.approx(1.0 - kept, abs=1e-14)
+    assert st.squared_norm() + st.truncation_loss == pytest.approx(1.0, abs=1e-14)
 
 
 def test_ladder_validation():
-    st = TruncatedFockState(2, 2)
     with pytest.raises(ValidationError):
-        apply_ladder(st, 2, "raise")
-    with pytest.raises(ValidationError):
-        apply_ladder(st, -1, "raise")
-    with pytest.raises(ValidationError):
-        apply_ladder(st, 0, "up")
+        mode_ladder(np.eye(3)[0], "up")
 
 
 def test_ladder_norms_on_squeezed_vacuum():
     # ||a_dag |xi>||^2 = cosh(r)^2 and ||a |xi>||^2 = sinh(r)^2.
     r = 0.4
-    st = build_squeezed_product(1, r, 40)
-    raised = apply_ladder(st.copy(), 0, "raise")
-    assert raised.squared_norm() == pytest.approx(math.cosh(r) ** 2, abs=1e-10)
-    lowered = apply_ladder(st.copy(), 0, "lower")
-    assert lowered.squared_norm() == pytest.approx(math.sinh(r) ** 2, abs=1e-10)
+    vec, _ = squeezed_vacuum_vector(r, 40)
+    raised = mode_ladder(vec, "raise")
+    assert np.vdot(raised, raised).real == pytest.approx(math.cosh(r) ** 2, abs=1e-10)
+    lowered = mode_ladder(vec, "lower")
+    assert np.vdot(lowered, lowered).real == pytest.approx(math.sinh(r) ** 2, abs=1e-10)
 
 
 # -------------------------------------------------------------- beamsplitter
 
 
 def test_splitter_quarter_turn_routes_single_photon():
-    st = TruncatedFockState(2, 2)
-    st.amplitudes[:] = 0.0
-    st.amplitudes[1, 0] = 1.0
+    st = _fock((1, 0), 2)
     apply_beamsplitter(st, 0, 1, math.pi / 2.0)
     assert st.amplitude((0, 1)) == pytest.approx(-1.0, abs=1e-14)
     assert st.amplitude((1, 0)) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_splitter_half_turn_bunches_photon_pair():
-    st = TruncatedFockState(2, 2)
-    st.amplitudes[:] = 0.0
-    st.amplitudes[1, 1] = 1.0
+    st = _fock((1, 1), 2)
     apply_beamsplitter(st, 0, 1, math.pi / 4.0)
     root_half = 1.0 / math.sqrt(2.0)
     assert st.amplitude((2, 0)) == pytest.approx(root_half, abs=1e-12)
@@ -341,12 +387,14 @@ def test_splitter_matches_dense_generator_oracle():
                 amp[p, q] = 0.0
     amp /= np.linalg.norm(amp)
     theta = 0.7343
-    st = TruncatedFockState(2, d, amp.copy())
+    kept = tuple(_index_tables(2, d)[0])  # the (p, q) with p + q <= d, in state order
+    st = TruncatedFockState(2, d, amp[kept])
     apply_beamsplitter(st, 0, 1, theta)
     a = _lowering_matrix(d)
     generator = theta * (np.kron(a.T, a) - np.kron(a, a.T))
-    expected = expm(generator) @ amp.reshape(-1)
-    assert np.max(np.abs(st.amplitudes.reshape(-1) - expected)) < 1e-12
+    expected = (expm(generator) @ amp.reshape(-1)).reshape(d + 1, d + 1)
+    assert np.max(np.abs(st.amplitudes - expected[kept])) < 1e-12
+    assert np.sum(np.abs(expected) ** 2) == pytest.approx(st.squared_norm(), abs=1e-13)
     assert st.truncation_loss == 0.0
 
 
@@ -376,43 +424,18 @@ def test_sector_rotations_compose():
             assert np.max(np.abs(product - _sector_rotation(total, a + b))) < 1e-12
 
 
-def test_splitter_overflowing_cutoff_matches_sliced_expm_oracle():
-    d = 20
-    rng = np.random.default_rng(2718)
-    amp = rng.standard_normal((d + 1, d + 1)) + 1j * rng.standard_normal((d + 1, d + 1))
-    amp /= np.linalg.norm(amp)  # every sector populated, totals up to 2d
-    theta = 1.1
-    expected = np.zeros_like(amp)
-    expected_loss = 0.0
-    for total in range(2 * d + 1):
-        ps = np.arange(max(0, total - d), min(d, total) + 1)
-        routed = expm(theta * _sector_generator(total))[:, ps] @ amp[ps, total - ps]
-        expected[ps, total - ps] = routed[ps]
-        # the loss is the mass routed to occupations past the cutoff
-        expected_loss += np.sum(np.abs(np.delete(routed, ps)) ** 2)
-    st = TruncatedFockState(2, d, amp)
-    apply_beamsplitter(st, 0, 1, theta)
-    assert np.max(np.abs(st.amplitudes - expected)) < 1e-12
-    assert expected_loss > 0.1
-    assert st.truncation_loss == pytest.approx(expected_loss, abs=1e-14)
-
-
 def test_splitter_conserves_photon_number_sectors():
     d = 5
-    st = TruncatedFockState(2, d)
-    st.amplitudes[:] = 0.0
-    st.amplitudes[2, 1] = 1.0
+    st = _fock((2, 1), d)
     apply_beamsplitter(st, 0, 1, 0.3)
-    for (p, q), value in np.ndenumerate(st.amplitudes):
+    for (p, q), value in zip(_index_tables(2, d)[0].T.tolist(), st.amplitudes):
         if p + q != 3:
             assert value == 0.0
     assert st.squared_norm() == pytest.approx(1.0, abs=1e-13)
 
 
 def test_splitter_acts_on_named_pair_only():
-    st = TruncatedFockState(3, 2)
-    st.amplitudes[:] = 0.0
-    st.amplitudes[0, 1, 0] = 1.0
+    st = _fock((0, 1, 0), 2)
     apply_beamsplitter(st, 1, 2, math.pi / 2.0)
     assert st.amplitude((0, 0, 1)) == pytest.approx(-1.0, abs=1e-14)
 
@@ -431,23 +454,26 @@ def test_splitter_truncation_loss_balances_norm():
        theta=strategies.floats(-math.pi, math.pi))
 def test_splitter_on_any_pair_is_the_front_pair_mixer_relabeled(m, d, order, seed, theta):
     # Any pair, in either order and not necessarily adjacent, is mixed in place
-    # through a strided view; the reference moves the pair to the front of a
-    # contiguous copy and mixes modes (0, 1) there.
+    # through its own gather order; the reference relabels the modes so that
+    # the pair comes first and mixes modes (0, 1) there.
     i, j = [k for k in order if k < m][:2]
+    front = [i, j] + [k for k in range(m) if k not in (i, j)]  # new mode -> old mode
     rng = np.random.default_rng(seed)
-    amps = rng.standard_normal((d + 1,) * m) + 1j * rng.standard_normal((d + 1,) * m)
+    size = math.comb(d + m, m)
+    amps = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     state = TruncatedFockState(m, d, amps / np.linalg.norm(amps), truncation_loss=0.25)
-    before = state.squared_norm() + state.truncation_loss
-    reference = TruncatedFockState(m, d, np.moveaxis(state.amplitudes, (i, j), (0, 1)),
-                                   truncation_loss=0.25)
+    before = state.squared_norm()
+    columns = [tuple(c) for c in _index_tables(m, d)[0].T.tolist()]
+    position = {c: k for k, c in enumerate(columns)}
+    old_of = [position[tuple(c[front.index(k)] for k in range(m))] for c in columns]
+    reference = TruncatedFockState(m, d, state.amplitudes[old_of], truncation_loss=0.25)
     array = state.amplitudes
     apply_beamsplitter(state, i, j, theta)
     apply_beamsplitter(reference, 0, 1, theta)
     assert state.amplitudes is array
-    assert abs(state.squared_norm() + state.truncation_loss - before) <= 1e-12
-    expected = np.moveaxis(reference.amplitudes, (0, 1), (i, j))
-    assert np.max(np.abs(state.amplitudes - expected)) <= 1e-14
-    assert abs(state.truncation_loss - reference.truncation_loss) <= 1e-14
+    assert abs(state.squared_norm() - before) <= 1e-12
+    assert state.truncation_loss == 0.25
+    assert np.max(np.abs(state.amplitudes[old_of] - reference.amplitudes)) <= 1e-14
 
 
 def test_splitter_validation():
@@ -467,9 +493,7 @@ def test_network_on_single_photon_reproduces_columns(maker):
     net = maker(m, 83)
     dec = reck_decompose(net)
     for j in range(m):
-        st = TruncatedFockState(m, 1)
-        st.amplitudes[:] = 0.0
-        st.amplitudes[(0,) * j + (1,) + (0,) * (m - 1 - j)] = 1.0
+        st = _fock((0,) * j + (1,) + (0,) * (m - 1 - j), 1)
         apply_network(st, dec)
         for i in range(m):
             idx = tuple(1 if k == i else 0 for k in range(m))
@@ -481,13 +505,26 @@ def test_network_accepts_bare_element_lists():
     from passv.networks import reconstruct
 
     net = reconstruct(elements, m=3)
-    st = TruncatedFockState(3, 1)
-    st.amplitudes[:] = 0.0
-    st.amplitudes[1, 0, 0] = 1.0
+    st = _fock((1, 0, 0), 1)
     apply_network(st, elements)
     for i in range(3):
         idx = tuple(1 if k == i else 0 for k in range(3))
         assert st.amplitude(idx) == pytest.approx(net.entries[i, 0], abs=1e-12)
+
+
+@pytest.mark.parametrize("variant, seed", [(ADDED, 7), (SUBTRACTED, 12)])
+def test_network_keeps_the_norm_of_every_photon_total(variant, seed):
+    n, m, d = 2, 4, 24
+    st = build_passv_input(n, m, 0.6, variant, d)
+    loss = st.truncation_loss
+    assert loss == pytest.approx(_input_tail(n, m, 0.6, variant, d), abs=1e-14)
+    totals = _index_tables(m, d)[0].sum(axis=0, dtype=np.intp)
+    before = np.bincount(totals, weights=np.abs(st.amplitudes) ** 2, minlength=d + 1)
+    apply_network(st, reck_decompose(haar_special_orthogonal(m, seed)))
+    after = np.bincount(totals, weights=np.abs(st.amplitudes) ** 2, minlength=d + 1)
+    assert np.count_nonzero(before > 1e-6) >= 5  # several sectors carry weight
+    assert np.max(np.abs(after - before)) <= 1e-14
+    assert st.truncation_loss == loss
 
 
 def test_network_dimension_mismatch():
@@ -510,20 +547,25 @@ def test_squeezed_product_amplitudes_factorize():
 def test_squeezed_product_loss_accounting():
     st = build_squeezed_product(3, 0.5, 6)
     assert st.squared_norm() + st.truncation_loss == pytest.approx(1.0, abs=1e-12)
-    assert st.truncation_loss == pytest.approx(3.0 * TAIL_HALF_D6, rel=0.01)
+    # The loss is the mass above total 6, so more than the three one-mode tails.
+    vec, _ = squeezed_vacuum_vector(0.5, 6)
+    kept = np.convolve(np.convolve(np.abs(vec) ** 2, np.abs(vec) ** 2), np.abs(vec) ** 2)
+    assert st.truncation_loss == pytest.approx(1.0 - math.fsum(kept[:7]), abs=1e-14)
+    assert st.truncation_loss > 3.0 * TAIL_HALF_D6
 
 
 def test_passv_input_at_zero_squeezing_is_fock_state():
     st = build_passv_input(2, 3, 0.0, ADDED, 2)
-    expected = np.zeros((3, 3, 3), dtype=complex)
-    expected[1, 1, 0] = 1.0
+    expected = np.zeros(math.comb(5, 3), dtype=complex)
+    expected[_index_tables(3, 2)[0].T.tolist().index([1, 1, 0])] = 1.0
     np.testing.assert_allclose(st.amplitudes, expected, atol=1e-14)
     assert st.truncation_loss == 0.0
 
 
 def test_passv_input_is_normalized():
+    cutoff = required_cutoff(0.5, 1e-8, modes=3, photons=2)
     for variant in (ADDED, SUBTRACTED):
-        st = build_passv_input(2, 3, 0.5, variant, 24)
+        st = build_passv_input(2, 3, 0.5, variant, cutoff)
         assert st.squared_norm() == pytest.approx(1.0, abs=1e-7)
 
 
@@ -557,6 +599,22 @@ def test_parity_distribution_covers_all_patterns():
     assert len(dist) == 4
     assert dist.total() == pytest.approx(1.0, abs=1e-12)
     assert dist.keys[0] == ParityPattern((1, 1))
+
+
+def test_parity_distribution_matches_a_loop_over_the_occupations():
+    m, d = 3, 7
+    rng = np.random.default_rng(5)
+    size = math.comb(d + m, m)
+    st = TruncatedFockState(m, d, rng.standard_normal(size) + 1j * rng.standard_normal(size))
+    st.amplitudes /= 1.5 * np.linalg.norm(st.amplitudes)  # squared norm 4/9
+    reference = {}
+    for config, a in zip(_index_tables(m, d)[0].T.tolist(), st.amplitudes):
+        pattern = ParityPattern(tuple(-1 if k % 2 else 1 for k in config))
+        reference[pattern] = reference.get(pattern, 0.0) + abs(a) ** 2 / st.squared_norm()
+    dist = parity_distribution(st)
+    assert len(dist) == len(reference) == 2 ** m
+    for pattern, p in reference.items():
+        assert dist.probability(pattern) == pytest.approx(p, abs=1e-15)
 
 
 def test_parity_of_squeezed_vacuum_is_all_even():

@@ -30,7 +30,7 @@ from passv.sampling import output_distribution, uniform_input
 
 
 def test_comparison_tolerance_formula():
-    assert comparison_tolerance(4, 1e-8) == pytest.approx(4e-7 + 1e-9)
+    assert comparison_tolerance(4, 1e-8) == pytest.approx(4e-8 + 1e-9)
     assert comparison_tolerance(3, 0.0) == pytest.approx(1e-9)
 
 
@@ -81,10 +81,10 @@ def test_equivalence_experiment_added_small():
     assert report.max_deviation <= report.tolerance
     assert report.cross_xi_deviation <= report.tolerance
     assert report.variant == ADDED
-    assert report.cutoffs[0] == 2  # zero squeezing still needs headroom for n photons
-    # the cutoff grows past the single-mode requirement until the recorded
-    # truncation loss fits the budget
-    assert report.cutoffs[1] >= required_cutoff(0.4, 1e-8, headroom=2)
+    assert report.cutoffs[0] == 2  # zero squeezing: the input is the 2-photon Fock state
+    # the smallest total photon cutoff whose input tail fits the budget
+    assert report.cutoffs[1] == required_cutoff(0.4, report.truncation_budget, modes=3,
+                                                photons=2)
     assert len(report.patterns) == 3
     assert all(loss <= report.truncation_budget for loss in report.truncation_loss)
 
