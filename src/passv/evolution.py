@@ -35,6 +35,7 @@ ADDED = "added"
 SUBTRACTED = "subtracted"
 
 STATE_SIZE_LIMIT = 400_000_000  # bytes per state, as counted by _state_bytes
+AMPLITUDE_BLOCK = 16_384  # amplitudes at a time in from_product and parity_distribution
 
 
 @dataclass(frozen=True)
@@ -64,13 +65,14 @@ def as_squeezing(value) -> Squeezing:
 def _state_bytes(modes: int, cutoff: int) -> int:
     """Bytes of every array a state over ``modes`` up to ``cutoff`` photons needs.
 
-    Per amplitude: the amplitude and one amplitude-sized workspace (a copy or
-    gather of the amplitudes, or the parity weights and pattern indices), 16
-    bytes each; one cached occupation per mode; one cached 4-byte gather
-    index per mode pair.
+    Per amplitude: the amplitude and one amplitude-sized workspace (a copy of
+    the state, or a mixer's gathered and rotated sectors), 16 bytes each; one
+    cached occupation per mode; one cached 4-byte gather index for each of
+    at most m - 1 mode pairs, as many as a Reck network mixes
+    (``_pair_gather`` holds no more). Products and parity reductions go
+    AMPLITUDE_BLOCK amplitudes at a time.
     """
-    per_amplitude = (32 + modes * np.min_scalar_type(cutoff).itemsize
-                     + 2 * modes * (modes - 1))
+    per_amplitude = 32 + modes * np.min_scalar_type(cutoff).itemsize + 4 * (modes - 1)
     return math.comb(cutoff + modes, modes) * per_amplitude
 
 
@@ -85,25 +87,42 @@ def _check_state_size(modes: int, cutoff: int) -> None:
         )
 
 
-@lru_cache(maxsize=4)
+_index_cache: dict[tuple[int, int], tuple[np.ndarray, dict]] = {}
+
+
+def _cached_bytes(entry: tuple[np.ndarray, dict]) -> int:
+    table, gathers = entry
+    return table.nbytes + sum(order.nbytes for order, _ in gathers.values())
+
+
 def _index_tables(modes: int, cutoff: int) -> tuple[np.ndarray, dict]:
     """Occupation table of (modes, cutoff) and a dict of its pairs' gather orders.
 
     The table is (modes, K), column k for amplitude k; ``_pair_gather`` fills
     the dict on first use. A partial tuple with b photons left expands into
     b + 1 tuples, one per occupation of the next mode, so the order stays
-    lexicographic.
+    lexicographic. Entries are cached, least recently used first out, and
+    the other entries are evicted until they fit STATE_SIZE_LIMIT together
+    with everything this (modes, cutoff) state needs.
     """
-    table = np.zeros((0, 1), dtype=np.min_scalar_type(cutoff))
-    left = np.array([cutoff])
-    for _ in range(modes):
-        counts = left + 1
-        parent = np.repeat(np.arange(len(left)), counts)
-        level = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts, counts)
-        table = np.vstack((table[:, parent], level.astype(table.dtype)))
-        left = left[parent] - level
-    table.flags.writeable = False
-    return table, {}
+    key = (modes, cutoff)
+    entry = _index_cache.pop(key, None)
+    room = STATE_SIZE_LIMIT - _state_bytes(modes, cutoff)
+    while _index_cache and sum(map(_cached_bytes, _index_cache.values())) > room:
+        del _index_cache[next(iter(_index_cache))]
+    if entry is None:
+        table = np.zeros((0, 1), dtype=np.min_scalar_type(cutoff))
+        left = np.array([cutoff])
+        for _ in range(modes):
+            counts = left + 1
+            parent = np.repeat(np.arange(len(left)), counts)
+            level = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts, counts)
+            table = np.vstack((table[:, parent], level.astype(table.dtype)))
+            left = left[parent] - level
+        table.flags.writeable = False
+        entry = table, {}
+    _index_cache[key] = entry
+    return entry
 
 
 def _pair_gather(modes: int, cutoff: int, i: int, j: int) -> tuple[np.ndarray, list[int]]:
@@ -113,10 +132,13 @@ def _pair_gather(modes: int, cutoff: int, i: int, j: int) -> tuple[np.ndarray, l
     sector s out as s + 1 equal runs, one per occupation p of mode i. Within
     a run the other modes keep their lexicographic order, which is the same
     in every run, so ``order[bounds[s]:bounds[s + 1]].reshape(s + 1, -1)``
-    indexes the block that the sector rotation acts on, row p.
+    indexes the block that the sector rotation acts on, row p. At most
+    m - 1 pairs are kept, the oldest first out.
     """
     occupations, gathers = _index_tables(modes, cutoff)
     if (i, j) not in gathers:
+        if len(gathers) >= modes - 1:
+            del gathers[next(iter(gathers))]
         subtotal = occupations[i] + occupations[j]
         order = np.lexsort((occupations[i], subtotal)).astype(np.int32)
         order.flags.writeable = False
@@ -151,14 +173,16 @@ class TruncatedFockState:
                 raise ValidationError(
                     f"amplitude vector shape {amplitudes.shape} does not match {shape}"
                 )
-        self.modes = modes
-        self.cutoff = cutoff
-        self.amplitudes = amplitudes
+        self.modes, self.cutoff, self.amplitudes = modes, cutoff, amplitudes
         self.truncation_loss = float(truncation_loss)
 
     @classmethod
     def from_product(cls, vectors, truncation_loss: float = 0.0) -> "TruncatedFockState":
-        """The product of one amplitude vector per mode (occupations 0..D), up to total D."""
+        """The product of one amplitude vector per mode (occupations 0..D), up to total D.
+
+        Formed AMPLITUDE_BLOCK amplitudes at a time into one fresh array, which
+        the state takes over without __init__'s copy.
+        """
         vectors = [np.asarray(v, dtype=np.complex128) for v in vectors]
         if not vectors:
             raise ValidationError("product state needs at least one mode vector")
@@ -168,15 +192,20 @@ class TruncatedFockState:
         modes, cutoff = len(vectors), vectors[0].shape[0] - 1
         _check_state_size(modes, cutoff)
         occupations = _index_tables(modes, cutoff)[0]
-        amplitudes = vectors[0][occupations[0]]
-        for vector, levels in zip(vectors[1:], occupations[1:]):
-            amplitudes *= vector[levels]
-        return cls(modes, cutoff, amplitudes, truncation_loss)
+        amplitudes = np.empty(occupations.shape[1], dtype=np.complex128)
+        for start in range(0, len(amplitudes), AMPLITUDE_BLOCK):
+            columns = occupations[:, start:start + AMPLITUDE_BLOCK]
+            block = vectors[0][columns[0]]
+            for vector, levels in zip(vectors[1:], columns[1:]):
+                block *= vector[levels]
+            amplitudes[start:start + AMPLITUDE_BLOCK] = block
+        state = cls.__new__(cls)
+        state.modes, state.cutoff, state.amplitudes = modes, cutoff, amplitudes
+        state.truncation_loss = float(truncation_loss)
+        return state
 
     def copy(self) -> "TruncatedFockState":
-        return TruncatedFockState(
-            self.modes, self.cutoff, self.amplitudes, self.truncation_loss
-        )
+        return TruncatedFockState(self.modes, self.cutoff, self.amplitudes, self.truncation_loss)
 
     def squared_norm(self) -> float:
         return float(np.vdot(self.amplitudes, self.amplitudes).real)
@@ -257,8 +286,8 @@ def mode_ladder(vector, direction: str) -> np.ndarray:
     """A creation ("raise") or annihilation ("lower") operator on one mode's amplitudes.
 
     Raising maps occupation k to k+1 with weight sqrt(k+1) and drops the top
-    occupation, which has no level to go to; lowering is exact. Returns a new
-    vector, generally unnormalized.
+    occupation; lowering leaves the top level empty, since its source is not
+    held. Returns a new vector, generally unnormalized.
     """
     if direction not in ("raise", "lower"):
         raise ValidationError(f"ladder direction must be 'raise' or 'lower', got {direction!r}")
@@ -279,12 +308,8 @@ def _apply_mode_factors(state: TruncatedFockState, mode: int, factors: np.ndarra
 
 def _sector_generator(total: int) -> np.ndarray:
     """Antisymmetric generator of a two-mode mixer restricted to a photon total."""
-    k = np.zeros((total + 1, total + 1))
-    for p in range(total):
-        w = math.sqrt((p + 1) * (total - p))
-        k[p + 1, p] = w
-        k[p, p + 1] = -w
-    return k
+    w = np.sqrt(np.arange(1, total + 1) * np.arange(total, 0, -1.0))  # sqrt((p+1)(N-p))
+    return np.diag(w, -1) - np.diag(w, 1)
 
 
 @lru_cache(maxsize=None)
@@ -317,9 +342,7 @@ def apply_beamsplitter(state: TruncatedFockState, i: int, j: int,
     if i == j:
         raise ValidationError("beamsplitter modes must differ")
     if not (0 <= i < state.modes and 0 <= j < state.modes):
-        raise ValidationError(
-            f"modes ({i}, {j}) out of range for {state.modes} modes"
-        )
+        raise ValidationError(f"modes ({i}, {j}) out of range for {state.modes} modes")
     d = state.cutoff
     # Fill the caches before the loop: entries first built between the loop's
     # temporaries would pin freed heap pages and raise the peak RSS.
@@ -395,27 +418,22 @@ def build_passv_input(total_photons: int, modes: int, xi, variant: str,
     if variant not in (ADDED, SUBTRACTED):
         raise ValidationError(f"variant must be '{ADDED}' or '{SUBTRACTED}', got {variant!r}")
     if not (1 <= total_photons <= modes):
-        raise ValidationError(
-            f"need 1 <= n <= m, got n={total_photons}, m={modes}"
-        )
+        raise ValidationError(f"need 1 <= n <= m, got n={total_photons}, m={modes}")
     sq = as_squeezing(xi)
     if variant == SUBTRACTED and sq.r == 0.0:
-        raise ValidationError(
-            "photon subtraction from vacuum (xi = 0) yields the zero state"
-        )
-    vec, _ = squeezed_vacuum_vector(sq, cutoff)
+        raise ValidationError("photon subtraction from vacuum (xi = 0) yields the zero state")
+    # One level past the cutoff, so that lowering fills level D too.
+    vec, _ = squeezed_vacuum_vector(sq, cutoff + 1)
     if variant == ADDED:
         laddered = mode_ladder(vec, "raise") / math.cosh(sq.r)
     else:
         laddered = mode_ladder(vec, "lower") / math.sinh(sq.r)
     state = TruncatedFockState.from_product(
-        [laddered] * total_photons + [vec] * (modes - total_photons)
+        [laddered[:cutoff + 1]] * total_photons + [vec[:cutoff + 1]] * (modes - total_photons)
     )
     norm2 = state.squared_norm()
     if norm2 <= 1e-12:
-        raise ValidationError(
-            "the prepared state vanished; increase the cutoff or the squeezing"
-        )
+        raise ValidationError("the prepared state vanished; increase the cutoff or the squeezing")
     state.truncation_loss = max(0.0, 1.0 - norm2)
     return state
 
@@ -430,16 +448,16 @@ def parity_distribution(state: TruncatedFockState) -> OutputDistribution:
         raise ValidationError("parity distribution is undefined for the zero state")
     if norm2 > 1.0 + 1e-9:
         raise ValidationError(f"state squared norm {norm2} exceeds 1")
-    # Pattern index of every amplitude: one bit per mode, set when odd, the
-    # first mode most significant.
+    # Pattern index of every amplitude, a block at a time: one bit per mode,
+    # set when odd, the first mode most significant.
     occupations = _index_tables(state.modes, state.cutoff)[0]
-    pattern = np.zeros(occupations.shape[1], dtype=np.intp)
-    for levels in occupations:
-        pattern <<= 1
-        pattern |= levels & 1
-    probs = np.abs(state.amplitudes)
-    probs **= 2
-    table = np.bincount(pattern, weights=probs, minlength=2 ** state.modes)
+    table = np.zeros(2 ** state.modes)
+    for start in range(0, occupations.shape[1], AMPLITUDE_BLOCK):
+        columns = occupations[:, start:start + AMPLITUDE_BLOCK]
+        pattern = (1 << np.arange(state.modes - 1, -1, -1)) @ (columns & 1)
+        probs = np.abs(state.amplitudes[start:start + AMPLITUDE_BLOCK])
+        probs **= 2
+        table += np.bincount(pattern, weights=probs, minlength=len(table))
     pairs = []
     for idx, p in zip(np.ndindex((2,) * state.modes), table.tolist()):
         pattern_key = ParityPattern(tuple(1 if b == 0 else -1 for b in idx))
@@ -454,18 +472,13 @@ def number_distribution(state: TruncatedFockState) -> OutputDistribution:
         raise ValidationError("number distribution is undefined for the zero state")
     probs = np.abs(state.amplitudes) ** 2 / norm2
     occupations = _index_tables(state.modes, state.cutoff)[0]
-    pairs = [
-        (ModeConfiguration(tuple(config)), p)
-        for config, p in zip(occupations.T.tolist(), probs.tolist())
-    ]
-    return OutputDistribution(pairs)
+    configs = (ModeConfiguration(tuple(c)) for c in occupations.T.tolist())
+    return OutputDistribution(list(zip(configs, probs.tolist())))
 
 
 def state_overlap(a: TruncatedFockState, b: TruncatedFockState) -> complex:
     """Inner product <a|b>, conjugating the first argument."""
-    if a.modes != b.modes or a.cutoff != b.cutoff:
-        raise ValidationError(
-            "states must share mode count and cutoff: "
-            f"({a.modes}, {a.cutoff}) vs ({b.modes}, {b.cutoff})"
-        )
+    if (a.modes, a.cutoff) != (b.modes, b.cutoff):
+        raise ValidationError("states must share mode count and cutoff: "
+                              f"({a.modes}, {a.cutoff}) vs ({b.modes}, {b.cutoff})")
     return complex(np.vdot(a.amplitudes, b.amplitudes))

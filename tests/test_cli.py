@@ -310,7 +310,7 @@ def test_largest_admitted_state_peaks_within_the_limit_and_the_next_exits_two(
     # Sector eigenbases are cached per photon total, not per amplitude.
     for total in range(1, cutoff + 3):
         evolution._sector_eigenbasis(total)
-    evolution._index_tables.cache_clear()
+    evolution._index_cache.clear()
     tracemalloc.start()
     try:
         brute_force_parity(n, m, xi, seed=seed)
@@ -330,6 +330,30 @@ def test_largest_admitted_state_peaks_within_the_limit_and_the_next_exits_two(
     assert refused_peak - held < math.comb(cutoff + 2 + m, m)
     err = capsys.readouterr().err
     assert "size limit" in err and "Traceback" not in err
+
+
+def test_cached_index_tables_and_the_next_state_share_the_limit(monkeypatch):
+    # Cutoffs 32, 34, 36 and 38 in turn: the tables cached for the smaller
+    # states are evicted as far as the next state needs, so the whole
+    # sequence stays within the limit of the largest.
+    n, m, seed = 2, 4, 7
+    xis = (0.51, 0.53, 0.56, 0.59)
+    cutoffs = [required_cutoff(xi, 4e-8, modes=m, photons=n) for xi in xis]
+    assert cutoffs == [32, 34, 36, 38]
+    limit = evolution._state_bytes(m, cutoffs[-1])
+    monkeypatch.setattr(evolution, "STATE_SIZE_LIMIT", limit)
+    for total in range(1, cutoffs[-1] + 1):
+        evolution._sector_eigenbasis(total)
+    evolution._index_cache.clear()
+    tracemalloc.start()
+    try:
+        for xi in xis:
+            brute_force_parity(n, m, xi, seed=seed)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit
+    assert (m, cutoffs[-1]) in evolution._index_cache  # the last state's tables stay warm
 
 
 def test_unknown_log_level_is_a_usage_error(monkeypatch, capsys):

@@ -7,7 +7,7 @@ photon number, so no mixer sector ever crosses the cutoff and that oracle is
 exact. The sector rotations, which the mixer builds from a cached eigenbasis,
 are checked against scipy's ``expm`` of each sector generator. Cutoffs and
 recorded losses are checked against the tail of the input's total photon
-number, convolved here from the one-mode number distributions.
+number, from its closed-form negative-binomial distribution.
 """
 
 import itertools
@@ -65,22 +65,23 @@ def _fock(modes_occupations, cutoff: int) -> TruncatedFockState:
     )
 
 
-def _input_tail(total_photons, modes, r, variant, cutoff) -> float:
-    """Mass of the prepared input above total ``cutoff``, from 1-D number distributions.
+def _input_tail(total_photons, modes, r, cutoff) -> float:
+    """Mass of the prepared input above total ``cutoff``, in closed form.
 
-    Each mode's distribution comes from its own ladder-applied, normalized
-    squeezed vector; the total's distribution up to the cutoff is their
-    convolution, which needs no occupation above the cutoff in any mode.
+    Both variants put (2k+1) C(2k, k) (t/2)^(2k) (1 - t^2)^(3/2) on 2k + 1
+    photons of a laddered mode and a squeezed vacuum C(2k, k) (t/2)^(2k)
+    (1 - t^2)^(1/2) on 2k, t = tanh r, so the total is n + 2k with k
+    negative binomial: P(k) = C(k + a - 1, k) (1 - t^2)^a t^(2k) with
+    a = m/2 + n, evaluated here through log-gamma.
     """
-    vec, _ = squeezed_vacuum_vector(r, cutoff)
-    if variant == ADDED:
-        laddered = mode_ladder(vec, "raise") / math.cosh(r)
-    else:
-        laddered = mode_ladder(vec, "lower") / math.sinh(r)
-    total = np.array([1.0])
-    for v in [laddered] * total_photons + [vec] * (modes - total_photons):
-        total = np.convolve(total, np.abs(v) ** 2)[:cutoff + 1]
-    return 1.0 - math.fsum(total)
+    t2 = math.tanh(r) ** 2
+    a = modes / 2.0 + total_photons
+    kept = [
+        math.exp(math.lgamma(k + a) - math.lgamma(a) - math.lgamma(k + 1)
+                 + a * math.log1p(-t2) + (k * math.log(t2) if k else 0.0))
+        for k in range((cutoff - total_photons) // 2 + 1)
+    ]
+    return 1.0 - math.fsum(kept)
 
 
 # ---------------------------------------------------------------- squeezing
@@ -210,14 +211,15 @@ def test_required_cutoff_headroom_and_degenerate_cases():
 
 @pytest.mark.parametrize("n, m, r, variant", [
     (1, 1, 0.5, ADDED), (2, 3, 0.4, ADDED), (2, 4, 0.6, ADDED), (3, 4, 0.8, ADDED),
-    (1, 2, 0.3, SUBTRACTED), (2, 3, 0.5, SUBTRACTED), (3, 5, 0.3, SUBTRACTED),
+    (1, 1, 0.3, SUBTRACTED), (1, 2, 0.3, SUBTRACTED), (2, 3, 0.5, SUBTRACTED),
+    (3, 5, 0.3, SUBTRACTED),
 ])
 def test_required_cutoff_is_the_smallest_total_whose_input_tail_fits(n, m, r, variant):
     budget = m * 1e-8
     d = required_cutoff(r, budget, modes=m, photons=n)
     assert d % 2 == n % 2  # every input total has the parity of n
-    tail = _input_tail(n, m, r, variant, d)
-    assert tail <= budget < _input_tail(n, m, r, variant, d - 2)
+    tail = _input_tail(n, m, r, d)
+    assert tail <= budget < _input_tail(n, m, r, d - 2)
     # The recorded loss of the prepared state is exactly that tail.
     assert build_passv_input(n, m, r, variant, d).truncation_loss == pytest.approx(
         tail, abs=1e-14)
@@ -272,17 +274,18 @@ def test_from_product_does_not_alias_the_mode_vectors():
 
 
 def test_passv_input_preparation_holds_one_state():
-    # C(43, 3) amplitudes: the ladders act on mode vectors, and the product
-    # holds the amplitudes, one gathered factor at a time and the occupation
-    # table, all within what the size guard counts for one state.
-    _index_tables.cache_clear()
+    # C(123, 3) amplitudes, 4.8 MB: the ladders act on mode vectors and the
+    # product is formed a block at a time into the state's own array. The
+    # occupation table is the index cache's, so it is built first.
+    _index_tables(3, 120)
+    state_bytes = math.comb(123, 3) * 16
     tracemalloc.start()
     try:
-        build_passv_input(2, 3, 0.5, ADDED, 40)
+        build_passv_input(2, 3, 0.5, ADDED, 120)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < evolution._state_bytes(3, 40)
+    assert peak < 1.5 * state_bytes
 
 
 def test_state_copy_is_independent():
@@ -302,6 +305,19 @@ def test_occupation_table_is_lexicographic_and_looked_up():
         st = TruncatedFockState(m, d, np.arange(len(expected)))
         assert [st.amplitude(t) for t in expected] == list(range(len(expected)))
         assert st.amplitude((d + 1,) + (0,) * (m - 1)) == 0.0  # past the cutoff
+
+
+def test_gather_orders_are_kept_for_at_most_m_minus_one_pairs():
+    # The size guard counts one gather index per amplitude for m - 1 pairs.
+    m, d = 4, 6
+    st = build_squeezed_product(m, 0.5, d)
+    pairs = list(itertools.combinations(range(m), 2))
+    for i, j in pairs:
+        apply_beamsplitter(st, i, j, 0.3)
+    occupations, gathers = _index_tables(m, d)
+    assert list(gathers) == pairs[-(m - 1):]
+    assert evolution._cached_bytes((occupations, gathers)) == (
+        occupations.nbytes + 4 * (m - 1) * occupations.shape[1])
 
 
 # ------------------------------------------------------------------- ladders
@@ -517,7 +533,7 @@ def test_network_keeps_the_norm_of_every_photon_total(variant, seed):
     n, m, d = 2, 4, 24
     st = build_passv_input(n, m, 0.6, variant, d)
     loss = st.truncation_loss
-    assert loss == pytest.approx(_input_tail(n, m, 0.6, variant, d), abs=1e-14)
+    assert loss == pytest.approx(_input_tail(n, m, 0.6, d), abs=1e-14)
     totals = _index_tables(m, d)[0].sum(axis=0, dtype=np.intp)
     before = np.bincount(totals, weights=np.abs(st.amplitudes) ** 2, minlength=d + 1)
     apply_network(st, reck_decompose(haar_special_orthogonal(m, seed)))
