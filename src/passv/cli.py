@@ -29,6 +29,7 @@ from collections.abc import Iterable, Iterator
 
 import numpy as np
 
+from .configurations import configuration_array, serialize_rows
 from .distributions import OutputDistribution, draw_indices
 from .errors import SizeLimitError, ValidationError
 from .experiments import brute_force_parity, run_equivalence_experiment
@@ -203,59 +204,62 @@ def _config_comment(config: dict) -> str:
     return "# config " + json.dumps(config, sort_keys=True)
 
 
-def _distribution_csv(dist: OutputDistribution, config: dict) -> str:
+def _csv_fields(keys: list[str]) -> list[str]:
+    """Each key as csv.writer writes it in a field: quoted when it holds a comma."""
     buf = io.StringIO()
-    buf.write(_config_comment(config) + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["key", "probability"])
-    for key, p in dist.items():
-        writer.writerow([key.serialize(), repr(float(p))])
-    return buf.getvalue()
+    csv.writer(buf, lineterminator="\n").writerows([key] for key in keys)
+    return buf.getvalue().splitlines()
 
 
-def _distribution_json(dist: OutputDistribution, config: dict) -> str:
+def _distribution_csv(fields: list[str], dist: OutputDistribution, config: dict) -> str:
+    rows = map("{},{!r}\n".format, fields, dist.probabilities.tolist())
+    return _config_comment(config) + "\nkey,probability\n" + "".join(rows)
+
+
+def _distribution_json(keys: list[str], dist: OutputDistribution, config: dict) -> str:
     record = {
         "config": config,
         "normalization_defect": dist.normalization_defect,
-        "distribution": [[key.serialize(), float(p)] for key, p in dist.items()],
+        "distribution": [[key, p] for key, p in zip(keys, dist.probabilities.tolist())],
     }
     return json.dumps(record, sort_keys=True, indent=2) + "\n"
 
 
 def _run_sample_fock(args):
-    net, source = _resolve_network(args)
+    if args.shots < 0:
+        raise ValidationError(f"--shots must be non-negative, got {args.shots}")
     if args.shots and args.seed is None:
         raise ValidationError("--seed is required to draw samples")
+    net, source = _resolve_network(args)
     pump = uniform_input(args.n, net.dimension)
     dist = output_distribution(net, pump)
+    # The table's keys in its canonical order, serialized once for every artifact.
+    keys = serialize_rows(configuration_array(args.n, net.dimension))
+    fields = _csv_fields(keys)
     config = {"subcommand": "sample-fock", "n": args.n, "input": pump.serialize(),
               "shots": args.shots, **source}
     if args.format == "csv":
-        _write_artifact(args.output, _distribution_csv(dist, config))
+        _write_artifact(args.output, _distribution_csv(fields, dist, config))
     else:
-        _write_artifact(args.output, _distribution_json(dist, config))
+        _write_artifact(args.output, _distribution_json(keys, dist, config))
     if args.shots:
         indices = draw_indices(dist, int(args.seed) + 1, args.shots)
-        _write_artifact(_samples_path(args.output), _samples_csv(dist, indices, config))
+        _write_artifact(_samples_path(args.output), _samples_csv(fields, indices, config))
 
 
-def _samples_csv(dist: OutputDistribution, indices, config: dict) -> Iterator[str]:
-    """The sample CSV in chunks of SAMPLE_CHUNK rows; each key is formatted once."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["sample"])
-    writer.writerows([key.serialize()] for key in dist.keys)
-    header, *lines = buf.getvalue().splitlines(keepends=True)
-    yield _config_comment(config) + "\n" + header
+def _samples_csv(fields: list[str], indices: np.ndarray, config: dict) -> Iterator[str]:
+    """The sample CSV in chunks of SAMPLE_CHUNK rows, gathered from one line per key."""
+    lines = np.array([field + "\n" for field in fields], dtype=object)
+    yield _config_comment(config) + "\nsample\n"
     for start in range(0, len(indices), SAMPLE_CHUNK):
-        yield "".join([lines[i] for i in indices[start:start + SAMPLE_CHUNK].tolist()])
+        yield "".join(lines[indices[start:start + SAMPLE_CHUNK]].tolist())
 
 
 def _samples_path(path: str | None) -> str | None:
+    """The samples artifact beside ``path``: always CSV, whatever the table's format."""
     if path is None:
         return None
-    stem, ext = os.path.splitext(path)
-    return f"{stem}.samples{ext or '.csv'}"
+    return f"{os.path.splitext(path)[0]}.samples.csv"
 
 
 def _run_sample_passv(args):
@@ -268,10 +272,11 @@ def _run_sample_passv(args):
         "variant": args.variant, "seed": args.seed, "cutoff": cutoff,
         "epsilon_tail": args.epsilon_tail, "truncation_loss": loss,
     }
+    keys = [key.serialize() for key in dist.keys]
     if args.format == "csv":
-        _write_artifact(args.output, _distribution_csv(dist, config))
+        _write_artifact(args.output, _distribution_csv(_csv_fields(keys), dist, config))
     else:
-        _write_artifact(args.output, _distribution_json(dist, config))
+        _write_artifact(args.output, _distribution_json(keys, dist, config))
 
 
 def _parse_xi_list(text: str) -> list[float]:

@@ -6,6 +6,8 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
+import numpy as np
+
 from .errors import ValidationError
 
 
@@ -121,24 +123,69 @@ def configuration_count(total_photons: int, modes: int) -> int:
     return math.comb(total_photons + modes - 1, total_photons)
 
 
+def bounded_occupations(modes: int, cutoff: int) -> np.ndarray:
+    """Every occupation tuple over ``modes`` with total <= ``cutoff``, as a (modes, K) table.
+
+    Column k is tuple k, in lexicographic order with the first mode most
+    significant, so the vacuum comes first and K = C(cutoff + modes, modes).
+    A partial tuple with b photons left expands into b + 1 tuples, one per
+    occupation of the next mode. The dtype is the smallest unsigned integer
+    that holds ``cutoff``.
+    """
+    table = np.zeros((0, 1), dtype=np.min_scalar_type(cutoff))
+    left = np.array([cutoff])
+    for _ in range(modes):
+        counts = left + 1
+        parent = np.repeat(np.arange(len(left)), counts)
+        level = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts, counts)
+        table = np.vstack((table[:, parent], level.astype(table.dtype)))
+        left = left[parent] - level
+    return table
+
+
+def configuration_array(total_photons: int, modes: int) -> np.ndarray:
+    """Every configuration of a fixed photon total as a (K, m) occupation array.
+
+    Rows are in canonical order, first mode descending: (n, 0, ..., 0) first
+    and (0, ..., 0, n) last, K = C(n + m - 1, n). The first m - 1 modes run
+    through every tuple with total <= n in reverse lexicographic order, and
+    the last mode takes the photons left.
+    """
+    _check_dimensions(total_photons, modes)
+    head = bounded_occupations(modes - 1, total_photons)[:, ::-1].astype(np.intp)
+    last = total_photons - head.sum(axis=0)
+    return np.vstack((head, last)).T
+
+
+def configurations_from_array(occupations: np.ndarray) -> list[ModeConfiguration]:
+    """ModeConfiguration objects of the rows of a validated occupation array.
+
+    The rows come from this module's builders, so they are not validated again.
+    """
+    configs = []
+    for occ in map(tuple, occupations.tolist()):
+        config = object.__new__(ModeConfiguration)
+        object.__setattr__(config, "occupations", occ)
+        configs.append(config)
+    return configs
+
+
+def serialize_rows(occupations: np.ndarray) -> list[str]:
+    """``ModeConfiguration.serialize`` of every row of a (K, m) occupation array.
+
+    Each occupation value is formatted once, then each row is joined.
+    """
+    words = np.array([str(k) for k in range(int(occupations.max(initial=0)) + 1)], dtype=object)
+    return list(map(",".join, words[occupations].tolist()))
+
+
 def enumerate_configurations(total_photons: int, modes: int) -> list[ModeConfiguration]:
     """All configurations of a fixed photon total, first mode descending.
 
     The first entry is (n, 0, ..., 0) and the last is (0, ..., 0, n); the list
-    length is C(n + m - 1, n).
+    length is C(n + m - 1, n). The rows of ``configuration_array``.
     """
-    _check_dimensions(total_photons, modes)
-    out: list[tuple[int, ...]] = []
-
-    def fill(prefix: tuple[int, ...], remaining: int, modes_left: int):
-        if modes_left == 1:
-            out.append(prefix + (remaining,))
-            return
-        for k in range(remaining, -1, -1):
-            fill(prefix + (k,), remaining - k, modes_left - 1)
-
-    fill((), total_photons, modes)
-    return [ModeConfiguration(t) for t in out]
+    return configurations_from_array(configuration_array(total_photons, modes))
 
 
 def collision_free_configurations(total_photons: int, modes: int) -> list[ModeConfiguration]:
@@ -151,13 +198,10 @@ def collision_free_configurations(total_photons: int, modes: int) -> list[ModeCo
         raise ValidationError(
             f"collision-free placement needs n <= m, got n={total_photons}, m={modes}"
         )
-    configs = []
-    for occupied in combinations(range(modes), total_photons):
-        occ = [0] * modes
-        for mode in occupied:
-            occ[mode] = 1
-        configs.append(ModeConfiguration(tuple(occ)))
-    return configs
+    occupied = np.array(list(combinations(range(modes), total_photons)), dtype=np.intp)
+    occupations = np.zeros((len(occupied), modes), dtype=np.intp)
+    np.put_along_axis(occupations, occupied, 1, axis=1)
+    return configurations_from_array(occupations)
 
 
 def _as_configuration(value) -> ModeConfiguration:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 
 from .errors import ValidationError
@@ -19,24 +21,28 @@ class OutputDistribution:
     """
 
     def __init__(self, pairs, *, normalization_defect: float | None = None):
-        keys = []
-        probs = []
-        seen = set()
-        for key, p in pairs:
-            if key in seen:
-                raise ValidationError(f"duplicate distribution key {key!r}")
-            seen.add(key)
-            p = float(p)
-            if p < -1e-12:
-                raise ValidationError(f"negative probability {p} for key {key!r}")
-            keys.append(key)
-            probs.append(max(p, 0.0))
+        pairs = list(pairs)
+        keys = [key for key, _ in pairs]
+        probs = np.array([p for _, p in pairs], dtype=np.float64).reshape(len(pairs))
+        if len(set(keys)) != len(keys):
+            duplicate = next(key for key, count in Counter(keys).items() if count > 1)
+            raise ValidationError(f"duplicate distribution key {duplicate!r}")
+        negative = np.flatnonzero(probs < -1e-12)
+        if negative.size:
+            i = negative[0]
+            raise ValidationError(f"negative probability {probs[i]} for key {keys[i]!r}")
+        np.maximum(probs, 0.0, out=probs)
         self._keys = keys
-        self._probs = np.asarray(probs, dtype=np.float64)
-        self._index = {key: i for i, key in enumerate(keys)}
+        self._probs = probs
+        self._index = None  # key -> position, built on the first lookup
         if normalization_defect is None:
-            normalization_defect = abs(1.0 - float(self._probs.sum()))
+            normalization_defect = abs(1.0 - float(probs.sum()))
         self.normalization_defect = float(normalization_defect)
+
+    def _position(self, key) -> int | None:
+        if self._index is None:
+            self._index = {k: i for i, k in enumerate(self._keys)}
+        return self._index.get(key)
 
     @property
     def keys(self) -> list:
@@ -51,11 +57,11 @@ class OutputDistribution:
         return list(zip(self._keys, self._probs.tolist()))
 
     def probability(self, key, default: float = 0.0) -> float:
-        i = self._index.get(key)
+        i = self._position(key)
         return float(self._probs[i]) if i is not None else default
 
     def __contains__(self, key) -> bool:
-        return key in self._index
+        return self._position(key) is not None
 
     def __len__(self) -> int:
         return len(self._keys)

@@ -24,18 +24,34 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm  # noqa: F401  (unused; perfbench/tracing.py wraps this name)
 
-from .configurations import ModeConfiguration, ParityPattern, _as_configuration
+from .configurations import (
+    ParityPattern,
+    _as_configuration,
+    bounded_occupations,
+    configurations_from_array,
+)
 from .distributions import OutputDistribution
 from .errors import SizeLimitError, ValidationError
 from .networks import ReckDecomposition, TwoModeElement
+from .sampling import SUPPORT_SIZE_LIMIT
 
 ADDED = "added"
 SUBTRACTED = "subtracted"
 
 STATE_SIZE_LIMIT = 400_000_000  # bytes per state, as counted by _state_bytes
 AMPLITUDE_BLOCK = 16_384  # amplitudes at a time in from_product and parity_distribution
+
+
+def __getattr__(name):
+    # perfbench/tracing.py looks up and wraps ``expm`` in this module, though no
+    # code here calls it; importing scipy only on that lookup keeps it off the
+    # import path. This goes when ROADMAP item 1 re-points the tracer.
+    if name == "expm":
+        from scipy.linalg import expm
+
+        return expm
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -98,12 +114,11 @@ def _cached_bytes(entry: tuple[np.ndarray, dict]) -> int:
 def _index_tables(modes: int, cutoff: int) -> tuple[np.ndarray, dict]:
     """Occupation table of (modes, cutoff) and a dict of its pairs' gather orders.
 
-    The table is (modes, K), column k for amplitude k; ``_pair_gather`` fills
-    the dict on first use. A partial tuple with b photons left expands into
-    b + 1 tuples, one per occupation of the next mode, so the order stays
-    lexicographic. Entries are cached, least recently used first out, and
-    the other entries are evicted until they fit STATE_SIZE_LIMIT together
-    with everything this (modes, cutoff) state needs.
+    The table is ``bounded_occupations(modes, cutoff)``, column k for
+    amplitude k; ``_pair_gather`` fills the dict on first use. Entries are
+    cached, least recently used first out, and the other entries are evicted
+    until they fit STATE_SIZE_LIMIT together with everything this
+    (modes, cutoff) state needs.
     """
     key = (modes, cutoff)
     entry = _index_cache.pop(key, None)
@@ -111,14 +126,7 @@ def _index_tables(modes: int, cutoff: int) -> tuple[np.ndarray, dict]:
     while _index_cache and sum(map(_cached_bytes, _index_cache.values())) > room:
         del _index_cache[next(iter(_index_cache))]
     if entry is None:
-        table = np.zeros((0, 1), dtype=np.min_scalar_type(cutoff))
-        left = np.array([cutoff])
-        for _ in range(modes):
-            counts = left + 1
-            parent = np.repeat(np.arange(len(left)), counts)
-            level = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts, counts)
-            table = np.vstack((table[:, parent], level.astype(table.dtype)))
-            left = left[parent] - level
+        table = bounded_occupations(modes, cutoff)
         table.flags.writeable = False
         entry = table, {}
     _index_cache[key] = entry
@@ -466,14 +474,22 @@ def parity_distribution(state: TruncatedFockState) -> OutputDistribution:
 
 
 def number_distribution(state: TruncatedFockState) -> OutputDistribution:
-    """Joint photon-number probabilities over all retained occupation tuples."""
+    """Joint photon-number probabilities over all retained occupation tuples.
+
+    One key per amplitude, so states over SUPPORT_SIZE_LIMIT amplitudes are
+    refused before any key is built.
+    """
+    if len(state.amplitudes) > SUPPORT_SIZE_LIMIT:
+        raise SizeLimitError(
+            f"a number distribution of {len(state.amplitudes)} amplitudes exceeds "
+            f"{SUPPORT_SIZE_LIMIT} entries"
+        )
     norm2 = state.squared_norm()
     if norm2 <= 1e-300:
         raise ValidationError("number distribution is undefined for the zero state")
     probs = np.abs(state.amplitudes) ** 2 / norm2
     occupations = _index_tables(state.modes, state.cutoff)[0]
-    configs = (ModeConfiguration(tuple(c)) for c in occupations.T.tolist())
-    return OutputDistribution(list(zip(configs, probs.tolist())))
+    return OutputDistribution(zip(configurations_from_array(occupations.T), probs.tolist()))
 
 
 def state_overlap(a: TruncatedFockState, b: TruncatedFockState) -> complex:

@@ -6,7 +6,7 @@ built by repeating rows per output occupation and columns per input
 occupation.
 
 Tables are built in one batch: every outcome shares the input columns, so
-``outcome_probabilities`` hands the whole outcome list to
+``outcome_probabilities`` hands the whole (K, m) outcome array to
 ``permanent_table`` (one Gray-code Ryser pass, vectorized across outcomes).
 ``output_distribution`` and the parity predictions in ``experiments`` both
 go through it. ``transition_amplitude`` evaluates a single amplitude with
@@ -22,8 +22,9 @@ import numpy as np
 from .configurations import (
     ModeConfiguration,
     _as_configuration,
+    configuration_array,
     configuration_count,
-    enumerate_configurations,
+    configurations_from_array,
 )
 from .distributions import OutputDistribution
 from .errors import SizeLimitError, ValidationError
@@ -57,9 +58,11 @@ def transition_amplitude(network: LinearNetwork, input_config, output_config) ->
 def outcome_probabilities(network: LinearNetwork, input_config, outcomes) -> np.ndarray:
     """|Per(M[S, T])|^2 / (prod(t_i!) * prod(s_i!)) for each outcome S, in order.
 
-    All permanents come from one ``permanent_table`` call over the input
-    columns of T. Every outcome must cover the network's modes and carry the
-    input's photon total.
+    ``outcomes`` is a (K, m) integer occupation array, such as
+    ``configuration_array`` builds, or a sequence of configurations. All
+    permanents come from one ``permanent_table`` call over the input columns
+    of T. Every outcome must cover the network's modes and carry the input's
+    photon total.
     """
     t = _as_configuration(input_config)
     m = network.dimension
@@ -70,11 +73,18 @@ def outcome_probabilities(network: LinearNetwork, input_config, outcomes) -> np.
         raise SizeLimitError(
             f"transition amplitudes are limited to {AMPLITUDE_PHOTON_LIMIT} photons"
         )
-    occupations = [_as_configuration(s).occupations for s in outcomes]
-    k = len(occupations)
-    if any(len(occ) != m for occ in occupations):
+    occupations = outcomes
+    if not isinstance(occupations, np.ndarray):
+        occupations = [_as_configuration(s).occupations for s in outcomes]
+        if any(len(occ) != m for occ in occupations):
+            raise ValidationError(f"outcomes must be configurations over m={m} modes")
+        occupations = np.array(occupations, dtype=np.intp).reshape(len(occupations), m)
+    if occupations.ndim != 2 or occupations.shape[1] != m:
         raise ValidationError(f"outcomes must be configurations over m={m} modes")
-    occupations = np.array(occupations, dtype=np.intp).reshape(k, m)
+    if not np.issubdtype(occupations.dtype, np.integer) or (
+            occupations.size and occupations.min() < 0):
+        raise ValidationError("outcome occupations must be non-negative integers")
+    k = len(occupations)
     if np.any(occupations.sum(axis=1) != n):
         raise ValidationError(f"outcomes must carry the input's {n} photons")
     rows = np.repeat(np.tile(np.arange(m), k), occupations.ravel()).reshape(k, n)
@@ -88,8 +98,9 @@ def outcome_probabilities(network: LinearNetwork, input_config, outcomes) -> np.
 def output_distribution(network: LinearNetwork, input_config) -> OutputDistribution:
     """Exact output distribution over every configuration of the photon total.
 
-    Entries are listed in canonical enumeration order with zeros retained; the
-    normalization defect is measured, not assumed.
+    Entries are listed in canonical enumeration order, the rows of
+    ``configuration_array``, with zeros retained; the normalization defect is
+    measured, not assumed.
     """
     t = _as_configuration(input_config)
     m = network.dimension
@@ -100,9 +111,9 @@ def output_distribution(network: LinearNetwork, input_config) -> OutputDistribut
         raise SizeLimitError(
             f"output support C({n + m - 1},{n}) exceeds {SUPPORT_SIZE_LIMIT} entries"
         )
-    outcomes = enumerate_configurations(n, m)
+    outcomes = configuration_array(n, m)
     probs = outcome_probabilities(network, t, outcomes)
-    return OutputDistribution(zip(outcomes, probs.tolist()))
+    return OutputDistribution(zip(configurations_from_array(outcomes), probs.tolist()))
 
 
 def uniform_input(total_photons: int, modes: int) -> ModeConfiguration:

@@ -1,10 +1,11 @@
 """Tests for the command-line front-end.
 
-Most cases call ``execute`` in-process for speed; two subprocess tests cover
-the ``python -m`` entry point and the ``PASSV_LOG`` level. Subprocess tests
-inherit the caller's environment (overriding only what they test), so the
-child imports the same ``passv`` as the test process. Artifacts must be
-byte-identical across repeat runs with the same arguments.
+Most cases call ``execute`` in-process for speed; subprocess tests cover the
+``python -m`` entry point, the ``PASSV_LOG`` level and an import that must
+not load scipy. Subprocess tests inherit the caller's environment
+(overriding only what they test), so the child imports the same ``passv`` as
+the test process. Artifacts must be byte-identical across repeat runs with
+the same arguments.
 """
 
 import csv
@@ -139,6 +140,56 @@ def test_sample_fock_streamed_samples_match_per_sample_csv(tmp_path, monkeypatch
     assert execute(["sample-fock", "--n", "3", "--m", "5", "--shots", "2000",
                     "--seed", "4"]) == 0
     assert capsys.readouterr().out == out.read_text(encoding="utf-8") + reference
+
+
+def _reference_table(dist, config, fmt):
+    """A sample-fock table artifact built from key objects, as a csv.writer per row."""
+    if fmt == "json":
+        record = {"config": config, "normalization_defect": dist.normalization_defect,
+                  "distribution": [[key.serialize(), float(p)] for key, p in dist.items()]}
+        return json.dumps(record, sort_keys=True, indent=2) + "\n"
+    buf = io.StringIO()
+    buf.write("# config " + json.dumps(config, sort_keys=True) + "\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["key", "probability"])
+    for key, p in dist.items():
+        writer.writerow([key.serialize(), repr(float(p))])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("n,m", [(1, 1), (3, 5)])
+def test_sample_fock_tables_match_a_reference_built_from_objects(tmp_path, fmt, n, m):
+    code, out = _run(tmp_path, f"fock.{fmt}",
+                     ["sample-fock", "--n", str(n), "--m", str(m), "--kind", "unitary",
+                      "--seed", "8", "--format", fmt])
+    assert code == 0
+    config = {"subcommand": "sample-fock", "n": n, "input": ",".join(["1"] * n + ["0"] * (m - n)),
+              "shots": 0, "m": m, "kind": "unitary", "seed": 8}
+    dist = output_distribution(haar_unitary(m, 8), uniform_input(n, m))
+    text = out.read_text(encoding="utf-8")
+    assert text == _reference_table(dist, config, fmt)
+    if fmt == "csv" and m == 1:
+        assert text.splitlines()[2] == "1,1.0"  # a one-mode key has no comma: unquoted
+
+
+def test_sample_fock_json_with_shots_writes_csv_samples(tmp_path):
+    args = ["sample-fock", "--n", "2", "--m", "3", "--kind", "unitary", "--seed", "6",
+            "--shots", "40"]
+    assert _run(tmp_path, "t.json", args + ["--format", "json"])[0] == 0
+    assert _run(tmp_path, "c.csv", args)[0] == 0
+    assert not (tmp_path / "t.samples.json").exists()
+    samples = (tmp_path / "t.samples.csv").read_text(encoding="utf-8")
+    assert samples == (tmp_path / "c.samples.csv").read_text(encoding="utf-8")
+    assert samples.splitlines()[1] == "sample"
+
+
+def test_sample_fock_negative_shots_exit_one_before_writing(tmp_path, capsys):
+    code, out = _run(tmp_path, "t.csv",
+                     ["sample-fock", "--n", "2", "--m", "3", "--seed", "1", "--shots", "-5"])
+    assert code == 1
+    assert "shots" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sample_fock_json_format(tmp_path):
@@ -435,6 +486,16 @@ def test_module_entry_point_runs_in_subprocess(tmp_path):
     )
     assert result.returncode == 0
     assert out.exists()
+
+
+def test_importing_passv_leaves_scipy_unloaded():
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, passv, passv.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 def test_quiet_log_level_suppresses_progress(tmp_path):

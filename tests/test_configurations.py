@@ -1,16 +1,21 @@
 """Tests for mode-occupation configurations and parity patterns."""
 
+import itertools
 import math
 
+import numpy as np
 import pytest
 
 from passv.configurations import (
     ModeConfiguration,
     ParityPattern,
+    bounded_occupations,
     collision_free_configurations,
+    configuration_array,
     configuration_count,
     enumerate_configurations,
     parity_pattern_of,
+    serialize_rows,
 )
 from passv.errors import ValidationError
 
@@ -26,6 +31,44 @@ def test_enumerate_counts_match_formula():
             configs = enumerate_configurations(n, m)
             assert len(configs) == configuration_count(n, m)
             assert len(set(configs)) == len(configs)
+
+
+# (n, m) pairs for the array builders: no photons, one mode, and two-digit occupations.
+ARRAY_GRID = [(0, 1), (0, 4), (1, 1), (7, 1), (12, 1), (3, 3), (4, 4), (2, 6), (10, 3), (12, 2)]
+
+
+@pytest.mark.parametrize("n,m", ARRAY_GRID)
+def test_configuration_array_matches_an_itertools_reference(n, m):
+    reference = sorted(
+        (c for c in itertools.product(range(n + 1), repeat=m) if sum(c) == n), reverse=True
+    )
+    table = configuration_array(n, m)
+    assert np.issubdtype(table.dtype, np.integer)
+    assert table.shape == (configuration_count(n, m), m)
+    assert [tuple(row) for row in table.tolist()] == reference
+    configs = enumerate_configurations(n, m)
+    assert configs == [ModeConfiguration(c) for c in reference]
+    assert [hash(c) for c in configs] == [hash(ModeConfiguration(c)) for c in reference]
+
+
+@pytest.mark.parametrize("n,m", ARRAY_GRID)
+def test_bounded_occupations_match_an_itertools_reference(n, m):
+    reference = [c for c in itertools.product(range(n + 1), repeat=m) if sum(c) <= n]
+    table = bounded_occupations(m, n)
+    assert table.shape == (m, math.comb(n + m, m))
+    assert [tuple(col) for col in table.T.tolist()] == reference
+
+
+@pytest.mark.parametrize("n,m", ARRAY_GRID)
+def test_serialized_rows_match_configuration_serialize(n, m):
+    keys = serialize_rows(configuration_array(n, m))
+    assert keys == [c.serialize() for c in enumerate_configurations(n, m)]
+    if n >= 10:
+        assert f"{n}" + ",0" * (m - 1) == keys[0]
+
+
+def test_serialize_rows_of_an_empty_table():
+    assert serialize_rows(np.zeros((0, 3), dtype=np.intp)) == []
 
 
 def test_configuration_count_closed_form():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from passv.configurations import ModeConfiguration, ParityPattern
+from passv.configurations import ModeConfiguration, ParityPattern, enumerate_configurations
 from passv.distributions import (
     OutputDistribution,
     draw_samples,
@@ -33,13 +33,33 @@ def test_declared_defect_is_kept():
 def test_duplicate_keys_rejected():
     with pytest.raises(ValidationError):
         OutputDistribution([(A, 0.5), (A, 0.5)])
+    with pytest.raises(ValidationError, match=r"duplicate .*\(0, 1\)"):
+        OutputDistribution([(B, 0.2), (A, 0.3), (B, 0.1), (A, 0.4)])
 
 
 def test_negative_probability_rejected_but_noise_clipped():
     with pytest.raises(ValidationError):
         OutputDistribution([(A, -0.1)])
+    with pytest.raises(ValidationError, match=r"-0.25 for key .*\(0, 1\)"):
+        OutputDistribution([(A, 0.5), (B, -0.25)])
     dist = OutputDistribution([(A, -1e-15), (B, 1.0)])
     assert dist.probability(A) == 0.0
+    assert dist.probabilities.tolist() == [0.0, 1.0]
+    assert dist.normalization_defect == 0.0
+
+
+def test_lazy_index_answers_lookups_like_a_dict():
+    keys = enumerate_configurations(3, 4)
+    probs = np.random.default_rng(3).random(len(keys))
+    dist = OutputDistribution(zip(keys, probs.tolist()))
+    assert dist._index is None  # built on the first lookup, not by the constructor
+    reference = dict(zip(keys, probs.tolist()))
+    for key in keys:
+        assert key in dist
+        assert dist.probability(key) == reference[key]
+    for absent in (ModeConfiguration((4, 0, 0, 0, 0)), ModeConfiguration((1, 0)), "3,0,0,0"):
+        assert absent not in dist
+        assert dist.probability(absent, default=-1.0) == -1.0
 
 
 def test_lookup_and_container_protocol():

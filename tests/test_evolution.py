@@ -665,6 +665,26 @@ def test_number_distribution_added_one_mode():
     assert dist.probability(ModeConfiguration((0,))) == 0.0
 
 
+def test_number_distribution_refuses_states_over_the_support_limit(monkeypatch):
+    st = build_passv_input(1, 2, 0.3, ADDED, 3)  # C(5, 2) = 10 amplitudes
+    monkeypatch.setattr(evolution, "SUPPORT_SIZE_LIMIT", 10)
+    assert len(number_distribution(st)) == 10
+
+    def no_keys(_):
+        raise AssertionError("keys built before the size guard")
+
+    monkeypatch.setattr(evolution, "SUPPORT_SIZE_LIMIT", 9)
+    monkeypatch.setattr(evolution, "configurations_from_array", no_keys)
+    with pytest.raises(SizeLimitError):
+        number_distribution(st)
+
+
+def test_expm_is_looked_up_lazily():
+    assert evolution.expm is expm
+    with pytest.raises(AttributeError):
+        evolution.no_such_name  # noqa: B018
+
+
 def test_overlap_of_prepared_states():
     vac = TruncatedFockState(1, 40)
     sq = build_squeezed_product(1, 0.5, 40)

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from passv.configurations import (
     ModeConfiguration,
     collision_free_configurations,
+    configuration_array,
     enumerate_configurations,
 )
 from passv.errors import SizeLimitError, ValidationError
@@ -198,6 +199,22 @@ def test_outcome_probabilities_validation():
     with pytest.raises(ValidationError):
         outcome_probabilities(net, (1, 1, 0), [(1, 1, 1)])
     assert outcome_probabilities(net, (1, 1, 0), []).shape == (0,)
+    # The same checks on an occupation array, which skips the per-outcome objects.
+    for bad in (np.array([1, 1, 0]), np.array([[1, 1]]), np.array([[1, 1, 1]]),
+                np.array([[1.0, 1.0, 0.0]]), np.array([[3, -1, 0]])):
+        with pytest.raises(ValidationError):
+            outcome_probabilities(net, (1, 1, 0), bad)
+    assert outcome_probabilities(net, (1, 1, 0), np.zeros((0, 3), dtype=int)).shape == (0,)
+
+
+@pytest.mark.parametrize("input_config", [(1, 1, 0, 0), (2, 0, 1, 0), (0, 0, 0, 0)])
+def test_outcome_array_and_configurations_give_identical_probabilities(input_config):
+    net = haar_unitary(4, 21)
+    n = sum(input_config)
+    from_array = outcome_probabilities(net, input_config, configuration_array(n, 4))
+    from_objects = outcome_probabilities(net, input_config, enumerate_configurations(n, 4))
+    assert from_array.tolist() == from_objects.tolist()
+    assert output_distribution(net, input_config).probabilities.tolist() == from_array.tolist()
 
 
 def test_table_guards_fire_before_allocation():
