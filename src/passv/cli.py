@@ -29,7 +29,7 @@ from collections.abc import Iterable, Iterator
 
 import numpy as np
 
-from .configurations import configuration_array, serialize_rows
+from .configurations import serialize_rows
 from .distributions import OutputDistribution, draw_indices
 from .errors import SizeLimitError, ValidationError
 from .experiments import brute_force_parity, run_equivalence_experiment
@@ -205,10 +205,12 @@ def _config_comment(config: dict) -> str:
 
 
 def _csv_fields(keys: list[str]) -> list[str]:
-    """Each key as csv.writer writes it in a field: quoted when it holds a comma."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows([key] for key in keys)
-    return buf.getvalue().splitlines()
+    """Each key as csv.writer writes it in a field: quoted when it holds a comma.
+
+    Keys hold only digits and commas, or parity signs, so that is the whole of
+    csv's minimal quoting for them.
+    """
+    return [f'"{key}"' if "," in key else key for key in keys]
 
 
 def _distribution_csv(fields: list[str], dist: OutputDistribution, config: dict) -> str:
@@ -234,7 +236,7 @@ def _run_sample_fock(args):
     pump = uniform_input(args.n, net.dimension)
     dist = output_distribution(net, pump)
     # The table's keys in its canonical order, serialized once for every artifact.
-    keys = serialize_rows(configuration_array(args.n, net.dimension))
+    keys = serialize_rows(dist.occupations)
     fields = _csv_fields(keys)
     config = {"subcommand": "sample-fock", "n": args.n, "input": pump.serialize(),
               "shots": args.shots, **source}

@@ -1,4 +1,15 @@
-"""Discrete output distributions keyed by configurations or parity patterns."""
+"""Discrete output distributions keyed by configurations or parity patterns.
+
+A table is built from (key, probability) pairs, or from a (K, m) occupation
+array and a probability vector. The array form keeps the array and makes its
+ModeConfiguration keys, and the key index, only when a caller first asks for
+keys, items or a lookup; its length, probabilities and total never need them.
+
+``draw_indices`` samples by inverse CDF with an exact guide table (Chen and
+Asau, 1974): equal buckets of [0, 1) bracket the index of every draw, and a
+vectorized bisection closes the brackets, one block of draws at a time. The
+indices equal those of a plain ``searchsorted`` over the CDF.
+"""
 
 from __future__ import annotations
 
@@ -6,47 +17,78 @@ from collections import Counter
 
 import numpy as np
 
+from .configurations import ModeConfiguration, configurations_from_array
 from .errors import ValidationError
 
 SAMPLING_DEFECT_LIMIT = 1e-6
+DRAW_BLOCK = 1 << 14  # draws per block of draw_indices; bounds its temporaries
 
 
 class OutputDistribution:
     """An ordered probability table with a declared normalization defect.
 
-    Keys are hashable domain objects (ModeConfiguration or ParityPattern).
-    Zero-probability entries are retained so that serialized artifacts diff
-    cleanly. ``normalization_defect`` records |1 - sum| and may be large on
-    purpose for deliberately sub-normalized tables.
+    Keys are hashable domain objects (ModeConfiguration or ParityPattern),
+    given as ``(key, p)`` pairs, or ModeConfigurations given as the rows of an
+    ``occupations`` array beside a ``probabilities`` vector. Zero-probability
+    entries are retained so that serialized artifacts diff cleanly.
+    ``normalization_defect`` records |1 - sum| and may be large on purpose for
+    deliberately sub-normalized tables.
     """
 
-    def __init__(self, pairs, *, normalization_defect: float | None = None):
-        pairs = list(pairs)
-        keys = [key for key, _ in pairs]
-        probs = np.array([p for _, p in pairs], dtype=np.float64).reshape(len(pairs))
-        if len(set(keys)) != len(keys):
-            duplicate = next(key for key, count in Counter(keys).items() if count > 1)
-            raise ValidationError(f"duplicate distribution key {duplicate!r}")
+    def __init__(self, pairs=None, *, occupations=None, probabilities=None,
+                 normalization_defect: float | None = None):
+        if (pairs is None) == (occupations is None) or (
+                occupations is None) != (probabilities is None):
+            raise ValidationError("give (key, p) pairs, or occupations with probabilities")
+        if pairs is not None:
+            pairs = list(pairs)
+            keys = [key for key, _ in pairs]
+            probabilities = [p for _, p in pairs]
+            if len(set(keys)) != len(keys):
+                duplicate = next(key for key, count in Counter(keys).items() if count > 1)
+                raise ValidationError(f"duplicate distribution key {duplicate!r}")
+        else:
+            keys = None  # made from the rows on first use
+            occupations = _occupation_rows(occupations)
+            duplicate = _duplicate_row(occupations)
+            if duplicate is not None:
+                raise ValidationError(f"duplicate distribution key {_row_key(duplicate)!r}")
+        probs = np.array(probabilities, dtype=np.float64)
+        size = len(keys) if keys is not None else len(occupations)
+        if probs.shape != (size,):
+            raise ValidationError(f"{probs.shape} probabilities for {size} keys")
         negative = np.flatnonzero(probs < -1e-12)
         if negative.size:
             i = negative[0]
-            raise ValidationError(f"negative probability {probs[i]} for key {keys[i]!r}")
+            key = keys[i] if keys is not None else _row_key(occupations[i])
+            raise ValidationError(f"negative probability {probs[i]} for key {key!r}")
         np.maximum(probs, 0.0, out=probs)
         self._keys = keys
+        self._occupations = occupations
         self._probs = probs
         self._index = None  # key -> position, built on the first lookup
         if normalization_defect is None:
             normalization_defect = abs(1.0 - float(probs.sum()))
         self.normalization_defect = float(normalization_defect)
 
+    def _key_list(self) -> list:
+        if self._keys is None:
+            self._keys = configurations_from_array(self._occupations)
+        return self._keys
+
     def _position(self, key) -> int | None:
         if self._index is None:
-            self._index = {k: i for i, k in enumerate(self._keys)}
+            self._index = {k: i for i, k in enumerate(self._key_list())}
         return self._index.get(key)
 
     @property
     def keys(self) -> list:
-        return list(self._keys)
+        return list(self._key_list())
+
+    @property
+    def occupations(self) -> np.ndarray | None:
+        """The read-only (K, m) array of an array-built table, else None."""
+        return self._occupations
 
     @property
     def probabilities(self) -> np.ndarray:
@@ -54,7 +96,7 @@ class OutputDistribution:
 
     @property
     def support(self) -> list[tuple]:
-        return list(zip(self._keys, self._probs.tolist()))
+        return list(self.items())
 
     def probability(self, key, default: float = 0.0) -> float:
         i = self._position(key)
@@ -64,10 +106,10 @@ class OutputDistribution:
         return self._position(key) is not None
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return len(self._probs)
 
     def items(self):
-        return zip(self._keys, self._probs.tolist())
+        return zip(self._key_list(), self._probs.tolist())
 
     def total(self) -> float:
         return float(self._probs.sum())
@@ -76,6 +118,9 @@ class OutputDistribution:
         s = self.total()
         if s <= 0.0:
             raise ValidationError("cannot normalize a distribution with zero mass")
+        if self._occupations is not None:
+            return OutputDistribution(occupations=self._occupations,
+                                      probabilities=self._probs / s, normalization_defect=0.0)
         return OutputDistribution(
             zip(self._keys, (self._probs / s).tolist()), normalization_defect=0.0
         )
@@ -87,11 +132,35 @@ class OutputDistribution:
         )
 
 
+def _occupation_rows(occupations) -> np.ndarray:
+    """A read-only view of a (K, m) array of non-negative integers, m >= 1, as intp."""
+    occupations = np.asarray(occupations)
+    if occupations.ndim != 2 or occupations.shape[1] < 1 or not np.issubdtype(
+            occupations.dtype, np.integer) or (occupations.size and occupations.min() < 0):
+        raise ValidationError("occupations must be a (K, m) array of non-negative integers")
+    rows = occupations.astype(np.intp, copy=False).view()
+    rows.flags.writeable = False
+    return rows
+
+
+def _duplicate_row(occupations: np.ndarray) -> np.ndarray | None:
+    """The first repeated row in lexicographic order, or None if every row differs."""
+    ordered = occupations[np.lexsort(occupations.T[::-1])]
+    repeats = np.flatnonzero((ordered[1:] == ordered[:-1]).all(axis=1))
+    return ordered[repeats[0]] if repeats.size else None
+
+
+def _row_key(row: np.ndarray) -> ModeConfiguration:
+    return ModeConfiguration(tuple(row.tolist()))
+
+
 def draw_indices(distribution: OutputDistribution, seed: int, shots: int) -> np.ndarray:
     """Draw indices into ``distribution.keys`` by inverse-CDF sampling.
 
-    Deterministic for a given seed. The distribution must be normalized within
-    1e-6; the residual defect is renormalized away before drawing.
+    Deterministic for a given seed: one ``rng.random(shots)`` stream, each
+    draw mapped to the first CDF entry above it. The distribution must be
+    normalized within 1e-6; the residual defect is renormalized away before
+    drawing.
     """
     if shots < 0:
         raise ValidationError(f"shots must be non-negative, got {shots}")
@@ -110,9 +179,46 @@ def draw_indices(distribution: OutputDistribution, seed: int, shots: int) -> np.
     cdf = np.cumsum(probs / total)
     cdf[-1] = 1.0
     rng = np.random.default_rng(seed)
-    draws = rng.random(shots)
-    idx = np.searchsorted(cdf, draws, side="right")
-    return np.minimum(idx, len(cdf) - 1)
+    return inverse_cdf(cdf, rng.random(shots))
+
+
+def inverse_cdf(cdf: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Index of the first ``cdf`` entry above each draw in [0, 1).
+
+    ``cdf`` must be nondecreasing before its last entry, which must be 1.
+
+    An exact guide-table search. With B the smallest power of two >= K, a
+    draw u falls in bucket b = floor(u * B), and its index lies in
+    [guide[b], min(guide[b + 1], K - 1)], where guide[b] counts the entries
+    <= b / B; u * B and b / B are exact in binary floating point. A bisection
+    in power-of-two steps over the widest bracket of a block closes every
+    bracket of the block in ceil(log2(width + 1)) steps, never more than a
+    plain binary search. The result equals
+    ``minimum(searchsorted(cdf, draws, side="right"), K - 1)``.
+    """
+    k = len(cdf)
+    buckets = 1 << (k - 1).bit_length()
+    guide = np.searchsorted(cdf, np.arange(buckets + 1) / buckets, side="right")
+    np.minimum(guide, k - 1, out=guide)
+    width = np.diff(guide)
+    # Entries past a bracket are >= its upper end, which lies above the draw;
+    # the padding keeps every probe of the widest bracket in range.
+    padded = np.concatenate((cdf, np.ones(k)))
+    out = np.empty(len(draws), dtype=np.intp)
+    for start in range(0, len(draws), DRAW_BLOCK):
+        u = draws[start:start + DRAW_BLOCK]
+        bucket = (u * buckets).astype(np.intp)
+        below = guide[bucket]
+        below -= 1  # the last index whose entry is known <= u, or -1
+        probe = np.empty_like(below)
+        step = 1 << int(width[bucket].max()).bit_length()
+        while step > 1:
+            step >>= 1
+            np.add(below, step, out=probe)
+            np.copyto(below, probe, where=padded[probe] <= u)
+        below += 1
+        out[start:start + len(u)] = below
+    return out
 
 
 def draw_samples(distribution: OutputDistribution, seed: int, shots: int) -> list:

@@ -29,7 +29,6 @@ from .configurations import (
     ParityPattern,
     _as_configuration,
     bounded_occupations,
-    configurations_from_array,
 )
 from .distributions import OutputDistribution
 from .errors import SizeLimitError, ValidationError
@@ -476,8 +475,9 @@ def parity_distribution(state: TruncatedFockState) -> OutputDistribution:
 def number_distribution(state: TruncatedFockState) -> OutputDistribution:
     """Joint photon-number probabilities over all retained occupation tuples.
 
-    One key per amplitude, so states over SUPPORT_SIZE_LIMIT amplitudes are
-    refused before any key is built.
+    One entry per amplitude in an array-backed table, whose ModeConfiguration
+    keys are made only when a caller asks for them. States over
+    SUPPORT_SIZE_LIMIT amplitudes are refused before the table is built.
     """
     if len(state.amplitudes) > SUPPORT_SIZE_LIMIT:
         raise SizeLimitError(
@@ -489,7 +489,7 @@ def number_distribution(state: TruncatedFockState) -> OutputDistribution:
         raise ValidationError("number distribution is undefined for the zero state")
     probs = np.abs(state.amplitudes) ** 2 / norm2
     occupations = _index_tables(state.modes, state.cutoff)[0]
-    return OutputDistribution(zip(configurations_from_array(occupations.T), probs.tolist()))
+    return OutputDistribution(occupations=occupations.T, probabilities=probs)
 
 
 def state_overlap(a: TruncatedFockState, b: TruncatedFockState) -> complex:

@@ -9,8 +9,10 @@ Tables are built in one batch: every outcome shares the input columns, so
 ``outcome_probabilities`` hands the whole (K, m) outcome array to
 ``permanent_table`` (one Gray-code Ryser pass, vectorized across outcomes).
 ``output_distribution`` and the parity predictions in ``experiments`` both
-go through it. ``transition_amplitude`` evaluates a single amplitude with
-``permanent_ryser``.
+go through it; ``output_distribution`` hands the outcome array and the
+probabilities to an array-backed ``OutputDistribution``, so no key object is
+made unless a caller reads keys. ``transition_amplitude`` evaluates a single
+amplitude with ``permanent_ryser``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .configurations import (
     _as_configuration,
     configuration_array,
     configuration_count,
-    configurations_from_array,
 )
 from .distributions import OutputDistribution
 from .errors import SizeLimitError, ValidationError
@@ -100,7 +101,8 @@ def output_distribution(network: LinearNetwork, input_config) -> OutputDistribut
 
     Entries are listed in canonical enumeration order, the rows of
     ``configuration_array``, with zeros retained; the normalization defect is
-    measured, not assumed.
+    measured, not assumed. The table is array-backed: it keeps the outcome
+    array and makes ModeConfiguration keys only if a caller asks for them.
     """
     t = _as_configuration(input_config)
     m = network.dimension
@@ -113,7 +115,7 @@ def output_distribution(network: LinearNetwork, input_config) -> OutputDistribut
         )
     outcomes = configuration_array(n, m)
     probs = outcome_probabilities(network, t, outcomes)
-    return OutputDistribution(zip(configurations_from_array(outcomes), probs.tolist()))
+    return OutputDistribution(occupations=outcomes, probabilities=probs)
 
 
 def uniform_input(total_photons: int, modes: int) -> ModeConfiguration:

@@ -9,6 +9,7 @@ the same arguments.
 """
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -99,6 +100,32 @@ def test_sample_fock_is_byte_identical_across_runs(tmp_path):
     _, first = _run(tmp_path, "a.csv", args)
     _, second = _run(tmp_path, "b.csv", args)
     assert first.read_bytes() == second.read_bytes()
+
+
+# SHA-256 of every artifact of `sample-fock --n 3 --m 5 --kind unitary --seed 4
+# --shots 2000`, as CSV and as JSON. A change that alters any byte of them,
+# the table, its float formatting or a single drawn sample, fails here.
+GOLDEN_SAMPLE_FOCK = {
+    "csv": {
+        "fock.csv": "bab690b7b27df57ebbadd42ee657b0de469ae882a11a44054e0b836ca1cb41a3",
+        "fock.samples.csv": "80a67eaf2915a378da83a135865e36adc6bcca11b377836ad1b8091c057c920c",
+    },
+    "json": {
+        "fock.json": "24fafb9d972baac606721179bf185c073bd342021042759afa9e637eeab65f5d",
+        "fock.samples.csv": "80a67eaf2915a378da83a135865e36adc6bcca11b377836ad1b8091c057c920c",
+    },
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sample_fock_artifacts_match_golden_digests(tmp_path, fmt):
+    code, _ = _run(tmp_path, f"fock.{fmt}",
+                   ["sample-fock", "--n", "3", "--m", "5", "--kind", "unitary", "--seed", "4",
+                    "--shots", "2000", "--format", fmt])
+    assert code == 0
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in tmp_path.iterdir()}
+    assert digests == GOLDEN_SAMPLE_FOCK[fmt]
 
 
 def test_sample_fock_draws_shots_into_sibling_file(tmp_path):

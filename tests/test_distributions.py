@@ -2,11 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from passv.configurations import ModeConfiguration, ParityPattern, enumerate_configurations
+from passv import distributions
+from passv.configurations import (
+    ModeConfiguration,
+    ParityPattern,
+    configuration_array,
+    enumerate_configurations,
+)
 from passv.distributions import (
+    DRAW_BLOCK,
     OutputDistribution,
+    draw_indices,
     draw_samples,
+    inverse_cdf,
     total_variation_distance,
 )
 from passv.errors import ValidationError
@@ -62,6 +72,99 @@ def test_lazy_index_answers_lookups_like_a_dict():
         assert dist.probability(absent, default=-1.0) == -1.0
 
 
+# ------------------------------------------------------------- array-backed form
+
+
+def _array_table(occupations, probs, **kwargs):
+    return OutputDistribution(occupations=np.array(occupations, dtype=np.intp),
+                              probabilities=probs, **kwargs)
+
+
+def test_array_form_rejects_duplicate_rows_naming_the_configuration():
+    with pytest.raises(ValidationError, match=r"duplicate .*\(0, 1\)"):
+        _array_table([[0, 1], [1, 0], [0, 1]], [0.2, 0.3, 0.5])
+    rows = configuration_array(3, 4)
+    _array_table(rows, np.full(len(rows), 1.0 / len(rows)))  # distinct rows pass
+    assert rows[7].tolist() == [1, 0, 2, 0]
+    with pytest.raises(ValidationError, match=r"duplicate .*\(1, 0, 2, 0\)"):
+        _array_table(np.vstack((rows, rows[7:8])), np.full(len(rows) + 1, 0.01))
+
+
+def test_array_form_rejects_negative_entries_naming_the_key_and_clamps_noise():
+    with pytest.raises(ValidationError, match=r"-0.25 for key .*\(0, 1\)"):
+        _array_table([[1, 0], [0, 1]], [0.5, -0.25])
+    dist = _array_table([[1, 0], [0, 1]], [-1e-15, 1.0])
+    assert dist.probabilities.tolist() == [0.0, 1.0]
+    assert dist.probability(A) == 0.0
+    assert dist.normalization_defect == 0.0
+
+
+def test_array_form_rejects_malformed_input():
+    for bad in (np.array([1, 0]), np.array([[1.0, 0.0]]), np.array([[1, -1]]),
+                np.zeros((1, 0), dtype=np.intp)):
+        with pytest.raises(ValidationError):
+            OutputDistribution(occupations=bad, probabilities=[1.0])
+    with pytest.raises(ValidationError):
+        _array_table([[1, 0], [0, 1]], [1.0])
+    with pytest.raises(ValidationError):
+        OutputDistribution([(A, 1.0)], occupations=np.array([[1, 0]]), probabilities=[1.0])
+    with pytest.raises(ValidationError):
+        OutputDistribution(occupations=np.array([[1, 0]]))
+
+
+def test_array_form_answers_like_the_pair_form():
+    rows = configuration_array(3, 4)
+    probs = np.random.default_rng(5).random(len(rows))
+    probs[[0, 4, len(rows) - 1]] = 0.0
+    keys = enumerate_configurations(3, 4)
+    by_array = OutputDistribution(occupations=rows, probabilities=probs)
+    by_pairs = OutputDistribution(zip(keys, probs.tolist()))
+    assert len(by_array) == len(by_pairs)
+    assert by_array.total() == by_pairs.total()
+    assert by_array.normalization_defect == by_pairs.normalization_defect
+    assert by_array._keys is None  # nothing above needed a key object
+    assert by_array.keys == by_pairs.keys
+    assert list(by_array.items()) == list(by_pairs.items())
+    assert by_array.support == by_pairs.support
+    for key in keys + [ModeConfiguration((4, 0, 0, 0)), ModeConfiguration((1, 0)), "3,0,0,0"]:
+        assert (key in by_array) == (key in by_pairs)
+        assert by_array.probability(key, default=-1.0) == by_pairs.probability(key, default=-1.0)
+    normalized = by_array.normalized()
+    assert normalized.occupations is not None and normalized._keys is None
+    assert list(normalized.items()) == list(by_pairs.normalized().items())
+    assert normalized.normalization_defect == 0.0
+
+
+def test_array_form_keeps_a_read_only_view_of_the_rows():
+    rows = configuration_array(2, 3)
+    dist = OutputDistribution(occupations=rows, probabilities=np.full(len(rows), 1 / 6))
+    assert np.array_equal(dist.occupations, rows)
+    with pytest.raises(ValueError):
+        dist.occupations[0, 0] = 9
+
+
+def test_array_form_builds_keys_once_on_first_use(monkeypatch):
+    calls = []
+    original = distributions.configurations_from_array
+
+    def counting(occupations):
+        calls.append(len(occupations))
+        return original(occupations)
+
+    monkeypatch.setattr(distributions, "configurations_from_array", counting)
+    dist = _array_table([[1, 0], [0, 1]], [0.25, 0.75])
+    assert dist.probabilities.tolist() == [0.25, 0.75]
+    assert len(dist) == 2 and dist.total() == 1.0
+    assert calls == []
+    assert dist.probability(B) == 0.75
+    assert dist.keys == [A, B]
+    assert draw_samples(dist, 3, 5)
+    assert calls == [2]
+
+
+# ------------------------------------------------------------------- lookups
+
+
 def test_lookup_and_container_protocol():
     dist = _coin(0.75)
     assert dist.probability(A) == 0.75
@@ -115,6 +218,65 @@ def test_draw_samples_frequencies_near_probabilities():
 def test_draw_samples_point_mass():
     dist = OutputDistribution([(A, 1.0), (B, 0.0)])
     assert set(draw_samples(dist, 5, 50)) == {A}
+
+
+def _reference_indices(cdf, draws):
+    return np.minimum(np.searchsorted(cdf, draws, side="right"), len(cdf) - 1)
+
+
+def _cdf(weights):
+    probs = np.asarray(weights, dtype=np.float64)
+    cdf = np.cumsum(probs / probs.sum())
+    cdf[-1] = 1.0
+    return cdf
+
+
+def _probing_draws(cdf, shots, seed):
+    """Uniform draws plus every tie with a CDF entry and every bucket boundary."""
+    buckets = 1 << (len(cdf) - 1).bit_length()
+    return np.concatenate((np.random.default_rng(seed).random(shots), cdf[cdf < 1.0],
+                           np.arange(buckets) / buckets, np.nextafter(cdf[cdf < 1.0], 0.0)))
+
+
+WEIGHT = st.one_of(st.just(0.0), st.floats(1e-300, 1e-200), st.floats(1e-9, 1.0))
+
+
+@settings(max_examples=120, deadline=None)
+@given(weights=st.lists(WEIGHT, min_size=1, max_size=300).filter(lambda w: sum(w) > 0),
+       shots=st.integers(0, 2 * DRAW_BLOCK + 5), seed=st.integers(0, 2**32 - 1))
+@example(weights=[1.0], shots=0, seed=0)  # K = 1, no shots
+@example(weights=[1.0], shots=DRAW_BLOCK + 1, seed=1)
+@example(weights=[1.0] + [0.0] * 99, shots=7, seed=2)  # point mass on the first entry
+@example(weights=[0.0] * 99 + [1.0], shots=7, seed=3)  # point mass on the last entry
+@example(weights=[0.0] * 40 + [1.0] * 3 + [0.0] * 40 + [2.0] + [0.0] * 20, shots=500, seed=4)
+@example(weights=[1e-9] * 255 + [1.0], shots=3 * DRAW_BLOCK - 1, seed=5)  # one bucket
+def test_guide_table_search_equals_searchsorted(weights, shots, seed):
+    cdf = _cdf(weights)
+    draws = _probing_draws(cdf, shots, seed)
+    assert np.array_equal(inverse_cdf(cdf, draws), _reference_indices(cdf, draws))
+
+
+def test_guide_table_search_with_every_entry_in_one_bucket():
+    # 255 entries below 1/256 share bucket 0, the widest bracket there can be.
+    cdf = _cdf([1e-9] * 255 + [1.0])
+    assert cdf[-2] < 1 / 256
+    draws = np.concatenate((np.linspace(0.0, cdf[-2] * 1.01, 2 * DRAW_BLOCK + 3), cdf[:-1]))
+    found = inverse_cdf(cdf, draws)
+    assert np.array_equal(found, _reference_indices(cdf, draws))
+    assert set(found.tolist()) == set(range(256))
+
+
+@pytest.mark.parametrize("shots", [0, 1, DRAW_BLOCK, DRAW_BLOCK + 1, 3 * DRAW_BLOCK - 7])
+def test_draw_indices_equal_searchsorted_over_the_same_stream(shots):
+    rows = configuration_array(3, 5)
+    probs = np.random.default_rng(9).random(len(rows)) ** 4
+    probs[10:20] = 0.0
+    dist = OutputDistribution(occupations=rows, probabilities=probs / probs.sum())
+    cdf = _cdf(dist.probabilities)
+    draws = np.random.default_rng(11).random(shots)
+    found = draw_indices(dist, 11, shots)
+    assert found.dtype == np.intp and found.shape == (shots,)
+    assert np.array_equal(found, _reference_indices(cdf, draws))
 
 
 def test_draw_samples_refuses_subnormalized_tables():

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies
 from scipy.linalg import expm
 
-from passv import evolution
+from passv import distributions, evolution
 from passv.configurations import ModeConfiguration, ParityPattern
 from passv.errors import SizeLimitError, ValidationError
 from passv.evolution import (
@@ -674,9 +674,25 @@ def test_number_distribution_refuses_states_over_the_support_limit(monkeypatch):
         raise AssertionError("keys built before the size guard")
 
     monkeypatch.setattr(evolution, "SUPPORT_SIZE_LIMIT", 9)
-    monkeypatch.setattr(evolution, "configurations_from_array", no_keys)
+    monkeypatch.setattr(distributions, "configurations_from_array", no_keys)
     with pytest.raises(SizeLimitError):
         number_distribution(st)
+
+
+def test_number_distribution_builds_no_keys_for_length_and_probabilities(monkeypatch):
+    st = build_passv_input(1, 2, 0.3, ADDED, 3)
+    reference = number_distribution(st)
+    keys = [list(k.occupations) for k in reference.keys]
+
+    def no_keys(_):
+        raise AssertionError("keys built for a length or probability read")
+
+    monkeypatch.setattr(distributions, "configurations_from_array", no_keys)
+    dist = number_distribution(st)
+    assert len(dist) == 10
+    assert dist.probabilities.tolist() == reference.probabilities.tolist()
+    assert dist.total() == reference.total()
+    assert dist.occupations.tolist() == keys
 
 
 def test_expm_is_looked_up_lazily():
