@@ -30,7 +30,7 @@ from collections.abc import Iterable, Iterator
 import numpy as np
 
 from .configurations import serialize_rows
-from .distributions import OutputDistribution, draw_indices
+from .distributions import OutputDistribution, check_shots, draw_indices
 from .errors import SizeLimitError, ValidationError
 from .experiments import brute_force_parity, run_equivalence_experiment
 from .networks import (
@@ -228,8 +228,7 @@ def _distribution_json(keys: list[str], dist: OutputDistribution, config: dict) 
 
 
 def _run_sample_fock(args):
-    if args.shots < 0:
-        raise ValidationError(f"--shots must be non-negative, got {args.shots}")
+    check_shots(args.shots)  # before the table is written
     if args.shots and args.seed is None:
         raise ValidationError("--seed is required to draw samples")
     net, source = _resolve_network(args)

@@ -18,10 +18,11 @@ from collections import Counter
 import numpy as np
 
 from .configurations import ModeConfiguration, configurations_from_array
-from .errors import ValidationError
+from .errors import SizeLimitError, ValidationError
 
 SAMPLING_DEFECT_LIMIT = 1e-6
 DRAW_BLOCK = 1 << 14  # draws per block of draw_indices; bounds its temporaries
+SHOTS_LIMIT = 10_000_000  # draws per call: 160 MB of uniform draws and indices
 
 
 class OutputDistribution:
@@ -158,12 +159,11 @@ def draw_indices(distribution: OutputDistribution, seed: int, shots: int) -> np.
     """Draw indices into ``distribution.keys`` by inverse-CDF sampling.
 
     Deterministic for a given seed: one ``rng.random(shots)`` stream, each
-    draw mapped to the first CDF entry above it. The distribution must be
-    normalized within 1e-6; the residual defect is renormalized away before
-    drawing.
+    draw mapped to the first CDF entry above it, at most SHOTS_LIMIT draws.
+    The distribution must be normalized within 1e-6; the residual defect is
+    renormalized away before drawing.
     """
-    if shots < 0:
-        raise ValidationError(f"shots must be non-negative, got {shots}")
+    check_shots(shots)
     if distribution.normalization_defect > SAMPLING_DEFECT_LIMIT or abs(
         1.0 - distribution.total()
     ) > SAMPLING_DEFECT_LIMIT:
@@ -180,6 +180,14 @@ def draw_indices(distribution: OutputDistribution, seed: int, shots: int) -> np.
     cdf[-1] = 1.0
     rng = np.random.default_rng(seed)
     return inverse_cdf(cdf, rng.random(shots))
+
+
+def check_shots(shots: int):
+    """Refuse a negative shot count, and one over SHOTS_LIMIT before any draw."""
+    if shots < 0:
+        raise ValidationError(f"shots must be non-negative, got {shots}")
+    if shots > SHOTS_LIMIT:
+        raise SizeLimitError(f"shots are limited to {SHOTS_LIMIT:,} per run, got {shots:,}")
 
 
 def inverse_cdf(cdf: np.ndarray, draws: np.ndarray) -> np.ndarray:

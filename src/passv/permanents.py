@@ -1,11 +1,16 @@
-"""Exact matrix permanents: a permutation-sum reference kernel and Ryser's method.
+"""Exact matrix permanents: a permutation-sum reference and one Glynn kernel.
 
-The permutation sum is the trusted oracle at factorial cost. ``permanent_ryser``
-uses Gray-code subset iteration with running row sums for O(2^n * n) work on a
-single matrix (single transition amplitudes).
-``permanent_table`` runs the same Gray-code pass once for a whole table of
-outcomes that share their n input columns, vectorized across the outcomes; the
-output distributions and the parity predictions are built from it.
+``permanent_naive`` sums over permutations at factorial cost; it is the
+trusted reference up to n = 9. Every other permanent comes from
+``permanent_table``, which evaluates Glynn's formula (Glynn, Eur. J. Combin.
+31, 1887 (2010)) over the 2^(n-1) sign vectors d with d_0 = +1,
+
+    Per(A) = 2^(1-n) * sum_d (prod_k d_k) * prod_i (A d)_i,
+
+for a whole table of outcomes that share their n input columns, vectorized
+across the outcomes and across blocks of sign vectors. The output
+distributions, the parity predictions and single transition amplitudes are
+all built from it; ``permanent_ryser`` is its one-row table.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from .errors import SizeLimitError, ValidationError
 
 NAIVE_LIMIT = 9
 RYSER_LIMIT = 30
-TABLE_BLOCK = 1 << 14  # outcomes per block of permanent_table; bounds its temporaries
+TABLE_BLOCK = 1 << 13  # outcomes x sign vectors per block of permanent_table; bounds its temporaries
 
 
 def _as_square(matrix) -> np.ndarray:
@@ -51,54 +56,28 @@ def permanent_naive(matrix) -> complex:
 
 
 def permanent_ryser(matrix) -> complex:
-    """Permanent via Ryser's inclusion-exclusion formula.
+    """Permanent of a square matrix: the one-row ``permanent_table``.
 
-    Iterates column subsets in Gray-code order so each step updates the running
-    row sums by a single column, giving O(2^n * n) arithmetic. Guarded to
-    n <= 30; cost doubles per additional row.
+    The name predates the Glynn kernel. Guarded to n <= 30; cost doubles per
+    additional row.
     """
     arr = _as_square(matrix)
-    n = arr.shape[0]
-    if n > RYSER_LIMIT:
-        raise SizeLimitError(f"permanent_ryser is limited to n <= {RYSER_LIMIT}")
-    if n == 0:
-        return complex(1.0)
-    cols = [[complex(arr[i, j]) for i in range(n)] for j in range(n)]
-    sums = [0j] * n
-    total = 0j
-    gray = 0
-    subset_sign = 1  # (-1)^{|S|} for the current Gray-code subset S
-    for k in range(1, 1 << n):
-        j = (k & -k).bit_length() - 1
-        bit = 1 << j
-        gray ^= bit
-        col = cols[j]
-        if gray & bit:
-            for i in range(n):
-                sums[i] += col[i]
-        else:
-            for i in range(n):
-                sums[i] -= col[i]
-        subset_sign = -subset_sign
-        prod = complex(1.0)
-        for s in sums:
-            prod *= s
-        total += subset_sign * prod
-    if n % 2:
-        total = -total
-    return total
+    return complex(permanent_table(arr, np.arange(arr.shape[0])[None, :])[0])
 
 
 def permanent_table(columns, rows) -> np.ndarray:
-    """Permanents Per(columns[rows[k], :]) for every k, from one Ryser pass.
+    """Permanents Per(columns[rows[k], :]) for every k, from one Glynn pass.
 
     ``columns`` is an m x n matrix (the input columns, repeated per input
     photon) and ``rows`` a K x n integer array (each outcome's output rows,
-    repeated per output photon). For each Gray-code column subset S the m
-    running row sums serve every outcome at once: an outcome's product over
-    its rows is n gathers from them. Outcomes are processed in blocks of
-    TABLE_BLOCK, so the temporaries do not grow with K. A real matrix gives a
-    real result; n = 0 gives ones.
+    repeated per output photon). The sign bits of columns 1..n // 2 span one
+    m x 2^(n // 2) table of row sums, built by doubling with the sign vectors
+    of product +1 first; the remaining bits add a running column sum in
+    Gray-code order. At each of those steps an outcome's products are n row
+    gathers from the table, so the m row sums serve every outcome at once.
+    Outcomes are processed in blocks of about TABLE_BLOCK / 2^(n // 2), so
+    the temporaries do not grow with K, and each entry's arithmetic does not
+    depend on its block. A real matrix gives a real result; n = 0 gives ones.
     """
     cols = np.asarray(columns)
     if cols.ndim != 2:
@@ -119,33 +98,47 @@ def permanent_table(columns, rows) -> np.ndarray:
     if n == 0:
         return out
     cols = cols.astype(dtype)
-    for start in range(0, len(out), TABLE_BLOCK):
-        block = np.ascontiguousarray(idx[start:start + TABLE_BLOCK].T, dtype=np.intp)
-        out[start:start + block.shape[1]] = _ryser_rows(cols, block)
+    # Row sums c_0 +- c_1 ... +- c_low, split by the sign product of d_1..d_low.
+    low = n // 2
+    even, odd = cols[:, :1], cols[:, :0]
+    for j in range(1, low + 1):
+        c = cols[:, j:j + 1]
+        even, odd = (np.concatenate((even + c, odd - c), axis=1),
+                     np.concatenate((odd + c, even - c), axis=1))
+    table = np.concatenate((even, odd), axis=1)
+    width, half = table.shape[1], even.shape[1]
+    high = cols[:, low + 1:]
+    per_block = max(1, TABLE_BLOCK // width)
+    current = np.empty_like(table)
+    prod = np.empty((min(per_block, len(out)), width), dtype=dtype)
+    factor = np.empty_like(prod)
+    for start in range(0, len(out), per_block):
+        block = np.ascontiguousarray(idx[start:start + per_block].T, dtype=np.intp)
+        p, f = prod[:block.shape[1]], factor[:block.shape[1]]
+        total = out[start:start + block.shape[1]]
+        total[:] = 0
+        sums = high.sum(axis=1)  # every high sign +1
+        gray = 0
+        for k in range(1 << high.shape[1]):
+            if k:
+                j = (k & -k).bit_length() - 1
+                gray ^= 1 << j
+                sums += -2 * high[:, j] if gray >> j & 1 else 2 * high[:, j]
+            np.add(table, sums[:, None], out=current)
+            # The indices are checked above; mode="clip" spares take a buffered copy.
+            current.take(block[0], axis=0, out=p, mode="clip")
+            for row in block[1:]:
+                current.take(row, axis=0, out=f, mode="clip")
+                p *= f
+            p[:, :width - half] -= p[:, half:]  # even minus odd; n = 1 has no odd half
+            w = half
+            while w > 1:  # a pairwise sum in place: no entry depends on its block
+                w //= 2
+                p[:, :w] += p[:, w:2 * w]
+            # Each Gray-code step flips one high sign, so their product is (-1)^k.
+            if k & 1:
+                total -= p[:, 0]
+            else:
+                total += p[:, 0]
+    out /= 2.0 ** (n - 1)
     return out
-
-
-def _ryser_rows(cols: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """Ryser's formula for the n x b row selections ``block`` of ``cols``."""
-    n = cols.shape[1]
-    sums = np.zeros(cols.shape[0], dtype=cols.dtype)
-    total = np.zeros(block.shape[1], dtype=cols.dtype)
-    gray = 0
-    for k in range(1, 1 << n):
-        j = (k & -k).bit_length() - 1
-        gray ^= 1 << j
-        if gray >> j & 1:
-            sums += cols[:, j]
-        else:
-            sums -= cols[:, j]
-        prod = sums.take(block[0])
-        for row in block[1:]:
-            prod *= sums.take(row)
-        # |S| is odd exactly when k is: each Gray-code step flips one column.
-        if k & 1:
-            total -= prod
-        else:
-            total += prod
-    if n % 2:
-        total = -total
-    return total

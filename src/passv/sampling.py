@@ -5,14 +5,15 @@ Per(M[S, T]) / sqrt(prod(t_i!) * prod(s_i!)), with the scattering submatrix
 built by repeating rows per output occupation and columns per input
 occupation.
 
-Tables are built in one batch: every outcome shares the input columns, so
-``outcome_probabilities`` hands the whole (K, m) outcome array to
-``permanent_table`` (one Gray-code Ryser pass, vectorized across outcomes).
-``output_distribution`` and the parity predictions in ``experiments`` both
-go through it; ``output_distribution`` hands the outcome array and the
-probabilities to an array-backed ``OutputDistribution``, so no key object is
-made unless a caller reads keys. ``transition_amplitude`` evaluates a single
-amplitude with ``permanent_ryser``.
+Every amplitude goes through one private helper, ``_outcome_permanents``: it
+checks the input and the outcomes, applies the photon guard, hands the whole
+(K, m) outcome array to ``permanent_table`` (one Glynn pass over the input
+columns, vectorized across outcomes) and returns the factorial weights.
+``outcome_probabilities`` builds tables from it, for ``output_distribution``
+and the parity predictions in ``experiments``; ``transition_amplitude`` is
+its one-outcome case. ``output_distribution`` hands the outcome array and
+the probabilities to an array-backed ``OutputDistribution``, so no key object
+is made unless a caller reads keys.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from .configurations import (
 )
 from .distributions import OutputDistribution
 from .errors import SizeLimitError, ValidationError
-from .networks import LinearNetwork, scattering_submatrix
-from .permanents import permanent_ryser, permanent_table
+from .networks import LinearNetwork
+from .permanents import permanent_table
 
 AMPLITUDE_PHOTON_LIMIT = 20
 SUPPORT_SIZE_LIMIT = 1_000_000
@@ -38,22 +39,8 @@ SUPPORT_SIZE_LIMIT = 1_000_000
 
 def transition_amplitude(network: LinearNetwork, input_config, output_config) -> complex:
     """Single transition amplitude <S| U |T>. Photon totals must match."""
-    t = _as_configuration(input_config)
-    s = _as_configuration(output_config)
-    n = t.total
-    if s.total != n:
-        raise ValidationError(f"photon totals differ: input {n}, output {s.total}")
-    if n > AMPLITUDE_PHOTON_LIMIT:
-        raise SizeLimitError(
-            f"transition amplitudes are limited to {AMPLITUDE_PHOTON_LIMIT} photons"
-        )
-    sub = scattering_submatrix(network, t, s)
-    norm = 1.0
-    for k in t.occupations:
-        norm *= math.factorial(k)
-    for k in s.occupations:
-        norm *= math.factorial(k)
-    return permanent_ryser(sub) / math.sqrt(norm)
+    per, weights = _outcome_permanents(network, input_config, [output_config])
+    return complex(per[0]) / math.sqrt(weights[0])
 
 
 def outcome_probabilities(network: LinearNetwork, input_config, outcomes) -> np.ndarray:
@@ -65,6 +52,12 @@ def outcome_probabilities(network: LinearNetwork, input_config, outcomes) -> np.
     of T. Every outcome must cover the network's modes and carry the input's
     photon total.
     """
+    per, weights = _outcome_permanents(network, input_config, outcomes)
+    return (per.real ** 2 + per.imag ** 2) / weights
+
+
+def _outcome_permanents(network: LinearNetwork, input_config, outcomes):
+    """Per(M[S, T]) and prod(t_i!) * prod(s_i!) for each outcome S, checked."""
     t = _as_configuration(input_config)
     m = network.dimension
     n = t.total
@@ -92,8 +85,7 @@ def outcome_probabilities(network: LinearNetwork, input_config, outcomes) -> np.
     columns = network.entries[:, np.repeat(np.arange(m), t.occupations)]
     factorials = np.array([math.factorial(j) for j in range(n + 1)], dtype=np.float64)
     weights = factorials[occupations].prod(axis=1) * factorials[list(t.occupations)].prod()
-    per = permanent_table(columns, rows)
-    return (per.real ** 2 + per.imag ** 2) / weights
+    return permanent_table(columns, rows), weights
 
 
 def output_distribution(network: LinearNetwork, input_config) -> OutputDistribution:

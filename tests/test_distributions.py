@@ -1,5 +1,7 @@
 """Tests for probability tables, sampling, and distance computation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,13 +15,14 @@ from passv.configurations import (
 )
 from passv.distributions import (
     DRAW_BLOCK,
+    SHOTS_LIMIT,
     OutputDistribution,
     draw_indices,
     draw_samples,
     inverse_cdf,
     total_variation_distance,
 )
-from passv.errors import ValidationError
+from passv.errors import SizeLimitError, ValidationError
 
 A = ModeConfiguration((1, 0))
 B = ModeConfiguration((0, 1))
@@ -286,6 +289,19 @@ def test_draw_samples_refuses_subnormalized_tables():
         draw_samples(_coin(0.5), -3, 10)
     with pytest.raises(ValidationError):
         draw_samples(_coin(0.5), 1, -1)
+
+
+def test_shots_guard_fires_before_allocation():
+    dist = _coin(0.5)
+    assert len(draw_indices(dist, 1, 3)) == 3
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimitError):
+            draw_indices(dist, 1, SHOTS_LIMIT + 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_tvd_identical_distributions():

@@ -1,9 +1,11 @@
 """Tests for the matrix permanent routines.
 
-The permutation-sum evaluator is the reference oracle; the Gray-code
-inclusion-exclusion evaluator must reproduce it to near machine precision
-on every random instance. The table kernel is checked entry by entry against
-the single-matrix Ryser kernel.
+The permutation-sum evaluator is the reference oracle up to n = 9. The one
+Glynn kernel, ``permanent_table``, must reproduce it entry by entry to near
+machine precision, for whole tables and, through ``permanent_ryser``, for
+single matrices; property tests check the permanent's identities, and a
+permuted block-diagonal matrix, whose permanent is the product of its blocks'
+permanents, checks n = 16 against the reference.
 """
 
 import math
@@ -11,6 +13,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from passv import permanents
 from passv.errors import SizeLimitError, ValidationError
@@ -87,6 +90,65 @@ def test_permanent_scales_linearly_per_row():
     assert permanent_ryser(scaled) == pytest.approx(3.0 * permanent_ryser(a), rel=1e-11)
 
 
+def _random_complex(seed, n):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def _close(got, expected, a):
+    # Rounding in the signed sum scales with prod_i sum_j |a_ij|, a bound on |Per(a)|.
+    scale = float(np.prod(np.abs(a).sum(axis=1)))
+    return abs(got - expected) <= RELATIVE_TOL * max(1.0, scale)
+
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 10), seed=SEEDS, row=st.integers(0, 9),
+       factor=st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0))
+def test_scaling_a_row_scales_the_permanent(n, seed, row, factor):
+    a = _random_complex(seed, n)
+    scaled = a.copy()
+    scaled[row % n] *= factor
+    assert _close(permanent_ryser(scaled), factor * permanent_ryser(a), scaled)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 10), seed=SEEDS)
+def test_permuting_rows_and_columns_keeps_the_permanent(n, seed):
+    a = _random_complex(seed, n)
+    rng = np.random.default_rng(seed)
+    moved = a[np.ix_(rng.permutation(n), rng.permutation(n))]
+    assert _close(permanent_ryser(moved), permanent_ryser(a), a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 10), seed=SEEDS)
+def test_transposing_keeps_the_permanent(n, seed):
+    a = _random_complex(seed, n)
+    assert _close(permanent_ryser(a.T), permanent_ryser(a), a)
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(1, 14))
+def test_all_ones_permanent_is_n_factorial(n):
+    assert permanent_ryser(np.ones((n, n))) == pytest.approx(math.factorial(n), rel=1e-14)
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_permuted_block_diagonal_matches_the_product_of_its_blocks(seed):
+    # Per of [[A, 0], [0, B]], rows and columns shuffled, is Per(A) Per(B),
+    # and the permutation sum gives the 8 x 8 factors.
+    rng = np.random.default_rng(seed)
+    a, b = (rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)) for _ in range(2))
+    matrix = np.zeros((16, 16), dtype=complex)
+    matrix[:8, :8], matrix[8:, 8:] = a, b
+    matrix = matrix[np.ix_(rng.permutation(16), rng.permutation(16))]
+    expected = permanent_naive(a) * permanent_naive(b)
+    assert abs(permanent_ryser(matrix) - expected) <= 1e-12 * abs(expected)
+
+
 def test_naive_size_guard():
     with pytest.raises(SizeLimitError):
         permanent_naive(np.eye(NAIVE_LIMIT + 1))
@@ -127,8 +189,9 @@ def test_table_matches_ryser_per_outcome(m, n, real):
     # Rows repeat, as they do for bunched outcomes.
     columns, rows = _random_table(np.random.default_rng(2000 + 10 * m + n), m, n, 40, real)
     table = permanent_table(columns, rows)
+    # permanent_ryser is a one-row table itself, so the reference is the permutation sum.
     for k in range(len(rows)):
-        expected = permanent_ryser(columns[rows[k], :])
+        expected = permanent_naive(columns[rows[k], :])
         assert abs(table[k] - expected) <= RELATIVE_TOL * max(1.0, abs(expected))
 
 
