@@ -12,6 +12,13 @@ an eigenbasis of the generator K_s that is computed once per s and cached.
 The only truncation is the input's: its mass above total D, recorded in
 ``truncation_loss`` when the state is prepared.
 
+A state's dtype follows its inputs: float64 when every amplitude it is built
+from has a zero imaginary part, complex128 otherwise. Sector rotations are
+real, so a mixer keeps a real state real; it multiplies a complex state's
+interleaved real and imaginary parts as one real matrix. A mode factor with
+a nonzero imaginary part (a complex residual or element phase) promotes a
+real state to complex128 once, the first time one is applied.
+
 Element lists follow the matrix-factor order used by the decomposition
 module: the first element of a list is the last operation applied to a state,
 and a residual diagonal acts first of all.
@@ -102,6 +109,14 @@ def _check_state_size(modes: int, cutoff: int) -> None:
         )
 
 
+def _real_or_complex(values) -> np.ndarray:
+    """A new float64 array of ``values`` if no imaginary part is nonzero, else complex128."""
+    values = np.asarray(values)
+    if np.iscomplexobj(values) and np.any(values.imag):
+        return values.astype(np.complex128)
+    return values.real.astype(np.float64)
+
+
 _index_cache: dict[tuple[int, int], tuple[np.ndarray, dict]] = {}
 
 
@@ -158,9 +173,10 @@ class TruncatedFockState:
     """Amplitudes of the occupation tuples over ``modes`` with total <= ``cutoff``.
 
     ``amplitudes`` is flat, ordered like the columns of the occupation table
-    of ``_index_tables``; the vacuum comes first. Mutated in place by the
-    apply_* operations; callers that need the original should ``copy()``
-    first.
+    of ``_index_tables``; the vacuum comes first. It is float64 when every
+    given amplitude has a zero imaginary part and complex128 otherwise.
+    Mutated in place by the apply_* operations; callers that need the
+    original should ``copy()`` first.
     """
 
     def __init__(self, modes: int, cutoff: int, amplitudes: np.ndarray | None = None,
@@ -172,10 +188,10 @@ class TruncatedFockState:
         _check_state_size(modes, cutoff)
         shape = (math.comb(cutoff + modes, modes),)
         if amplitudes is None:
-            amplitudes = np.zeros(shape, dtype=np.complex128)
+            amplitudes = np.zeros(shape)
             amplitudes[0] = 1.0
         else:
-            amplitudes = np.array(amplitudes, dtype=np.complex128)
+            amplitudes = _real_or_complex(amplitudes)
             if amplitudes.shape != shape:
                 raise ValidationError(
                     f"amplitude vector shape {amplitudes.shape} does not match {shape}"
@@ -188,9 +204,10 @@ class TruncatedFockState:
         """The product of one amplitude vector per mode (occupations 0..D), up to total D.
 
         Formed AMPLITUDE_BLOCK amplitudes at a time into one fresh array, which
-        the state takes over without __init__'s copy.
+        the state takes over without __init__'s copy. The product is float64
+        unless some vector has a nonzero imaginary part.
         """
-        vectors = [np.asarray(v, dtype=np.complex128) for v in vectors]
+        vectors = [_real_or_complex(v) for v in vectors]
         if not vectors:
             raise ValidationError("product state needs at least one mode vector")
         lengths = {v.shape for v in vectors}
@@ -198,8 +215,10 @@ class TruncatedFockState:
             raise ValidationError("mode vectors must be 1-D and equally long")
         modes, cutoff = len(vectors), vectors[0].shape[0] - 1
         _check_state_size(modes, cutoff)
+        dtype = np.result_type(*vectors)
+        vectors = [v.astype(dtype, copy=False) for v in vectors]
         occupations = _index_tables(modes, cutoff)[0]
-        amplitudes = np.empty(occupations.shape[1], dtype=np.complex128)
+        amplitudes = np.empty(occupations.shape[1], dtype=dtype)
         for start in range(0, len(amplitudes), AMPLITUDE_BLOCK):
             columns = occupations[:, start:start + AMPLITUDE_BLOCK]
             block = vectors[0][columns[0]]
@@ -294,11 +313,12 @@ def mode_ladder(vector, direction: str) -> np.ndarray:
 
     Raising maps occupation k to k+1 with weight sqrt(k+1) and drops the top
     occupation; lowering leaves the top level empty, since its source is not
-    held. Returns a new vector, generally unnormalized.
+    held. Returns a new vector, generally unnormalized, of the dtype rule of
+    states: float64 unless some amplitude has a nonzero imaginary part.
     """
     if direction not in ("raise", "lower"):
         raise ValidationError(f"ladder direction must be 'raise' or 'lower', got {direction!r}")
-    vector = np.asarray(vector, dtype=np.complex128)
+    vector = _real_or_complex(vector)
     out = np.zeros_like(vector)
     weights = np.sqrt(np.arange(1, len(vector)))
     if direction == "raise":
@@ -309,7 +329,15 @@ def mode_ladder(vector, direction: str) -> np.ndarray:
 
 
 def _apply_mode_factors(state: TruncatedFockState, mode: int, factors: np.ndarray):
-    factors = np.asarray(factors, dtype=np.complex128)
+    """Multiply each amplitude by the factor of its occupation of ``mode``, in place.
+
+    Real factors keep a real state real; the first factor with a nonzero
+    imaginary part promotes the state to complex128 (STATE_SIZE_LIMIT counts
+    16 bytes per amplitude, so the promoted state still fits).
+    """
+    factors = _real_or_complex(factors)
+    if factors.dtype == np.complex128 and state.amplitudes.dtype == np.float64:
+        state.amplitudes = state.amplitudes.astype(np.complex128)
     state.amplitudes *= factors[_index_tables(state.modes, state.cutoff)[0][mode]]
 
 
@@ -320,22 +348,23 @@ def _sector_generator(total: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _sector_eigenbasis(total: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues w and unitary eigenvectors u of the Hermitian 1j * K_N.
+def _sector_eigenbasis(total: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues w, unitary eigenvectors u and u^H of the Hermitian 1j * K_N.
 
     Then exp(theta K_N) = u diag(exp(-1j theta w)) u^H for every theta. The
     eigenvalues are the integers N - 2p, so eigh is well conditioned.
     """
     w, u = np.linalg.eigh(1j * _sector_generator(total))
-    w.flags.writeable = False
-    u.flags.writeable = False
-    return w, u
+    uh = np.ascontiguousarray(u.conj().T)
+    for array in (w, u, uh):
+        array.flags.writeable = False
+    return w, u, uh
 
 
 def _sector_rotation(total: int, theta: float) -> np.ndarray:
     """The real orthogonal matrix exp(theta K_N) of a mixer on photon total N."""
-    w, u = _sector_eigenbasis(total)
-    return ((u * np.exp(-1j * theta * w)) @ u.conj().T).real
+    w, u, uh = _sector_eigenbasis(total)
+    return ((u * np.exp(-1j * theta * w)) @ uh).real
 
 
 def apply_beamsplitter(state: TruncatedFockState, i: int, j: int,
@@ -345,6 +374,9 @@ def apply_beamsplitter(state: TruncatedFockState, i: int, j: int,
     Acts exactly within each two-mode photon-total sector with the rotation
     built from that sector's cached eigenbasis. Every sector fits under the
     cutoff, so the squared norm is kept and ``truncation_loss`` is untouched.
+    The rotation is real, so it acts on a float64 view of the gathered block:
+    the block itself for a real state, interleaved real and imaginary parts
+    for a complex one; the state keeps its dtype.
     """
     if i == j:
         raise ValidationError("beamsplitter modes must differ")
@@ -358,8 +390,10 @@ def apply_beamsplitter(state: TruncatedFockState, i: int, j: int,
     order, bounds = _pair_gather(state.modes, d, i, j)
     a = state.amplitudes
     for total in range(1, d + 1):
-        index = order[bounds[total]:bounds[total + 1]].reshape(total + 1, -1)
-        a[index] = _sector_rotation(total, theta) @ a[index]
+        # One conversion to intp per sector; numpy would convert the cached
+        # int32 order again on every fancy-index call.
+        index = order[bounds[total]:bounds[total + 1]].astype(np.intp).reshape(total + 1, -1)
+        a[index] = (_sector_rotation(total, theta) @ a[index].view(np.float64)).view(a.dtype)
     return state
 
 
@@ -367,9 +401,10 @@ def apply_network(state: TruncatedFockState, network) -> TruncatedFockState:
     """Evolve through a decomposition or element list, in place.
 
     Lists are ordered as matrix factors, so elements are applied back to
-    front; a decomposition's residual diagonal is applied before any element.
-    Restricted to the single-photon sector this reproduces the matrix action
-    of ``reconstruct``.
+    front; a decomposition's residual diagonal is applied before any element,
+    and its entries equal to exactly 1 are skipped. Restricted to the
+    single-photon sector this reproduces the matrix action of ``reconstruct``.
+    A real state stays real through real elements and a residual of +-1.
     """
     if isinstance(network, ReckDecomposition):
         elements = network.elements

@@ -29,6 +29,7 @@ from .errors import ValidationError
 from .evolution import (
     ADDED,
     SUBTRACTED,
+    Squeezing,
     apply_network,
     as_squeezing,
     build_passv_input,
@@ -40,6 +41,7 @@ from .evolution import (
 from .networks import (
     LinearNetwork,
     ORTHOGONAL,
+    ReckDecomposition,
     haar_special_orthogonal,
     reck_decompose,
 )
@@ -182,7 +184,13 @@ def brute_force_parity(total_photons: int, modes: int, xi, variant: str = ADDED,
     Returns the parity distribution over all 2^m patterns, the cutoff and the
     recorded truncation loss.
     """
-    n, m = total_photons, modes
+    sq = _check_oracle_range(total_photons, modes, xi)
+    decomposition = reck_decompose(haar_special_orthogonal(modes, seed))
+    return _evolve_parity(total_photons, sq, variant, decomposition, epsilon_tail)
+
+
+def _check_oracle_range(n: int, m: int, xi) -> Squeezing:
+    """The squeezing of ``xi``, once n, m and xi are known to be in the oracle's range."""
     if not (1 <= n <= m):
         raise ValidationError(f"need 1 <= n <= m, got n={n}, m={m}")
     if m > MAX_ORACLE_MODES:
@@ -194,9 +202,16 @@ def brute_force_parity(total_photons: int, modes: int, xi, variant: str = ADDED,
         raise ValidationError(
             f"squeezing magnitude {sq.r} exceeds the supported {MAX_SQUEEZING}"
         )
+    return sq
+
+
+def _evolve_parity(n: int, sq: Squeezing, variant: str, decomposition: ReckDecomposition,
+                   epsilon_tail: float) -> tuple[OutputDistribution, int, float]:
+    """``brute_force_parity`` behind a given decomposition, its range already checked."""
+    m = decomposition.dimension
     cutoff = required_cutoff(sq, truncation_budget(m, epsilon_tail), modes=m, photons=n)
     state = build_passv_input(n, m, sq, variant, cutoff)
-    apply_network(state, reck_decompose(haar_special_orthogonal(m, seed)))
+    apply_network(state, decomposition)
     return parity_distribution(state), cutoff, state.truncation_loss
 
 
@@ -208,16 +223,17 @@ def run_equivalence_experiment(total_photons: int, modes: int, xi_values,
     Runs ``brute_force_parity`` on the Haar special-orthogonal network drawn
     from ``seed`` at every requested squeezing magnitude, and tabulates the
     parity probabilities of the collision-free patterns against |Per(O_S)|^2.
+    Every squeezing value is checked before the network is drawn; the network
+    is drawn and decomposed once for all of them and for the predictions.
     """
     n, m = total_photons, modes
     xi_list = [as_squeezing(x) for x in xi_values]
     if not xi_list:
         raise ValidationError("at least one squeezing value is required")
-    oracle = [
-        brute_force_parity(n, m, sq, variant, seed=seed, epsilon_tail=epsilon_tail)
-        for sq in xi_list
-    ]
+    xi_list = [_check_oracle_range(n, m, sq) for sq in xi_list]
     network = haar_special_orthogonal(m, seed)
+    decomposition = reck_decompose(network)
+    oracle = [_evolve_parity(n, sq, variant, decomposition, epsilon_tail) for sq in xi_list]
     predicted_dist = predicted_parity_distribution(network, n, variant)
     patterns = predicted_dist.keys
     predicted = [predicted_dist.probability(p) for p in patterns]

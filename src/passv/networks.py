@@ -261,8 +261,12 @@ def reck_decompose(network: LinearNetwork) -> ReckDecomposition:
     Entries below the diagonal are eliminated column by column, within each
     column from the last row up, each step pairing adjacent modes. At most
     m(m-1)/2 elements are emitted; trivial steps are skipped. Orthogonal input
-    yields phase-free elements and an identity residual; unitary input yields
-    one phase per element plus a residual diagonal of unit phases.
+    yields phase-free elements and a residual of exactly +1 or -1 per mode:
+    the eliminated matrix is diagonal with entries within rounding of +-1,
+    and each is snapped to its sign. Every elimination step leaves a positive
+    pivot, so a network that needs all m(m-1)/2 steps (any Haar sample) has
+    the residual diag(1, ..., 1, det). Unitary input yields one phase per
+    element plus a residual diagonal of unit phases.
     """
     if not isinstance(network, LinearNetwork):
         raise ValidationError("reck_decompose expects a LinearNetwork")
@@ -287,7 +291,8 @@ def reck_decompose(network: LinearNetwork) -> ReckDecomposition:
                 phi = -cmath.phase(rho)
             elements.append(TwoModeElement(r - 1, r, theta, phi))
             _rotate_rows_inverse(w, r - 1, r, theta, phi)
-    residual = np.ascontiguousarray(np.diagonal(w)).astype(np.complex128)
+    diagonal = np.diagonal(w)
+    residual = (np.sign(diagonal) if real else diagonal).astype(np.complex128)
     return ReckDecomposition(tuple(elements), residual)
 
 

@@ -10,6 +10,7 @@ recorded losses are checked against the tail of the input's total photon
 number, from its closed-form negative-binomial distribution.
 """
 
+import functools
 import itertools
 import math
 import tracemalloc
@@ -18,6 +19,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies
 from scipy.linalg import expm
+
+try:
+    from numpy.exceptions import ComplexWarning
+except ImportError:  # numpy < 1.25
+    from numpy import ComplexWarning
 
 from passv import distributions, evolution
 from passv.configurations import ModeConfiguration, ParityPattern
@@ -396,22 +402,26 @@ def test_splitter_half_turn_bunches_photon_pair():
 def test_splitter_matches_dense_generator_oracle():
     d = 6
     rng = np.random.default_rng(314)
-    amp = rng.standard_normal((d + 1, d + 1)) + 1j * rng.standard_normal((d + 1, d + 1))
-    for p in range(d + 1):
-        for q in range(d + 1):
-            if p + q > d:  # keep every sector exactly representable
-                amp[p, q] = 0.0
-    amp /= np.linalg.norm(amp)
+    complex_amp = rng.standard_normal((d + 1, d + 1)) + 1j * rng.standard_normal((d + 1, d + 1))
     theta = 0.7343
-    kept = tuple(_index_tables(2, d)[0])  # the (p, q) with p + q <= d, in state order
-    st = TruncatedFockState(2, d, amp[kept])
-    apply_beamsplitter(st, 0, 1, theta)
     a = _lowering_matrix(d)
-    generator = theta * (np.kron(a.T, a) - np.kron(a, a.T))
-    expected = (expm(generator) @ amp.reshape(-1)).reshape(d + 1, d + 1)
-    assert np.max(np.abs(st.amplitudes - expected[kept])) < 1e-12
-    assert np.sum(np.abs(expected) ** 2) == pytest.approx(st.squared_norm(), abs=1e-13)
-    assert st.truncation_loss == 0.0
+    mixer = expm(theta * (np.kron(a.T, a) - np.kron(a, a.T)))
+    kept = tuple(_index_tables(2, d)[0])  # the (p, q) with p + q <= d, in state order
+    # A complex state is mixed as interleaved real and imaginary parts, a
+    # real one as itself; both keep their dtype.
+    for amp, dtype in ((complex_amp, np.complex128), (complex_amp.real.copy(), np.float64)):
+        for p in range(d + 1):
+            for q in range(d + 1):
+                if p + q > d:  # keep every sector exactly representable
+                    amp[p, q] = 0.0
+        amp /= np.linalg.norm(amp)
+        st = TruncatedFockState(2, d, amp[kept])
+        apply_beamsplitter(st, 0, 1, theta)
+        assert st.amplitudes.dtype == dtype
+        expected = (mixer @ amp.reshape(-1)).reshape(d + 1, d + 1)
+        assert np.max(np.abs(st.amplitudes - expected[kept])) < 1e-12
+        assert np.sum(np.abs(expected) ** 2) == pytest.approx(st.squared_norm(), abs=1e-13)
+        assert st.truncation_loss == 0.0
 
 
 ROTATION_ANGLES = (-math.pi, -1.3, 0.3, math.pi / 4.0, math.pi / 2.0, 2.9)
@@ -503,14 +513,23 @@ def test_splitter_validation():
 # ------------------------------------------------------------ whole networks
 
 
-@pytest.mark.parametrize("maker", [haar_unitary, haar_special_orthogonal])
-def test_network_on_single_photon_reproduces_columns(maker):
+@pytest.mark.parametrize("maker, seed, dtype", [
+    pytest.param(haar_unitary, 83, np.complex128, id="haar_unitary"),
+    pytest.param(haar_special_orthogonal, 83, np.float64, id="haar_special_orthogonal"),
+    # Network 0 of O(4) is a reflection: its residual holds -1, applied as
+    # the real factors (-1)^k on the last mode.
+    pytest.param(functools.partial(haar_special_orthogonal, special=False), 0, np.float64,
+                 id="reflection"),
+])
+def test_network_on_single_photon_reproduces_columns(maker, seed, dtype):
     m = 4
-    net = maker(m, 83)
+    net = maker(m, seed)
     dec = reck_decompose(net)
+    assert (dec.residual[-1] == -1.0) == (np.linalg.det(net.entries.real) < 0.0)
     for j in range(m):
         st = _fock((0,) * j + (1,) + (0,) * (m - 1 - j), 1)
         apply_network(st, dec)
+        assert st.amplitudes.dtype == dtype
         for i in range(m):
             idx = tuple(1 if k == i else 0 for k in range(m))
             assert st.amplitude(idx) == pytest.approx(net.entries[i, j], abs=1e-10)
@@ -547,6 +566,71 @@ def test_network_dimension_mismatch():
     st = TruncatedFockState(2, 1)
     with pytest.raises(ValidationError):
         apply_network(st, [TwoModeElement(1, 2, 0.5)])
+
+
+# ------------------------------------------------------ real and complex states
+
+
+@pytest.mark.parametrize("variant", [ADDED, SUBTRACTED])
+@pytest.mark.parametrize("special", [True, False])
+def test_real_inputs_stay_real_through_orthogonal_networks(variant, special):
+    st = build_passv_input(2, 4, 0.5, variant, 10)
+    assert st.amplitudes.dtype == np.float64
+    apply_network(st, reck_decompose(haar_special_orthogonal(4, 0, special=special)))
+    assert st.amplitudes.dtype == np.float64
+
+
+def test_complex_squeezing_and_unitary_networks_give_complex_states():
+    st = build_passv_input(2, 3, Squeezing(0.5, theta=0.7), ADDED, 8)
+    assert st.amplitudes.dtype == np.complex128
+    st = build_passv_input(2, 3, 0.5, ADDED, 8)
+    reference = st.amplitudes.astype(np.complex128)
+    dec = reck_decompose(haar_unitary(3, 4))
+    apply_network(st, dec)  # the first element phase promotes the state
+    assert st.amplitudes.dtype == np.complex128
+    # The same evolution of a state that starts complex: one small imaginary
+    # amplitude keeps it complex128 from the start.
+    reference[-1] += 1e-300j
+    started_complex = TruncatedFockState(3, 8, reference)
+    assert started_complex.amplitudes.dtype == np.complex128
+    apply_network(started_complex, dec)
+    assert np.max(np.abs(st.amplitudes - started_complex.amplitudes)) <= 1e-14
+
+
+def test_product_dtype_follows_the_mode_vectors():
+    real = np.array([1.0, 0.5, 0.25], dtype=np.complex128)  # zero imaginary parts
+    assert TruncatedFockState.from_product([real, real]).amplitudes.dtype == np.float64
+    phased = real * np.exp(0.3j * np.arange(3))
+    st = TruncatedFockState.from_product([real, phased])
+    assert st.amplitudes.dtype == np.complex128
+    assert st.amplitude((1, 1)) == pytest.approx(0.5 * phased[1], abs=1e-15)
+    assert TruncatedFockState(2, 1).amplitudes.dtype == np.float64
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=strategies.integers(2, 4), d=strategies.integers(1, 6),
+       seed=strategies.integers(0, 10_000), special=strategies.booleans())
+def test_evolution_is_real_linear(m, d, seed, special):
+    # evolve(a + ib) = evolve(a) + i evolve(b): the complex state is mixed as
+    # interleaved real and imaginary parts, each real state on its own.
+    rng = np.random.default_rng(seed)
+    size = math.comb(d + m, m)
+    a, b = (v / np.linalg.norm(v) for v in rng.standard_normal((2, size)))
+    dec = reck_decompose(haar_special_orthogonal(m, seed, special=special))
+    evolved = {}
+    for name, amplitudes in (("a", a), ("b", b), ("ab", a + 1j * b)):
+        state = TruncatedFockState(m, d, amplitudes)
+        apply_network(state, dec)
+        evolved[name] = state.amplitudes
+    assert evolved["a"].dtype == evolved["b"].dtype == np.float64
+    assert evolved["ab"].dtype == np.complex128
+    assert np.max(np.abs(evolved["ab"] - (evolved["a"] + 1j * evolved["b"]))) <= 1e-14
+
+
+def test_complex_values_written_into_a_real_state_fail_loudly():
+    st = TruncatedFockState(1, 2)
+    with pytest.raises(ComplexWarning):
+        st.amplitudes[:] = np.array([1.0, 0.5j, 0.0])
 
 
 # ----------------------------------------------------------- prepared states

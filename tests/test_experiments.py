@@ -138,6 +138,21 @@ def test_oracle_guards_fire_before_anything_is_built(monkeypatch, n, m, xi):
     monkeypatch.setattr(experiments, "build_passv_input", unreachable)
     with pytest.raises(ValidationError):
         brute_force_parity(n, m, xi, seed=1)
+    with pytest.raises(ValidationError):  # a bad value anywhere in the list
+        run_equivalence_experiment(n, m, [0.1, xi], seed=1)
+
+
+def test_report_draws_and_decomposes_its_network_once(monkeypatch):
+    calls = {"haar_special_orthogonal": 0, "reck_decompose": 0}
+    for name in calls:
+        def counted(*args, _original=getattr(experiments, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, name, counted)
+    report = run_equivalence_experiment(2, 3, [0.2, 0.4, 0.6], SUBTRACTED, seed=5)
+    assert calls == {"haar_special_orthogonal": 1, "reck_decompose": 1}
+    assert report.passes()
 
 
 def test_report_rows_are_the_oracle_distributions():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from passv.errors import ValidationError
 from passv.networks import (
@@ -228,10 +229,37 @@ def test_decompose_round_trip(m, maker):
 
 
 def test_decompose_orthogonal_gives_identity_residual():
-    dec = reck_decompose(haar_special_orthogonal(5, 42))
-    assert dec.is_real
-    np.testing.assert_allclose(dec.residual, np.ones(5), atol=1e-12)
-    assert all(el.phi == 0.0 for el in dec.elements)
+    # Network 7 at m = 4 eliminates to 1 + 4.4e-16 on its second mode before
+    # the residual is snapped to its sign.
+    for m, seed in ((5, 42), (4, 7)):
+        dec = reck_decompose(haar_special_orthogonal(m, seed))
+        assert dec.is_real
+        np.testing.assert_array_equal(dec.residual, np.ones(m))
+        assert all(el.phi == 0.0 for el in dec.elements)
+
+
+ROUND_TRIP_MAKERS = {
+    "special-orthogonal": haar_special_orthogonal,
+    "orthogonal": lambda m, seed: haar_special_orthogonal(m, seed, special=False),
+    "unitary": haar_unitary,
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=strategies.integers(1, 8), seed=strategies.integers(0, 2**32 - 1),
+       kind=strategies.sampled_from(sorted(ROUND_TRIP_MAKERS)))
+def test_decompose_reconstruct_round_trip(m, seed, kind):
+    net = ROUND_TRIP_MAKERS[kind](m, seed)
+    dec = reck_decompose(net)
+    assert len(dec.elements) <= m * (m - 1) // 2
+    rebuilt = reconstruct(dec)
+    assert rebuilt.kind == net.kind
+    assert np.max(np.abs(rebuilt.entries - net.entries)) <= 1e-14
+    if net.kind == ORTHOGONAL:
+        # Exactly +-1: every elimination step leaves a positive pivot, so only
+        # the last entry can be -1, the determinant's sign.
+        det_sign = float(np.sign(np.linalg.det(net.entries)))
+        assert dec.residual.tolist() == [1.0] * (m - 1) + [det_sign]
 
 
 def test_decompose_unitary_residual_has_unit_phases():
