@@ -9,8 +9,8 @@ s of its pair, the (s+1) x G block of the pair's splits of s against the G
 occupations of the other modes that fit under D - s, rotates it with
 exp(theta K_s) and scatters it back. Each sector rotation is assembled from
 an eigenbasis of the generator K_s that is computed once per s and cached.
-The only truncation is the input's: its mass above total D, recorded in
-``truncation_loss`` when the state is prepared.
+The only truncation is the input's: its mass above total D, which is
+1 - ||psi||^2 of the prepared state and stays so through every network.
 
 A state's dtype follows its inputs: float64 when every amplitude it is built
 from has a zero imaginary part, complex128 otherwise. Sector rotations are
@@ -19,9 +19,9 @@ interleaved real and imaginary parts as one real matrix. A mode factor with
 a nonzero imaginary part (a complex residual or element phase) promotes a
 real state to complex128 once, the first time one is applied.
 
-Element lists follow the matrix-factor order used by the decomposition
-module: the first element of a list is the last operation applied to a state,
-and a residual diagonal acts first of all.
+Networks are applied as ReckDecompositions, in the matrix-factor order of
+the decomposition module: the first element is the last operation applied to
+a state, and the residual diagonal acts first of all.
 """
 
 from __future__ import annotations
@@ -68,8 +68,10 @@ class Squeezing:
     theta: float = 0.0
 
     def __post_init__(self):
-        if not math.isfinite(self.r) or self.r < 0.0:
-            raise ValidationError(f"squeezing magnitude must be finite and >= 0, got {self.r}")
+        # cosh r is finite up to r = asinh(max float), about 710.48.
+        if not 0.0 <= self.r <= math.asinh(np.finfo(np.float64).max):
+            raise ValidationError("squeezing magnitude must be >= 0 and at most about 710.48, "
+                                  f"past which cosh r overflows; got {self.r}")
 
     @property
     def xi(self) -> complex:
@@ -179,8 +181,7 @@ class TruncatedFockState:
     original should ``copy()`` first.
     """
 
-    def __init__(self, modes: int, cutoff: int, amplitudes: np.ndarray | None = None,
-                 truncation_loss: float = 0.0):
+    def __init__(self, modes: int, cutoff: int, amplitudes: np.ndarray | None = None):
         if modes < 1:
             raise ValidationError(f"mode count must be positive, got {modes}")
         if cutoff < 0:
@@ -197,10 +198,9 @@ class TruncatedFockState:
                     f"amplitude vector shape {amplitudes.shape} does not match {shape}"
                 )
         self.modes, self.cutoff, self.amplitudes = modes, cutoff, amplitudes
-        self.truncation_loss = float(truncation_loss)
 
     @classmethod
-    def from_product(cls, vectors, truncation_loss: float = 0.0) -> "TruncatedFockState":
+    def from_product(cls, vectors) -> "TruncatedFockState":
         """The product of one amplitude vector per mode (occupations 0..D), up to total D.
 
         Formed AMPLITUDE_BLOCK amplitudes at a time into one fresh array, which
@@ -227,11 +227,10 @@ class TruncatedFockState:
             amplitudes[start:start + AMPLITUDE_BLOCK] = block
         state = cls.__new__(cls)
         state.modes, state.cutoff, state.amplitudes = modes, cutoff, amplitudes
-        state.truncation_loss = float(truncation_loss)
         return state
 
     def copy(self) -> "TruncatedFockState":
-        return TruncatedFockState(self.modes, self.cutoff, self.amplitudes, self.truncation_loss)
+        return TruncatedFockState(self.modes, self.cutoff, self.amplitudes)
 
     def squared_norm(self) -> float:
         return float(np.vdot(self.amplitudes, self.amplitudes).real)
@@ -290,8 +289,8 @@ def required_cutoff(xi, epsilon_tail: float = 1e-8, modes: int = 1, photons: int
     binomial, P(k) = C(k + a - 1, k) (1 - t^2)^a t^(2k), a = modes/2 + photons.
     """
     sq = as_squeezing(xi)
-    if epsilon_tail <= 0.0:
-        raise ValidationError(f"epsilon_tail must be positive, got {epsilon_tail}")
+    if not (math.isfinite(epsilon_tail) and epsilon_tail > 0.0):
+        raise ValidationError(f"epsilon_tail must be finite and positive, got {epsilon_tail}")
     if modes < 1 or photons < 0:
         raise ValidationError(f"need modes >= 1 and photons >= 0, got {modes}, {photons}")
     t2 = math.tanh(sq.r) ** 2
@@ -373,7 +372,7 @@ def apply_beamsplitter(state: TruncatedFockState, i: int, j: int,
 
     Acts exactly within each two-mode photon-total sector with the rotation
     built from that sector's cached eigenbasis. Every sector fits under the
-    cutoff, so the squared norm is kept and ``truncation_loss`` is untouched.
+    cutoff, so the squared norm is kept.
     The rotation is real, so it acts on a float64 view of the gathered block:
     the block itself for a real state, interleaved real and imaginary parts
     for a complex one; the state keeps its dtype.
@@ -397,39 +396,31 @@ def apply_beamsplitter(state: TruncatedFockState, i: int, j: int,
     return state
 
 
-def apply_network(state: TruncatedFockState, network) -> TruncatedFockState:
-    """Evolve through a decomposition or element list, in place.
+def apply_network(state: TruncatedFockState,
+                  decomposition: ReckDecomposition) -> TruncatedFockState:
+    """Evolve through a decomposition, in place.
 
-    Lists are ordered as matrix factors, so elements are applied back to
-    front; a decomposition's residual diagonal is applied before any element,
-    and its entries equal to exactly 1 are skipped. Restricted to the
-    single-photon sector this reproduces the matrix action of ``reconstruct``.
-    A real state stays real through real elements and a residual of +-1.
+    Elements are ordered as matrix factors, so they are applied back to
+    front, after the residual diagonal, whose entries equal to exactly 1 are
+    skipped. Restricted to the single-photon sector this reproduces the
+    matrix action of ``reconstruct``. A real state stays real through real
+    elements and a residual of +-1.
     """
-    if isinstance(network, ReckDecomposition):
-        elements = network.elements
-        residual = network.residual
-        if network.dimension != state.modes:
-            raise ValidationError(
-                f"decomposition over {network.dimension} modes does not match "
-                f"{state.modes}-mode state"
-            )
-    else:
-        elements = tuple(network)
-        residual = None
+    if not isinstance(decomposition, ReckDecomposition):
+        raise ValidationError("apply_network expects a ReckDecomposition")
+    if decomposition.dimension != state.modes:
+        raise ValidationError(
+            f"decomposition over {decomposition.dimension} modes does not match "
+            f"{state.modes}-mode state"
+        )
     levels = np.arange(state.cutoff + 1)
-    if residual is not None:
-        for mode, z in enumerate(residual):
-            z = complex(z)
-            if z != 1.0 + 0.0j:
-                _apply_mode_factors(state, mode, z ** levels)
-    for el in reversed(elements):
+    for mode, z in enumerate(decomposition.residual):
+        z = complex(z)
+        if z != 1.0 + 0.0j:
+            _apply_mode_factors(state, mode, z ** levels)
+    for el in reversed(decomposition.elements):
         if not isinstance(el, TwoModeElement):
             raise ValidationError(f"network elements must be TwoModeElement, got {el!r}")
-        if el.j >= state.modes:
-            raise ValidationError(
-                f"element pair ({el.i}, {el.j}) out of range for {state.modes} modes"
-            )
         apply_beamsplitter(state, el.i, el.j, el.theta)
         if el.phi:
             _apply_mode_factors(state, el.i, np.exp(1j * el.phi * levels))
@@ -437,13 +428,23 @@ def apply_network(state: TruncatedFockState, network) -> TruncatedFockState:
 
 
 def build_squeezed_product(modes: int, xi, cutoff: int) -> TruncatedFockState:
-    """Identically squeezed vacuum in every mode up to total ``cutoff``, tail loss recorded."""
+    """Identically squeezed vacuum in every mode up to total ``cutoff``, the rest cut off."""
     if modes < 1:
         raise ValidationError(f"mode count must be positive, got {modes}")
     vec, _ = squeezed_vacuum_vector(xi, cutoff)
-    state = TruncatedFockState.from_product([vec] * modes)
-    state.truncation_loss = max(0.0, 1.0 - state.squared_norm())
-    return state
+    return TruncatedFockState.from_product([vec] * modes)
+
+
+def _check_passv_input(total_photons: int, modes: int, xi, variant: str) -> Squeezing:
+    """The squeezing of ``xi``, once build_passv_input's checks short of the size guard pass."""
+    if variant not in (ADDED, SUBTRACTED):
+        raise ValidationError(f"variant must be '{ADDED}' or '{SUBTRACTED}', got {variant!r}")
+    if not (1 <= total_photons <= modes):
+        raise ValidationError(f"need 1 <= n <= m, got n={total_photons}, m={modes}")
+    sq = as_squeezing(xi)
+    if variant == SUBTRACTED and sq.r == 0.0:
+        raise ValidationError("photon subtraction from vacuum (xi = 0) yields the zero state")
+    return sq
 
 
 def build_passv_input(total_photons: int, modes: int, xi, variant: str,
@@ -453,17 +454,11 @@ def build_passv_input(total_photons: int, modes: int, xi, variant: str,
     Each of the first n mode vectors receives one ladder operation on top of
     its squeezed vacuum and the exact analytic normalization (1/cosh r for
     "added", 1/sinh r for "subtracted"); the product is kept up to total
-    ``cutoff``, so the squared norm falls short of 1 only by the recorded
-    truncation loss, the input's tail above the cutoff. Subtracting from an
-    unsqueezed mode annihilates the vacuum and raises a validation error.
+    ``cutoff``, so the squared norm falls short of 1 only by the truncation
+    loss, the input's tail above the cutoff. Subtracting from an unsqueezed
+    mode annihilates the vacuum and raises a validation error.
     """
-    if variant not in (ADDED, SUBTRACTED):
-        raise ValidationError(f"variant must be '{ADDED}' or '{SUBTRACTED}', got {variant!r}")
-    if not (1 <= total_photons <= modes):
-        raise ValidationError(f"need 1 <= n <= m, got n={total_photons}, m={modes}")
-    sq = as_squeezing(xi)
-    if variant == SUBTRACTED and sq.r == 0.0:
-        raise ValidationError("photon subtraction from vacuum (xi = 0) yields the zero state")
+    sq = _check_passv_input(total_photons, modes, xi, variant)
     # One level past the cutoff, so that lowering fills level D too.
     vec, _ = squeezed_vacuum_vector(sq, cutoff + 1)
     if variant == ADDED:
@@ -473,10 +468,8 @@ def build_passv_input(total_photons: int, modes: int, xi, variant: str,
     state = TruncatedFockState.from_product(
         [laddered[:cutoff + 1]] * total_photons + [vec[:cutoff + 1]] * (modes - total_photons)
     )
-    norm2 = state.squared_norm()
-    if norm2 <= 1e-12:
+    if state.squared_norm() <= 1e-12:
         raise ValidationError("the prepared state vanished; increase the cutoff or the squeezing")
-    state.truncation_loss = max(0.0, 1.0 - norm2)
     return state
 
 

@@ -4,13 +4,16 @@ For n photons added to (or subtracted from) n identically squeezed modes and a
 special-orthogonal network O, the probability of any parity pattern with
 exactly n odd modes equals |Per(O_S)|^2, where O_S keeps the rows of the odd
 modes and the first n columns. The identity is exact and independent of the
-squeezing strength; the harness checks it numerically against the truncated
-Fock oracle and measures, rather than assumes, everything else (collision
-sector mass, truncation loss, the subtracted-variant matrix convention).
+squeezing strength, and one table serves both variants: photon subtraction
+samples the elementwise conjugate of O, which is O itself. The harness checks
+the identity against the truncated Fock oracle and measures, rather than
+assumes, everything else (collision sector mass, truncation loss, and how far
+the prediction of O^T, the transposed misreading of that rule, lands).
 
 ``brute_force_parity`` is that oracle, with its guards, its cutoff policy and
 its truncation budget in one place; ``compare`` and ``sample-passv`` both run
-it, so the library and the command line refuse and truncate alike.
+it, so the library and the command line refuse and truncate alike. Every
+guard runs for every squeezing value before the network is drawn.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ from .evolution import (
     ADDED,
     SUBTRACTED,
     Squeezing,
+    _check_passv_input,
+    _check_state_size,
     apply_network,
     as_squeezing,
     build_passv_input,
@@ -49,8 +54,6 @@ from .sampling import outcome_probabilities, uniform_input
 
 MAX_ORACLE_MODES = 5
 MAX_SQUEEZING = 1.0
-CONJUGATE = "conjugate"
-TRANSPOSE = "transpose"
 
 TOLERANCE_FLOOR = 1e-9
 
@@ -63,38 +66,27 @@ def comparison_tolerance(modes: int, epsilon_tail: float) -> float:
     return truncation_budget(modes, epsilon_tail) + TOLERANCE_FLOOR
 
 
-def predicted_parity_distribution(network: LinearNetwork, total_photons: int,
-                                  variant: str = ADDED, *,
-                                  convention: str = CONJUGATE) -> OutputDistribution:
+def predicted_parity_distribution(network: LinearNetwork,
+                                  total_photons: int) -> OutputDistribution:
     """Permanent-based probabilities of the n-odd parity patterns.
 
     The table is deliberately sub-normalized: patterns with fewer than n odd
     modes (collision sectors) carry squeezing-dependent mass and are not
     predicted, so their total shows up in ``normalization_defect``.
 
-    For the subtracted variant the sampled matrix is the elementwise
-    conjugate, which for a real network is the network itself; this is the
-    convention the brute-force oracle confirms. ``convention="transpose"`` is
-    kept for diagnostics.
+    It serves both variants: the subtracted variant samples the elementwise
+    conjugate of the network, which for a real network is the network itself.
     """
     if not isinstance(network, LinearNetwork):
         raise ValidationError("predicted_parity_distribution expects a LinearNetwork")
     if network.kind != ORTHOGONAL:
         raise ValidationError("parity predictions are defined for special-orthogonal networks")
-    if variant not in (ADDED, SUBTRACTED):
-        raise ValidationError(f"variant must be '{ADDED}' or '{SUBTRACTED}', got {variant!r}")
-    if convention not in (CONJUGATE, TRANSPOSE):
-        raise ValidationError(f"unknown convention {convention!r}")
     m = network.dimension
     n = total_photons
     if not (1 <= n <= m):
         raise ValidationError(f"need 1 <= n <= m, got n={n}, m={m}")
-    entries = network.entries
-    if variant == SUBTRACTED:
-        entries = np.conj(entries) if convention == CONJUGATE else entries.T
-    effective = LinearNetwork(entries, ORTHOGONAL, allow_reflection=True)
     outcomes = collision_free_configurations(n, m)
-    probs = outcome_probabilities(effective, uniform_input(n, m), outcomes)
+    probs = outcome_probabilities(network, uniform_input(n, m), outcomes)
     return OutputDistribution(zip(map(parity_pattern_of, outcomes), probs.tolist()))
 
 
@@ -177,42 +169,54 @@ def brute_force_parity(total_photons: int, modes: int, xi, variant: str = ADDED,
     r <= MAX_SQUEEZING) before anything is built. The total photon cutoff is
     chosen once, from the input's analytic photon-number distribution: the
     smallest one, of the parity of n, whose tail fits ``truncation_budget``.
-    Mixing loses nothing, so that tail is the whole recorded loss. The state
-    size guard in build_passv_input refuses an oversized state before any of
-    its arrays is allocated.
+    The input checks of build_passv_input and its state size guard then run
+    on that cutoff, still before the network is drawn. Mixing loses nothing,
+    so the truncation loss is 1 - ||psi||^2 of the prepared input, its tail.
 
     Returns the parity distribution over all 2^m patterns, the cutoff and the
-    recorded truncation loss.
+    truncation loss.
     """
-    sq = _check_oracle_range(total_photons, modes, xi)
+    [(sq, cutoff)] = _checked_inputs(total_photons, modes, [xi], variant, epsilon_tail)
     decomposition = reck_decompose(haar_special_orthogonal(modes, seed))
-    return _evolve_parity(total_photons, sq, variant, decomposition, epsilon_tail)
+    return _evolve_parity(total_photons, sq, variant, decomposition, cutoff)
 
 
-def _check_oracle_range(n: int, m: int, xi) -> Squeezing:
-    """The squeezing of ``xi``, once n, m and xi are known to be in the oracle's range."""
+def _checked_inputs(n: int, m: int, xi_values: list, variant: str,
+                    epsilon_tail: float) -> list[tuple[Squeezing, int]]:
+    """The squeezing and cutoff of each xi, once every guard has passed for every one.
+
+    The oracle's range comes first, for all values; then, value by value, the
+    cutoff is chosen and build_passv_input's checks and size guard run on it.
+    """
     if not (1 <= n <= m):
         raise ValidationError(f"need 1 <= n <= m, got n={n}, m={m}")
     if m > MAX_ORACLE_MODES:
         raise ValidationError(
             f"the brute-force oracle is limited to m <= {MAX_ORACLE_MODES} modes"
         )
-    sq = as_squeezing(xi)
-    if sq.r > MAX_SQUEEZING:
-        raise ValidationError(
-            f"squeezing magnitude {sq.r} exceeds the supported {MAX_SQUEEZING}"
-        )
-    return sq
+    squeezings = [as_squeezing(xi) for xi in xi_values]
+    for sq in squeezings:
+        if sq.r > MAX_SQUEEZING:
+            raise ValidationError(
+                f"squeezing magnitude {sq.r} exceeds the supported {MAX_SQUEEZING}"
+            )
+    budget = truncation_budget(m, epsilon_tail)
+    checked = []
+    for sq in squeezings:
+        cutoff = required_cutoff(sq, budget, modes=m, photons=n)
+        _check_passv_input(n, m, sq, variant)
+        _check_state_size(m, cutoff)
+        checked.append((sq, cutoff))
+    return checked
 
 
 def _evolve_parity(n: int, sq: Squeezing, variant: str, decomposition: ReckDecomposition,
-                   epsilon_tail: float) -> tuple[OutputDistribution, int, float]:
-    """``brute_force_parity`` behind a given decomposition, its range already checked."""
-    m = decomposition.dimension
-    cutoff = required_cutoff(sq, truncation_budget(m, epsilon_tail), modes=m, photons=n)
-    state = build_passv_input(n, m, sq, variant, cutoff)
+                   cutoff: int) -> tuple[OutputDistribution, int, float]:
+    """``brute_force_parity`` behind a given decomposition, its guards already passed."""
+    state = build_passv_input(n, decomposition.dimension, sq, variant, cutoff)
+    loss = max(0.0, 1.0 - state.squared_norm())
     apply_network(state, decomposition)
-    return parity_distribution(state), cutoff, state.truncation_loss
+    return parity_distribution(state), cutoff, loss
 
 
 def run_equivalence_experiment(total_photons: int, modes: int, xi_values,
@@ -223,18 +227,19 @@ def run_equivalence_experiment(total_photons: int, modes: int, xi_values,
     Runs ``brute_force_parity`` on the Haar special-orthogonal network drawn
     from ``seed`` at every requested squeezing magnitude, and tabulates the
     parity probabilities of the collision-free patterns against |Per(O_S)|^2.
-    Every squeezing value is checked before the network is drawn; the network
-    is drawn and decomposed once for all of them and for the predictions.
+    Every guard runs for every squeezing value before the network is drawn;
+    the network is drawn and decomposed once for all of them and for the
+    predictions, and the subtracted variant also predicts from O^T.
     """
     n, m = total_photons, modes
     xi_list = [as_squeezing(x) for x in xi_values]
     if not xi_list:
         raise ValidationError("at least one squeezing value is required")
-    xi_list = [_check_oracle_range(n, m, sq) for sq in xi_list]
+    inputs = _checked_inputs(n, m, xi_list, variant, epsilon_tail)
     network = haar_special_orthogonal(m, seed)
     decomposition = reck_decompose(network)
-    oracle = [_evolve_parity(n, sq, variant, decomposition, epsilon_tail) for sq in xi_list]
-    predicted_dist = predicted_parity_distribution(network, n, variant)
+    oracle = [_evolve_parity(n, sq, variant, decomposition, cutoff) for sq, cutoff in inputs]
+    predicted_dist = predicted_parity_distribution(network, n)
     patterns = predicted_dist.keys
     predicted = [predicted_dist.probability(p) for p in patterns]
     brute_rows = [[parity.probability(p) for p in patterns] for parity, _, _ in oracle]
@@ -242,7 +247,8 @@ def run_equivalence_experiment(total_photons: int, modes: int, xi_values,
 
     transpose_dev = None
     if variant == SUBTRACTED:
-        alt = predicted_parity_distribution(network, n, variant, convention=TRANSPOSE)
+        transposed = LinearNetwork(network.entries.T, ORTHOGONAL, allow_reflection=True)
+        alt = predicted_parity_distribution(transposed, n)
         alt_row = [alt.probability(p) for p in patterns]
         transpose_dev = float(np.max(np.abs(brute - alt_row)))
 
@@ -250,7 +256,7 @@ def run_equivalence_experiment(total_photons: int, modes: int, xi_values,
         total_photons=n,
         modes=m,
         variant=variant,
-        xi_values=[sq.r for sq in xi_list],
+        xi_values=[sq.r for sq, _ in inputs],
         seed=int(seed),
         epsilon_tail=float(epsilon_tail),
         cutoffs=[cutoff for _, cutoff, _ in oracle],

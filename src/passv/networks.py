@@ -9,7 +9,8 @@ two-mode element with mixing angle theta has the block
 on its mode pair, and complex elements add a single phase on the first mode of
 the pair, applied after the rotation. Products compose right-to-left as usual,
 so the first factor of a decomposition is the last operation applied to a
-state.
+state. A ReckDecomposition is the one form in which a network is evolved
+(``evolution.apply_network``) or multiplied back (``reconstruct``).
 """
 
 from __future__ import annotations
@@ -310,30 +311,20 @@ def _rotate_rows_inverse(w: np.ndarray, i: int, j: int, theta: float, phi: float
         w[j] = s * row_i + c * row_j
 
 
-def reconstruct(decomposition, m: int | None = None) -> LinearNetwork:
+def reconstruct(decomposition: ReckDecomposition) -> LinearNetwork:
     """Multiply a decomposition back into a network.
 
-    Accepts either a ReckDecomposition or a plain element sequence (identity
-    residual), in which case ``m`` is required. The factors multiply in list
-    order with the residual diagonal rightmost.
+    The factors multiply in element order with the residual diagonal
+    rightmost. The result is orthogonal when every entry is real and unitary
+    otherwise.
     """
-    if isinstance(decomposition, ReckDecomposition):
-        elements = decomposition.elements
-        residual = decomposition.residual
-        if m is not None and m != decomposition.dimension:
-            raise ValidationError(
-                f"m={m} does not match decomposition dimension {decomposition.dimension}"
-            )
-        m = decomposition.dimension
-    else:
-        elements = tuple(decomposition)
-        if m is None:
-            raise ValidationError("m is required when reconstructing from a bare element list")
-        residual = np.ones(m, dtype=np.complex128)
+    if not isinstance(decomposition, ReckDecomposition):
+        raise ValidationError("reconstruct expects a ReckDecomposition")
+    m = decomposition.dimension
     if m < 1:
         raise ValidationError(f"dimension must be positive, got {m}")
-    matrix = np.diag(residual.astype(np.complex128))
-    for el in reversed(elements):
+    matrix = np.diag(decomposition.residual.astype(np.complex128))
+    for el in reversed(decomposition.elements):
         matrix = el.embedded(m) @ matrix
     if np.all(matrix.imag == 0.0):
         return LinearNetwork(matrix.real, ORTHOGONAL, allow_reflection=True)

@@ -22,7 +22,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from passv import cli, evolution
+from passv import cli, evolution, experiments
 from passv.cli import execute
 from passv.distributions import SHOTS_LIMIT, draw_samples
 from passv.evolution import required_cutoff
@@ -395,6 +395,38 @@ def test_compare_oracle_size_limit_exits_two_with_hint(tmp_path, capsys):
     assert "size limit" in err
     assert "reduce the squeezing or epsilon_tail" in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand", ["compare", "sample-passv"])
+@pytest.mark.parametrize("epsilon", ["nan", "inf"])
+def test_non_finite_epsilon_tail_exits_one_without_writing(tmp_path, capsys, subcommand,
+                                                            epsilon):
+    # A NaN tolerance would be written as the non-JSON token NaN, and an
+    # infinite one would pass any report.
+    code, out = _run(tmp_path, "report.json",
+                     [subcommand, "--n", "1", "--m", "2", "--xi", "0.3", "--seed", "1",
+                      "--epsilon-tail", epsilon, "--format", "json"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "epsilon_tail must be finite and positive" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, expected_code", [
+    (["--n", "2", "--m", "5", "--xi", "0.1,1.0"], 2),  # the state at r = 1.0 is too big
+    (["--n", "2", "--m", "3", "--xi", "0.3,0.0", "--variant", "subtracted"], 1),
+])
+def test_compare_guards_every_xi_before_preparing_any_input(monkeypatch, tmp_path, capsys,
+                                                            args, expected_code):
+    prepared = []
+    monkeypatch.setattr(experiments, "build_passv_input",
+                        lambda *a, **k: prepared.append(a) or evolution.build_passv_input(*a))
+    code, out = _run(tmp_path, "report.json", ["compare", *args, "--seed", "7"])
+    assert code == expected_code
+    assert prepared == []
+    assert "Traceback" not in capsys.readouterr().err
     assert not out.exists()
 
 

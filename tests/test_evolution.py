@@ -6,13 +6,15 @@ products of ladder matrices. States keep every occupation tuple up to a total
 photon number, so no mixer sector ever crosses the cutoff and that oracle is
 exact. The sector rotations, which the mixer builds from a cached eigenbasis,
 are checked against scipy's ``expm`` of each sector generator. Cutoffs and
-recorded losses are checked against the tail of the input's total photon
-number, from its closed-form negative-binomial distribution.
+truncation losses, 1 - ||psi||^2 of the prepared input, are checked against
+the tail of the input's total photon number, from its closed-form
+negative-binomial distribution.
 """
 
 import functools
 import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -48,7 +50,13 @@ from passv.evolution import (
     _sector_generator,
     _sector_rotation,
 )
-from passv.networks import TwoModeElement, haar_special_orthogonal, haar_unitary, reck_decompose
+from passv.networks import (
+    ReckDecomposition,
+    TwoModeElement,
+    haar_special_orthogonal,
+    haar_unitary,
+    reck_decompose,
+)
 
 # Frozen one-mode squeezed-vacuum amplitudes at r = 0.5 (from the closed
 # form (-1)^k sqrt((2k)!) tanh(r)^k / (2^k k! sqrt(cosh r))).
@@ -100,6 +108,17 @@ def test_squeezing_validation():
         Squeezing(-0.1)
     with pytest.raises(ValidationError):
         Squeezing(float("nan"))
+    # cosh r is finite up to asinh(max float), about 710.48, and overflows past it.
+    largest = math.asinh(sys.float_info.max)
+    assert math.isfinite(math.cosh(Squeezing(largest).r))
+    with pytest.raises(ValidationError):
+        Squeezing(math.nextafter(largest, math.inf))
+    for refused in (lambda: Squeezing(711.0), lambda: as_squeezing(711.0j),
+                    lambda: build_passv_input(1, 2, 800.0, ADDED, 4),
+                    lambda: required_cutoff(800.0),
+                    lambda: build_squeezed_product(2, 711.0, 4)):
+        with pytest.raises(ValidationError, match="overflows"):
+            refused()
 
 
 def test_as_squeezing_coercion():
@@ -209,6 +228,9 @@ def test_required_cutoff_headroom_and_degenerate_cases():
         required_cutoff(0.5, 0.0)
     with pytest.raises(ValidationError):
         required_cutoff(0.5, -1e-3)
+    for non_finite in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="finite"):
+            required_cutoff(0.5, non_finite)
     with pytest.raises(ValidationError):
         required_cutoff(0.5, 1e-8, modes=0)
     with pytest.raises(ValidationError):
@@ -226,9 +248,9 @@ def test_required_cutoff_is_the_smallest_total_whose_input_tail_fits(n, m, r, va
     assert d % 2 == n % 2  # every input total has the parity of n
     tail = _input_tail(n, m, r, d)
     assert tail <= budget < _input_tail(n, m, r, d - 2)
-    # The recorded loss of the prepared state is exactly that tail.
-    assert build_passv_input(n, m, r, variant, d).truncation_loss == pytest.approx(
-        tail, abs=1e-14)
+    # The prepared state falls short of norm 1 by exactly that tail.
+    state = build_passv_input(n, m, r, variant, d)
+    assert 1.0 - state.squared_norm() == pytest.approx(tail, abs=1e-14)
 
 
 # ----------------------------------------------------------------- the state
@@ -238,7 +260,6 @@ def test_default_state_is_vacuum():
     st = TruncatedFockState(2, 3)
     assert st.amplitude((0, 0)) == 1.0
     assert st.squared_norm() == pytest.approx(1.0)
-    assert st.truncation_loss == 0.0
 
 
 def test_state_shape_validation():
@@ -356,13 +377,12 @@ def test_raise_at_cutoff_records_loss():
     d = 3
     # The top occupation has no level to go to.
     assert not np.any(mode_ladder(np.eye(d + 1)[d], "raise"))
-    # In a prepared input that mass is the recorded loss: one added photon on
-    # squeezed vacuum keeps 1 and 3 photons below d = 3, with weights
+    # In a prepared input that mass is the loss: one added photon on squeezed
+    # vacuum keeps 1 and 3 photons below d = 3, with weights
     # (2k+1)|c_2k|^2 / cosh(r)^2.
     st = build_passv_input(1, 1, 0.5, ADDED, d)
     kept = (C0_HALF**2 + 3.0 * C2_HALF**2) / math.cosh(0.5) ** 2
-    assert st.truncation_loss == pytest.approx(1.0 - kept, abs=1e-14)
-    assert st.squared_norm() + st.truncation_loss == pytest.approx(1.0, abs=1e-14)
+    assert 1.0 - st.squared_norm() == pytest.approx(1.0 - kept, abs=1e-14)
 
 
 def test_ladder_validation():
@@ -421,7 +441,6 @@ def test_splitter_matches_dense_generator_oracle():
         expected = (mixer @ amp.reshape(-1)).reshape(d + 1, d + 1)
         assert np.max(np.abs(st.amplitudes - expected[kept])) < 1e-12
         assert np.sum(np.abs(expected) ** 2) == pytest.approx(st.squared_norm(), abs=1e-13)
-        assert st.truncation_loss == 0.0
 
 
 ROTATION_ANGLES = (-math.pi, -1.3, 0.3, math.pi / 4.0, math.pi / 2.0, 2.9)
@@ -468,10 +487,10 @@ def test_splitter_acts_on_named_pair_only():
 
 def test_splitter_truncation_loss_balances_norm():
     st = build_squeezed_product(2, 0.6, 8)
-    start = st.squared_norm() + st.truncation_loss
+    loss = 1.0 - st.squared_norm()
     apply_beamsplitter(st, 0, 1, 0.9)
-    assert st.squared_norm() + st.truncation_loss == pytest.approx(start, abs=1e-10)
-    assert st.truncation_loss > 0.0
+    assert 1.0 - st.squared_norm() == pytest.approx(loss, abs=1e-10)
+    assert loss > 0.0
 
 
 @settings(max_examples=40, deadline=None)
@@ -487,18 +506,17 @@ def test_splitter_on_any_pair_is_the_front_pair_mixer_relabeled(m, d, order, see
     rng = np.random.default_rng(seed)
     size = math.comb(d + m, m)
     amps = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    state = TruncatedFockState(m, d, amps / np.linalg.norm(amps), truncation_loss=0.25)
+    state = TruncatedFockState(m, d, amps / np.linalg.norm(amps))
     before = state.squared_norm()
     columns = [tuple(c) for c in _index_tables(m, d)[0].T.tolist()]
     position = {c: k for k, c in enumerate(columns)}
     old_of = [position[tuple(c[front.index(k)] for k in range(m))] for c in columns]
-    reference = TruncatedFockState(m, d, state.amplitudes[old_of], truncation_loss=0.25)
+    reference = TruncatedFockState(m, d, state.amplitudes[old_of])
     array = state.amplitudes
     apply_beamsplitter(state, i, j, theta)
     apply_beamsplitter(reference, 0, 1, theta)
     assert state.amplitudes is array
     assert abs(state.squared_norm() - before) <= 1e-12
-    assert state.truncation_loss == 0.25
     assert np.max(np.abs(state.amplitudes[old_of] - reference.amplitudes)) <= 1e-14
 
 
@@ -535,23 +553,21 @@ def test_network_on_single_photon_reproduces_columns(maker, seed, dtype):
             assert st.amplitude(idx) == pytest.approx(net.entries[i, j], abs=1e-10)
 
 
-def test_network_accepts_bare_element_lists():
+def test_network_refuses_bare_element_lists():
     elements = [TwoModeElement(0, 1, 0.4), TwoModeElement(1, 2, 1.1)]
-    from passv.networks import reconstruct
-
-    net = reconstruct(elements, m=3)
     st = _fock((1, 0, 0), 1)
-    apply_network(st, elements)
-    for i in range(3):
-        idx = tuple(1 if k == i else 0 for k in range(3))
-        assert st.amplitude(idx) == pytest.approx(net.entries[i, 0], abs=1e-12)
+    before = st.amplitudes.copy()
+    for network in (elements, tuple(elements), haar_special_orthogonal(3, 1)):
+        with pytest.raises(ValidationError, match="ReckDecomposition"):
+            apply_network(st, network)
+    np.testing.assert_array_equal(st.amplitudes, before)
 
 
 @pytest.mark.parametrize("variant, seed", [(ADDED, 7), (SUBTRACTED, 12)])
 def test_network_keeps_the_norm_of_every_photon_total(variant, seed):
     n, m, d = 2, 4, 24
     st = build_passv_input(n, m, 0.6, variant, d)
-    loss = st.truncation_loss
+    loss = 1.0 - st.squared_norm()
     assert loss == pytest.approx(_input_tail(n, m, 0.6, d), abs=1e-14)
     totals = _index_tables(m, d)[0].sum(axis=0, dtype=np.intp)
     before = np.bincount(totals, weights=np.abs(st.amplitudes) ** 2, minlength=d + 1)
@@ -559,13 +575,17 @@ def test_network_keeps_the_norm_of_every_photon_total(variant, seed):
     after = np.bincount(totals, weights=np.abs(st.amplitudes) ** 2, minlength=d + 1)
     assert np.count_nonzero(before > 1e-6) >= 5  # several sectors carry weight
     assert np.max(np.abs(after - before)) <= 1e-14
-    assert st.truncation_loss == loss
+    assert 1.0 - st.squared_norm() == pytest.approx(loss, abs=1e-14)
 
 
 def test_network_dimension_mismatch():
     st = TruncatedFockState(2, 1)
-    with pytest.raises(ValidationError):
-        apply_network(st, [TwoModeElement(1, 2, 0.5)])
+    with pytest.raises(ValidationError, match="does not match"):
+        apply_network(st, reck_decompose(haar_special_orthogonal(3, 1)))
+    # An element past the state's modes, in a decomposition of the right size.
+    outside = ReckDecomposition((TwoModeElement(1, 2, 0.5),), np.ones(2, dtype=complex))
+    with pytest.raises(ValidationError, match="out of range"):
+        apply_network(st, outside)
 
 
 # ------------------------------------------------------ real and complex states
@@ -646,12 +666,12 @@ def test_squeezed_product_amplitudes_factorize():
 
 def test_squeezed_product_loss_accounting():
     st = build_squeezed_product(3, 0.5, 6)
-    assert st.squared_norm() + st.truncation_loss == pytest.approx(1.0, abs=1e-12)
+    loss = 1.0 - st.squared_norm()
     # The loss is the mass above total 6, so more than the three one-mode tails.
     vec, _ = squeezed_vacuum_vector(0.5, 6)
     kept = np.convolve(np.convolve(np.abs(vec) ** 2, np.abs(vec) ** 2), np.abs(vec) ** 2)
-    assert st.truncation_loss == pytest.approx(1.0 - math.fsum(kept[:7]), abs=1e-14)
-    assert st.truncation_loss > 3.0 * TAIL_HALF_D6
+    assert loss == pytest.approx(1.0 - math.fsum(kept[:7]), abs=1e-14)
+    assert loss > 3.0 * TAIL_HALF_D6
 
 
 def test_passv_input_at_zero_squeezing_is_fock_state():
@@ -659,7 +679,7 @@ def test_passv_input_at_zero_squeezing_is_fock_state():
     expected = np.zeros(math.comb(5, 3), dtype=complex)
     expected[_index_tables(3, 2)[0].T.tolist().index([1, 1, 0])] = 1.0
     np.testing.assert_allclose(st.amplitudes, expected, atol=1e-14)
-    assert st.truncation_loss == 0.0
+    assert st.squared_norm() == 1.0
 
 
 def test_passv_input_is_normalized():

@@ -12,11 +12,9 @@ import numpy as np
 import pytest
 
 from passv.configurations import ParityPattern, collision_free_configurations, parity_pattern_of
-from passv.errors import ValidationError
+from passv.errors import SizeLimitError, ValidationError
 from passv import experiments
 from passv.experiments import (
-    CONJUGATE,
-    TRANSPOSE,
     EquivalenceReport,
     brute_force_parity,
     comparison_tolerance,
@@ -25,7 +23,7 @@ from passv.experiments import (
     squeezed_invariance_check,
 )
 from passv.evolution import ADDED, SUBTRACTED, required_cutoff
-from passv.networks import haar_special_orthogonal, haar_unitary
+from passv.networks import ORTHOGONAL, LinearNetwork, haar_special_orthogonal, haar_unitary
 from passv.sampling import output_distribution, uniform_input
 
 
@@ -71,8 +69,19 @@ def test_predicted_requires_rotation_networks():
         predicted_parity_distribution(haar_unitary(3, 1), 2)
     with pytest.raises(ValidationError):
         predicted_parity_distribution(haar_special_orthogonal(3, 1), 4)
-    with pytest.raises(ValidationError):
-        predicted_parity_distribution(haar_special_orthogonal(3, 1), 2, convention="adjoint")
+
+
+def test_one_prediction_serves_both_variants():
+    # Subtraction samples the elementwise conjugate, and a real network is
+    # its own conjugate, so both reports carry the same table.
+    n, m, seed = 2, 4, 12
+    net = haar_special_orthogonal(m, seed)
+    conjugate = predicted_parity_distribution(
+        LinearNetwork(np.conj(net.entries), ORTHOGONAL, allow_reflection=True), n)
+    for variant in (ADDED, SUBTRACTED):
+        report = run_equivalence_experiment(n, m, [0.3], variant, seed=seed)
+        assert report.passes()
+        assert report.predicted == [conjugate.probability(p) for p in report.patterns]
 
 
 def test_equivalence_experiment_added_small():
@@ -142,6 +151,28 @@ def test_oracle_guards_fire_before_anything_is_built(monkeypatch, n, m, xi):
         run_equivalence_experiment(n, m, [0.1, xi], seed=1)
 
 
+@pytest.mark.parametrize("n, m, xi_values, variant, epsilon_tail, error", [
+    # r = 1.0 at m = 5 needs total cutoff 92, over the state size limit.
+    (2, 5, [0.1, 1.0], ADDED, 1e-8, SizeLimitError),
+    (2, 3, [0.3, 0.0], SUBTRACTED, 1e-8, ValidationError),  # subtraction from vacuum
+    (2, 3, [0.3, 0.4], "doubled", 1e-8, ValidationError),
+    (2, 3, [0.3, 0.4], ADDED, float("nan"), ValidationError),
+    (2, 3, [0.3, 0.4], ADDED, float("inf"), ValidationError),
+], ids=["state-size", "subtracted-vacuum", "variant", "epsilon-nan", "epsilon-inf"])
+def test_every_guard_runs_for_every_xi_before_anything_is_built(
+        monkeypatch, n, m, xi_values, variant, epsilon_tail, error):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("built past a guard")
+
+    monkeypatch.setattr(experiments, "haar_special_orthogonal", unreachable)
+    monkeypatch.setattr(experiments, "build_passv_input", unreachable)
+    with pytest.raises(error):
+        run_equivalence_experiment(n, m, xi_values, variant, seed=1,
+                                   epsilon_tail=epsilon_tail)
+    with pytest.raises(error):
+        brute_force_parity(n, m, xi_values[-1], variant, seed=1, epsilon_tail=epsilon_tail)
+
+
 def test_report_draws_and_decomposes_its_network_once(monkeypatch):
     calls = {"haar_special_orthogonal": 0, "reck_decompose": 0}
     for name in calls:
@@ -174,8 +205,9 @@ def test_report_deviations_are_the_pairwise_maxima():
     assert report.cross_xi_deviation == max(
         abs(a[i] - b[i]) for a in rows for b in rows for i in k
     )
-    alt = predicted_parity_distribution(haar_special_orthogonal(m, seed), n, SUBTRACTED,
-                                        convention=TRANSPOSE)
+    transposed = haar_special_orthogonal(m, seed).entries.T
+    alt = predicted_parity_distribution(
+        LinearNetwork(transposed, ORTHOGONAL, allow_reflection=True), n)
     assert report.transpose_convention_deviation == max(
         abs(r[i] - alt.probability(report.patterns[i])) for r in rows for i in k
     )

@@ -177,28 +177,34 @@ def test_element_json_round_trip():
 # ---------------------------------------------------------------- decompose
 
 
+def _decomposition(elements, m):
+    return ReckDecomposition(tuple(elements), np.ones(m, dtype=np.complex128))
+
+
 def test_reconstruct_uses_list_order_as_factor_order():
     ea = TwoModeElement(0, 1, 0.3)
     eb = TwoModeElement(1, 2, 0.9)
-    net = reconstruct([ea, eb], m=3)
-    expected = ea.embedded(3) @ eb.embedded(3)
+    residual = np.array([1.0, -1.0, 1.0], dtype=np.complex128)
+    net = reconstruct(ReckDecomposition((ea, eb), residual))
+    expected = ea.embedded(3) @ eb.embedded(3) @ np.diag(residual)
     np.testing.assert_allclose(net.entries, expected.real, atol=1e-14)
 
 
 def test_reconstruct_empty_is_identity():
-    net = reconstruct([], m=3)
+    net = reconstruct(_decomposition([], 3))
     np.testing.assert_allclose(net.entries, np.eye(3), atol=1e-15)
     assert net.kind == ORTHOGONAL
 
 
-def test_reconstruct_requires_dimension_for_bare_lists():
-    with pytest.raises(ValidationError):
-        reconstruct([TwoModeElement(0, 1, 0.5)])
+def test_reconstruct_refuses_bare_element_lists():
+    for network in ([TwoModeElement(0, 1, 0.5)], (), haar_special_orthogonal(2, 1)):
+        with pytest.raises(ValidationError, match="ReckDecomposition"):
+            reconstruct(network)
 
 
 def test_reconstruct_kind_follows_entries():
-    assert reconstruct([TwoModeElement(0, 1, 0.5)], m=2).kind == ORTHOGONAL
-    assert reconstruct([TwoModeElement(0, 1, 0.5, 0.25)], m=2).kind == UNITARY
+    assert reconstruct(_decomposition([TwoModeElement(0, 1, 0.5)], 2)).kind == ORTHOGONAL
+    assert reconstruct(_decomposition([TwoModeElement(0, 1, 0.5, 0.25)], 2)).kind == UNITARY
 
 
 def test_decompose_two_by_two_rotation():
