@@ -5,7 +5,7 @@ artifact embeds the run configuration, files are written atomically (temp
 file plus rename), and a repeated invocation with identical flags produces
 byte-identical output.
 
-sample-passv and compare both run ``experiments.brute_force_parity``, so they
+sample-passv and compare run one oracle path in ``experiments``, so they
 share its guards (n <= m <= 5, squeezing r <= 1.0, the state size limit), its
 cutoff choice and its truncation budget; the cutoff is chosen by the oracle
 and recorded, never set.

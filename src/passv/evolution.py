@@ -9,8 +9,8 @@ s of its pair, the (s+1) x G block of the pair's splits of s against the G
 occupations of the other modes that fit under D - s, rotates it with
 exp(theta K_s) and scatters it back. Each sector rotation is assembled from
 an eigenbasis of the generator K_s that is computed once per s and cached.
-The only truncation is the input's: its mass above total D, which is
-1 - ||psi||^2 of the prepared state and stays so through every network.
+The only truncation is the input's mass above total D; for a PASSV input,
+``sector_weights`` gives it, and the weight of every total, in closed form.
 
 A state's dtype follows its inputs: float64 when every amplitude it is built
 from has a zero imaginary part, complex128 otherwise. Sector rotations are
@@ -46,7 +46,7 @@ ADDED = "added"
 SUBTRACTED = "subtracted"
 
 STATE_SIZE_LIMIT = 400_000_000  # bytes per state, as counted by _state_bytes
-AMPLITUDE_BLOCK = 16_384  # amplitudes at a time in from_product and parity_distribution
+AMPLITUDE_BLOCK = 16_384  # amplitudes at a time in from_product
 
 
 def __getattr__(name):
@@ -89,14 +89,14 @@ def as_squeezing(value) -> Squeezing:
 def _state_bytes(modes: int, cutoff: int) -> int:
     """Bytes of every array a state over ``modes`` up to ``cutoff`` photons needs.
 
-    Per amplitude: the amplitude and one amplitude-sized workspace (a copy of
-    the state, or a mixer's gathered and rotated sectors), 16 bytes each; one
-    cached occupation per mode; one cached 4-byte gather index for each of
-    at most m - 1 mode pairs, as many as a Reck network mixes
-    (``_pair_gather`` holds no more). Products and parity reductions go
-    AMPLITUDE_BLOCK amplitudes at a time.
+    Per amplitude: the amplitude and one workspace (a copy, a mixer's sectors,
+    or the squares and widened bins of ``parity_sectors``), 16 bytes each;
+    one cached occupation per mode and one sector bin; one cached 4-byte
+    gather index for each of at most m - 1 mode pairs, as many as a Reck
+    network mixes (``_pair_gather`` holds no more).
     """
-    per_amplitude = 32 + modes * np.min_scalar_type(cutoff).itemsize + 4 * (modes - 1)
+    bin_bytes = np.min_scalar_type(((cutoff + 1) << modes) - 1).itemsize
+    per_amplitude = 32 + modes * np.min_scalar_type(cutoff).itemsize + bin_bytes + 4 * (modes - 1)
     return math.comb(cutoff + modes, modes) * per_amplitude
 
 
@@ -119,22 +119,22 @@ def _real_or_complex(values) -> np.ndarray:
     return values.real.astype(np.float64)
 
 
-_index_cache: dict[tuple[int, int], tuple[np.ndarray, dict]] = {}
+_index_cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, dict]] = {}
 
 
-def _cached_bytes(entry: tuple[np.ndarray, dict]) -> int:
-    table, gathers = entry
-    return table.nbytes + sum(order.nbytes for order, _ in gathers.values())
+def _cached_bytes(entry: tuple[np.ndarray, np.ndarray, dict]) -> int:
+    table, bins, gathers = entry
+    return table.nbytes + bins.nbytes + sum(order.nbytes for order, _ in gathers.values())
 
 
-def _index_tables(modes: int, cutoff: int) -> tuple[np.ndarray, dict]:
-    """Occupation table of (modes, cutoff) and a dict of its pairs' gather orders.
+def _index_tables(modes: int, cutoff: int) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Occupation table, sector bins and a dict of the pairs' gather orders of (modes, cutoff).
 
-    The table is ``bounded_occupations(modes, cutoff)``, column k for
-    amplitude k; ``_pair_gather`` fills the dict on first use. Entries are
-    cached, least recently used first out, and the other entries are evicted
-    until they fit STATE_SIZE_LIMIT together with everything this
-    (modes, cutoff) state needs.
+    The table is ``bounded_occupations(modes, cutoff)``, column k for amplitude
+    k, whose bin is its total times 2^m plus its parity pattern; ``_pair_gather``
+    fills the dict on first use. Entries are cached, least recently used first
+    out, and the others are evicted until they fit STATE_SIZE_LIMIT together
+    with everything this (modes, cutoff) state needs.
     """
     key = (modes, cutoff)
     entry = _index_cache.pop(key, None)
@@ -143,8 +143,14 @@ def _index_tables(modes: int, cutoff: int) -> tuple[np.ndarray, dict]:
         del _index_cache[next(iter(_index_cache))]
     if entry is None:
         table = bounded_occupations(modes, cutoff)
-        table.flags.writeable = False
-        entry = table, {}
+        # Shifted once per mode: the total ends up times 2^m, mode 0's parity in bit m - 1.
+        bins = table.sum(axis=0, dtype=np.min_scalar_type(((cutoff + 1) << modes) - 1))
+        for level in table:
+            bins <<= 1
+            bins |= level & 1
+        for array in (table, bins):
+            array.flags.writeable = False
+        entry = table, bins, {}
     _index_cache[key] = entry
     return entry
 
@@ -159,7 +165,7 @@ def _pair_gather(modes: int, cutoff: int, i: int, j: int) -> tuple[np.ndarray, l
     indexes the block that the sector rotation acts on, row p. At most
     m - 1 pairs are kept, the oldest first out.
     """
-    occupations, gathers = _index_tables(modes, cutoff)
+    occupations, _, gathers = _index_tables(modes, cutoff)
     if (i, j) not in gathers:
         if len(gathers) >= modes - 1:
             del gathers[next(iter(gathers))]
@@ -277,34 +283,41 @@ def squeezed_vacuum_vector(xi, cutoff: int) -> tuple[np.ndarray, float]:
     return vec, tail
 
 
-def required_cutoff(xi, epsilon_tail: float = 1e-8, modes: int = 1, photons: int = 0) -> int:
-    """Smallest total photon cutoff whose input tail mass is <= epsilon_tail.
+def sector_weights(xi, epsilon_tail: float = 1e-8, modes: int = 1,
+                   photons: int = 0) -> tuple[np.ndarray, float]:
+    """Weights w_0..w_K of the input's photon totals photons + 2k, and the tail above K.
 
-    The input is ``modes`` identically squeezed vacua with a ladder operator
-    on each of the first ``photons``, as in ``build_passv_input``; the defaults
-    give one squeezed vacuum. With t = tanh r, a squeezed vacuum's pair count
-    has generating function ((1 - t^2) / (1 - t^2 z))^(1/2); a raised or a
-    lowered one alike puts (2k+1) C(2k, k) (t/2)^(2k) (1 - t^2)^(3/2) on 2k + 1
-    photons, exponent 3/2. So the total is photons + 2k with k negative
-    binomial, P(k) = C(k + a - 1, k) (1 - t^2)^a t^(2k), a = modes/2 + photons.
+    The input is that of ``build_passv_input``. With t = tanh r, a squeezed
+    vacuum's pair count has generating function ((1 - t^2)/(1 - t^2 z))^(1/2),
+    a raised or lowered one the exponent 3/2, so for both variants and any
+    phase w_k = C(k + a - 1, k) (1 - t^2)^a t^(2k), a = modes/2 + photons. K
+    is the smallest k whose tail, summed from the terms above it, fits
+    epsilon_tail. Every ratio past term k is at most q = t^2 max(1, (k+a)/(k+1)):
+    terms are made until the rest, at most w_k q/(1 - q), is negligible.
     """
     sq = as_squeezing(xi)
     if not (math.isfinite(epsilon_tail) and epsilon_tail > 0.0):
         raise ValidationError(f"epsilon_tail must be finite and positive, got {epsilon_tail}")
     if modes < 1 or photons < 0:
         raise ValidationError(f"need modes >= 1 and photons >= 0, got {modes}, {photons}")
-    t2 = math.tanh(sq.r) ** 2
-    a = modes / 2.0 + photons
-    p = math.cosh(sq.r) ** (-2.0 * a)
-    retained = p
-    k = 0
-    while 1.0 - retained > epsilon_tail:
-        p *= t2 * (k + a) / (k + 1.0)
-        k += 1
-        retained += p
-        if k > 100_000:
+    t2, a = math.tanh(sq.r) ** 2, modes / 2.0 + photons
+    terms, top = [math.cosh(sq.r) ** (-2.0 * a)], None
+    while True:
+        k = len(terms) - 1
+        if k > 100_000 or terms[0] == 0.0:  # too wide, or w_0 underflowed
             raise SizeLimitError("squeezed tail does not reach the requested epsilon")
-    return photons + 2 * k
+        q = t2 * max(1.0, (k + a) / (k + 1.0))
+        rest = terms[-1] * q / (1.0 - q) if q < 1.0 else math.inf
+        if top is None and rest <= 2.0 ** -53 * epsilon_tail:
+            top = next(j for j in range(k + 1) if math.fsum(terms[j + 1:]) <= epsilon_tail)
+        if top is not None and rest <= 2.0 ** -53 * math.fsum(terms[top + 1:]):
+            return np.array(terms[:top + 1]), math.fsum(terms[top + 1:])
+        terms.append(terms[-1] * (t2 * (k + a) / (k + 1.0)))
+
+
+def required_cutoff(xi, epsilon_tail: float = 1e-8, modes: int = 1, photons: int = 0) -> int:
+    """Smallest total photon cutoff whose input tail is <= epsilon_tail: photons + 2K."""
+    return photons + 2 * (len(sector_weights(xi, epsilon_tail, modes, photons)[0]) - 1)
 
 
 def mode_ladder(vector, direction: str) -> np.ndarray:
@@ -473,6 +486,23 @@ def build_passv_input(total_photons: int, modes: int, xi, variant: str,
     return state
 
 
+def parity_sectors(state: TruncatedFockState) -> np.ndarray:
+    """Squared amplitudes summed per photon total (row) and parity pattern (column).
+
+    Column bits, the first mode most significant, are set on odd modes.
+    """
+    bins = _index_tables(state.modes, state.cutoff)[1]
+    probs = np.abs(state.amplitudes)
+    probs **= 2
+    table = np.bincount(bins, weights=probs, minlength=(state.cutoff + 1) << state.modes)
+    return table.reshape(state.cutoff + 1, -1)
+
+
+def _parity_keys(modes: int) -> list[ParityPattern]:
+    """The 2^m parity patterns in the column order of ``parity_sectors``."""
+    return [ParityPattern(tuple(1 - 2 * b for b in idx)) for idx in np.ndindex((2,) * modes)]
+
+
 def parity_distribution(state: TruncatedFockState) -> OutputDistribution:
     """Joint per-mode parity probabilities, normalized by the squared norm.
 
@@ -483,21 +513,8 @@ def parity_distribution(state: TruncatedFockState) -> OutputDistribution:
         raise ValidationError("parity distribution is undefined for the zero state")
     if norm2 > 1.0 + 1e-9:
         raise ValidationError(f"state squared norm {norm2} exceeds 1")
-    # Pattern index of every amplitude, a block at a time: one bit per mode,
-    # set when odd, the first mode most significant.
-    occupations = _index_tables(state.modes, state.cutoff)[0]
-    table = np.zeros(2 ** state.modes)
-    for start in range(0, occupations.shape[1], AMPLITUDE_BLOCK):
-        columns = occupations[:, start:start + AMPLITUDE_BLOCK]
-        pattern = (1 << np.arange(state.modes - 1, -1, -1)) @ (columns & 1)
-        probs = np.abs(state.amplitudes[start:start + AMPLITUDE_BLOCK])
-        probs **= 2
-        table += np.bincount(pattern, weights=probs, minlength=len(table))
-    pairs = []
-    for idx, p in zip(np.ndindex((2,) * state.modes), table.tolist()):
-        pattern_key = ParityPattern(tuple(1 if b == 0 else -1 for b in idx))
-        pairs.append((pattern_key, p / norm2))
-    return OutputDistribution(pairs)
+    table = parity_sectors(state).sum(axis=0) / norm2
+    return OutputDistribution(zip(_parity_keys(state.modes), table.tolist()))
 
 
 def number_distribution(state: TruncatedFockState) -> OutputDistribution:

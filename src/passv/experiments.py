@@ -10,14 +10,27 @@ the identity against the truncated Fock oracle and measures, rather than
 assumes, everything else (collision sector mass, truncation loss, and how far
 the prediction of O^T, the transposed misreading of that rule, lands).
 
-``brute_force_parity`` is that oracle, with its guards, its cutoff policy and
-its truncation budget in one place; ``compare`` and ``sample-passv`` both run
-it, so the library and the command line refuse and truncate alike. Every
-guard runs for every squeezing value before the network is drawn.
+Why, one photon total at a time: with B = sum_j a_j^dag^2, the squeezed
+product is sum_K c_K B^K|0>, and a real rotation keeps B. Since
+[a_j, B^K] = 2K a_j^dag B^(K-1), and mode by mode a S(xi)|0> ~ a^dag S(xi)|0>
+~ S(xi)|1>, both variants have the same normalized part in total n + 2k,
+|psi_k> ~ a_1^dag ... a_n^dag B^k|0>; the variant and xi set only its weight
+w_k (``evolution.sector_weights``). O maps the part with odd modes S to
+Per(O_S) a_S^dag B^k|0>, of the same norm for every S, so P_k(S) =
+|Per(O_S)|^2 in every total k.
+
+So a report evolves one state, at its largest cutoff, and normalizes each
+total's parity table by its own mass, which mixing keeps, to get P_k; the row
+of each squeezing is sum_k w_k P_k / sum_k w_k over the totals its cutoff
+keeps, and its truncation loss the closed-form tail above them. Guards, cutoff
+policy and truncation budget are shared by ``brute_force_parity``, the
+one-squeezing case that ``compare`` and ``sample-passv`` also run; every guard
+runs for every squeezing before the network is drawn.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,12 +48,13 @@ from .evolution import (
     Squeezing,
     _check_passv_input,
     _check_state_size,
+    _parity_keys,
     apply_network,
     as_squeezing,
     build_passv_input,
     build_squeezed_product,
-    parity_distribution,
-    required_cutoff,
+    parity_sectors,
+    sector_weights,
     state_overlap,
 )
 from .networks import (
@@ -96,9 +110,11 @@ class EquivalenceReport:
 
     ``brute`` holds one probability row per squeezing value, aligned with
     ``patterns``; deviations are taken over collision-free patterns only.
-    ``collision_sector_mass`` and ``truncation_loss`` are measured per
-    squeezing value, and the comparison ``tolerance`` is derived from the
-    truncation budget.
+    ``collision_sector_mass`` and ``truncation_loss`` (the closed-form input
+    tail) are measured per squeezing value, and the comparison ``tolerance``
+    is derived from the truncation budget. ``sector_deviation``, the largest
+    |P_k(S) - |Per(O_S)|^2| over the evolved totals, has no truncation in it
+    and is held to TOLERANCE_FLOOR.
     """
 
     total_photons: int
@@ -113,6 +129,7 @@ class EquivalenceReport:
     brute: list[list[float]]
     max_deviation: float
     cross_xi_deviation: float
+    sector_deviation: float
     collision_sector_mass: list[float]
     truncation_loss: list[float]
     truncation_budget: float
@@ -123,6 +140,7 @@ class EquivalenceReport:
         return (
             self.max_deviation <= self.tolerance
             and self.cross_xi_deviation <= self.tolerance
+            and self.sector_deviation <= TOLERANCE_FLOOR
             and all(loss <= self.truncation_budget for loss in self.truncation_loss)
         )
 
@@ -140,6 +158,7 @@ class EquivalenceReport:
             "brute": [[float(x) for x in row] for row in self.brute],
             "max_deviation": float(self.max_deviation),
             "cross_xi_deviation": float(self.cross_xi_deviation),
+            "sector_deviation": float(self.sector_deviation),
             "collision_sector_mass": [float(x) for x in self.collision_sector_mass],
             "truncation_loss": [float(x) for x in self.truncation_loss],
             "truncation_budget": float(self.truncation_budget),
@@ -166,27 +185,26 @@ def brute_force_parity(total_photons: int, modes: int, xi, variant: str = ADDED,
     """The truncated-Fock oracle: parity statistics of one input behind network ``seed``.
 
     Refuses inputs outside the oracle's range (1 <= n <= m <= MAX_ORACLE_MODES,
-    r <= MAX_SQUEEZING) before anything is built. The total photon cutoff is
-    chosen once, from the input's analytic photon-number distribution: the
-    smallest one, of the parity of n, whose tail fits ``truncation_budget``.
-    The input checks of build_passv_input and its state size guard then run
-    on that cutoff, still before the network is drawn. Mixing loses nothing,
-    so the truncation loss is 1 - ||psi||^2 of the prepared input, its tail.
-
-    Returns the parity distribution over all 2^m patterns, the cutoff and the
-    truncation loss.
+    r <= MAX_SQUEEZING), then chooses the smallest cutoff, of the parity of n,
+    whose closed-form input tail fits ``truncation_budget``, and runs
+    build_passv_input's checks and the state size guard on it, all before the
+    network is drawn. Returns the parity distribution over all 2^m patterns,
+    the cutoff and the truncation loss, that tail.
     """
-    [(sq, cutoff)] = _checked_inputs(total_photons, modes, [xi], variant, epsilon_tail)
+    inputs = _checked_inputs(total_photons, modes, [xi], variant, epsilon_tail)
     decomposition = reck_decompose(haar_special_orthogonal(modes, seed))
-    return _evolve_parity(total_photons, sq, variant, decomposition, cutoff)
+    rows, _ = _parity_rows(total_photons, inputs, variant, decomposition)
+    [(_, _, tail, cutoff)] = inputs
+    return OutputDistribution(zip(_parity_keys(modes), rows[0].tolist())), cutoff, tail
 
 
-def _checked_inputs(n: int, m: int, xi_values: list, variant: str,
-                    epsilon_tail: float) -> list[tuple[Squeezing, int]]:
-    """The squeezing and cutoff of each xi, once every guard has passed for every one.
+def _checked_inputs(n: int, m: int, xi_values: list, variant: str, epsilon_tail: float
+                    ) -> list[tuple[Squeezing, np.ndarray, float, int]]:
+    """The squeezing, sector weights, tail and cutoff of each xi, once every guard has passed.
 
     The oracle's range comes first, for all values; then, value by value, the
-    cutoff is chosen and build_passv_input's checks and size guard run on it.
+    weights and build_passv_input's checks; last, the size guard on the one
+    state evolved, at the largest cutoff.
     """
     if not (1 <= n <= m):
         raise ValidationError(f"need 1 <= n <= m, got n={n}, m={m}")
@@ -203,20 +221,27 @@ def _checked_inputs(n: int, m: int, xi_values: list, variant: str,
     budget = truncation_budget(m, epsilon_tail)
     checked = []
     for sq in squeezings:
-        cutoff = required_cutoff(sq, budget, modes=m, photons=n)
+        weights, tail = sector_weights(sq, budget, modes=m, photons=n)
         _check_passv_input(n, m, sq, variant)
-        _check_state_size(m, cutoff)
-        checked.append((sq, cutoff))
+        checked.append((sq, weights, tail, n + 2 * (len(weights) - 1)))
+    _check_state_size(m, max(cutoff for *_, cutoff in checked))
     return checked
 
 
-def _evolve_parity(n: int, sq: Squeezing, variant: str, decomposition: ReckDecomposition,
-                   cutoff: int) -> tuple[OutputDistribution, int, float]:
-    """``brute_force_parity`` behind a given decomposition, its guards already passed."""
+def _parity_rows(n: int, inputs: list, variant: str,
+                 decomposition: ReckDecomposition) -> tuple[np.ndarray, np.ndarray]:
+    """The 2^m-pattern row of every checked input, and P_k of every evolved total n + 2k.
+
+    One state is evolved, at the first input with the largest cutoff.
+    """
+    sq, _, _, cutoff = max(inputs, key=lambda checked: checked[3])
     state = build_passv_input(n, decomposition.dimension, sq, variant, cutoff)
-    loss = max(0.0, 1.0 - state.squared_norm())
     apply_network(state, decomposition)
-    return parity_distribution(state), cutoff, loss
+    sectors = parity_sectors(state)[n::2]
+    sectors /= sectors.sum(axis=1, keepdims=True)
+    rows = np.array([weights @ sectors[:len(weights)] / math.fsum(weights)
+                     for _, weights, _, _ in inputs])
+    return rows, sectors
 
 
 def run_equivalence_experiment(total_photons: int, modes: int, xi_values,
@@ -224,12 +249,13 @@ def run_equivalence_experiment(total_photons: int, modes: int, xi_values,
                                epsilon_tail: float = 1e-8) -> EquivalenceReport:
     """Compare permanent predictions with brute-force parity statistics.
 
-    Runs ``brute_force_parity`` on the Haar special-orthogonal network drawn
-    from ``seed`` at every requested squeezing magnitude, and tabulates the
-    parity probabilities of the collision-free patterns against |Per(O_S)|^2.
-    Every guard runs for every squeezing value before the network is drawn;
-    the network is drawn and decomposed once for all of them and for the
-    predictions, and the subtracted variant also predicts from O^T.
+    Evolves one input through the Haar special-orthogonal network drawn from
+    ``seed`` and reads every requested squeezing's row from it, then
+    tabulates the parity probabilities of the collision-free patterns, of
+    each row and of each evolved total, against |Per(O_S)|^2. Every guard
+    runs for every squeezing value before the network is drawn; the network
+    is drawn and decomposed once, and the subtracted variant also predicts
+    from O^T.
     """
     n, m = total_photons, modes
     xi_list = [as_squeezing(x) for x in xi_values]
@@ -238,12 +264,14 @@ def run_equivalence_experiment(total_photons: int, modes: int, xi_values,
     inputs = _checked_inputs(n, m, xi_list, variant, epsilon_tail)
     network = haar_special_orthogonal(m, seed)
     decomposition = reck_decompose(network)
-    oracle = [_evolve_parity(n, sq, variant, decomposition, cutoff) for sq, cutoff in inputs]
+    rows, sectors = _parity_rows(n, inputs, variant, decomposition)
     predicted_dist = predicted_parity_distribution(network, n)
     patterns = predicted_dist.keys
     predicted = [predicted_dist.probability(p) for p in patterns]
-    brute_rows = [[parity.probability(p) for p in patterns] for parity, _, _ in oracle]
-    brute = np.array(brute_rows)
+    keys = _parity_keys(m)
+    columns = [keys.index(p) for p in patterns]
+    brute = rows[:, columns]
+    brute_rows = brute.tolist()
 
     transpose_dev = None
     if variant == SUBTRACTED:
@@ -256,10 +284,10 @@ def run_equivalence_experiment(total_photons: int, modes: int, xi_values,
         total_photons=n,
         modes=m,
         variant=variant,
-        xi_values=[sq.r for sq, _ in inputs],
+        xi_values=[sq.r for sq, *_ in inputs],
         seed=int(seed),
         epsilon_tail=float(epsilon_tail),
-        cutoffs=[cutoff for _, cutoff, _ in oracle],
+        cutoffs=[cutoff for *_, cutoff in inputs],
         patterns=patterns,
         predicted=predicted,
         brute=brute_rows,
@@ -267,8 +295,9 @@ def run_equivalence_experiment(total_photons: int, modes: int, xi_values,
         # Peak to peak over xi is the largest pairwise gap, bit for bit:
         # rounded subtraction is monotone.
         cross_xi_deviation=float(np.max(np.ptp(brute, axis=0))),
+        sector_deviation=float(np.max(np.abs(sectors[:, columns] - predicted))),
         collision_sector_mass=[max(0.0, 1.0 - sum(row)) for row in brute_rows],
-        truncation_loss=[loss for _, _, loss in oracle],
+        truncation_loss=[tail for _, _, tail, _ in inputs],
         truncation_budget=truncation_budget(m, epsilon_tail),
         tolerance=comparison_tolerance(m, epsilon_tail),
         transpose_convention_deviation=transpose_dev,

@@ -43,7 +43,9 @@ from passv.evolution import (
     mode_ladder,
     number_distribution,
     parity_distribution,
+    parity_sectors,
     required_cutoff,
+    sector_weights,
     squeezed_vacuum_vector,
     state_overlap,
     _index_tables,
@@ -86,16 +88,20 @@ def _input_tail(total_photons, modes, r, cutoff) -> float:
     photons of a laddered mode and a squeezed vacuum C(2k, k) (t/2)^(2k)
     (1 - t^2)^(1/2) on 2k, t = tanh r, so the total is n + 2k with k
     negative binomial: P(k) = C(k + a - 1, k) (1 - t^2)^a t^(2k) with
-    a = m/2 + n, evaluated here through log-gamma.
+    a = m/2 + n, evaluated here through log-gamma. The tail is the sum of the
+    terms above the cutoff, which keeps its precision where 1 minus the kept
+    terms would not.
     """
     t2 = math.tanh(r) ** 2
+    first = max(0, (cutoff - total_photons) // 2 + 1)
+    if t2 == 0.0:
+        return 1.0 if first == 0 else 0.0
     a = modes / 2.0 + total_photons
-    kept = [
+    return math.fsum(
         math.exp(math.lgamma(k + a) - math.lgamma(a) - math.lgamma(k + 1)
-                 + a * math.log1p(-t2) + (k * math.log(t2) if k else 0.0))
-        for k in range((cutoff - total_photons) // 2 + 1)
-    ]
-    return 1.0 - math.fsum(kept)
+                 + a * math.log1p(-t2) + k * math.log(t2))
+        for k in range(first, first + 2000)
+    )
 
 
 # ---------------------------------------------------------------- squeezing
@@ -253,6 +259,56 @@ def test_required_cutoff_is_the_smallest_total_whose_input_tail_fits(n, m, r, va
     assert 1.0 - state.squared_norm() == pytest.approx(tail, abs=1e-14)
 
 
+@pytest.mark.parametrize("epsilon", [1e-15, 1e-16, 1e-17])
+def test_required_cutoff_sums_the_tail_from_the_terms_above(epsilon):
+    # 1 minus the kept mass cannot resolve a tail under about 1e-16: taken
+    # that way, all three budgets gave cutoff 56, whose tail is 3.8e-16.
+    n, m, r = 2, 4, 0.5
+    d = required_cutoff(r, epsilon, modes=m, photons=n)
+    assert _input_tail(n, m, r, d) <= epsilon < _input_tail(n, m, r, d - 2)
+    weights, tail = sector_weights(r, epsilon, modes=m, photons=n)
+    assert d == n + 2 * (len(weights) - 1)
+    assert tail == pytest.approx(_input_tail(n, m, r, d), rel=1e-12)
+
+
+def test_sector_weights_are_the_negative_binomial_and_its_tail():
+    for n, m, r in ((1, 1, 0.5), (2, 4, 0.6), (3, 5, 1.0)):
+        weights, tail = sector_weights(r, 1e-8 * m, modes=m, photons=n)
+        t2, a = math.tanh(r) ** 2, m / 2.0 + n
+        expected = [math.exp(math.lgamma(k + a) - math.lgamma(a) - math.lgamma(k + 1))
+                    * (1.0 - t2) ** a * t2 ** k for k in range(len(weights))]
+        np.testing.assert_allclose(weights, expected, rtol=1e-12, atol=0.0)
+        assert math.fsum(weights) + tail == pytest.approx(1.0, abs=1e-15)
+    weights, tail = sector_weights(0.0, 1e-8, modes=3, photons=2)
+    assert weights.tolist() == [1.0] and tail == 0.0
+    # Kept from the recurrence: a distribution too wide for 100,000 terms,
+    # or one whose first term underflows, is refused rather than cut short.
+    for r, modes in ((12.0, 1), (18.0, 100)):
+        with pytest.raises(SizeLimitError, match="does not reach"):
+            required_cutoff(r, 1e-8, modes=modes)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.7])
+def test_passv_input_weights_each_total_by_the_closed_form(theta):
+    # Both variants put w_k(r) on total n + 2k and nothing on any other, for
+    # any squeezing phase, and the subtracted input is the added one times
+    # (-exp(i theta))^n, amplitude by amplitude.
+    n, m, r = 2, 3, 0.6
+    weights, _ = sector_weights(r, 1e-8, modes=m, photons=n)
+    d = n + 2 * (len(weights) - 1)
+    totals = _index_tables(m, d)[0].sum(axis=0, dtype=np.intp)
+    states = {}
+    for variant in (ADDED, SUBTRACTED):
+        states[variant] = build_passv_input(n, m, Squeezing(r, theta), variant, d)
+        mass = np.bincount(totals, weights=np.abs(states[variant].amplitudes) ** 2,
+                           minlength=d + 1)
+        assert np.max(np.abs(mass[n::2] - weights)) <= 1e-14
+        assert not np.any(mass[:n]) and not np.any(mass[n + 1::2])
+    phase = (-complex(math.cos(theta), math.sin(theta))) ** n
+    difference = states[SUBTRACTED].amplitudes - phase * states[ADDED].amplitudes
+    assert np.max(np.abs(difference)) <= 1e-15
+
+
 # ----------------------------------------------------------------- the state
 
 
@@ -325,7 +381,7 @@ def test_state_copy_is_independent():
 
 def test_occupation_table_is_lexicographic_and_looked_up():
     for m, d in ((1, 4), (2, 3), (3, 5), (4, 2)):
-        occupations, _ = _index_tables(m, d)
+        occupations = _index_tables(m, d)[0]
         columns = [tuple(c) for c in occupations.T.tolist()]
         expected = [t for t in itertools.product(range(d + 1), repeat=m) if sum(t) <= d]
         assert columns == expected  # itertools.product is lexicographic
@@ -341,10 +397,10 @@ def test_gather_orders_are_kept_for_at_most_m_minus_one_pairs():
     pairs = list(itertools.combinations(range(m), 2))
     for i, j in pairs:
         apply_beamsplitter(st, i, j, 0.3)
-    occupations, gathers = _index_tables(m, d)
+    occupations, bins, gathers = _index_tables(m, d)
     assert list(gathers) == pairs[-(m - 1):]
-    assert evolution._cached_bytes((occupations, gathers)) == (
-        occupations.nbytes + 4 * (m - 1) * occupations.shape[1])
+    assert evolution._cached_bytes((occupations, bins, gathers)) == (
+        occupations.nbytes + bins.nbytes + 4 * (m - 1) * occupations.shape[1])
 
 
 # ------------------------------------------------------------------- ladders
@@ -735,6 +791,27 @@ def test_parity_distribution_matches_a_loop_over_the_occupations():
     assert len(dist) == len(reference) == 2 ** m
     for pattern, p in reference.items():
         assert dist.probability(pattern) == pytest.approx(p, abs=1e-15)
+
+
+def test_parity_sectors_split_the_distribution_by_photon_total():
+    m, d = 3, 6
+    rng = np.random.default_rng(8)
+    size = math.comb(d + m, m)
+    st = TruncatedFockState(m, d, rng.standard_normal(size) + 1j * rng.standard_normal(size))
+    st.amplitudes /= 2.0 * np.linalg.norm(st.amplitudes)
+    occupations, bins, _ = _index_tables(m, d)
+    assert bins.dtype == np.min_scalar_type((d + 1) * 2 ** m - 1)
+    table = parity_sectors(st)
+    assert table.shape == (d + 1, 2 ** m)
+    reference = np.zeros_like(table)
+    for config, a in zip(occupations.T.tolist(), st.amplitudes):
+        column = int("".join(str(k % 2) for k in config), 2)
+        reference[sum(config), column] += abs(a) ** 2
+    np.testing.assert_allclose(table, reference, rtol=1e-13, atol=0.0)
+    dist = parity_distribution(st)
+    assert dist.keys == evolution._parity_keys(m)
+    np.testing.assert_allclose(dist.probabilities, table.sum(axis=0) / st.squared_norm(),
+                               rtol=1e-15, atol=0.0)
 
 
 def test_parity_of_squeezed_vacuum_is_all_even():

@@ -15,6 +15,7 @@ from passv.configurations import ParityPattern, collision_free_configurations, p
 from passv.errors import SizeLimitError, ValidationError
 from passv import experiments
 from passv.experiments import (
+    TOLERANCE_FLOOR,
     EquivalenceReport,
     brute_force_parity,
     comparison_tolerance,
@@ -22,8 +23,21 @@ from passv.experiments import (
     run_equivalence_experiment,
     squeezed_invariance_check,
 )
-from passv.evolution import ADDED, SUBTRACTED, required_cutoff
-from passv.networks import ORTHOGONAL, LinearNetwork, haar_special_orthogonal, haar_unitary
+from passv.evolution import (
+    ADDED,
+    SUBTRACTED,
+    apply_network,
+    build_passv_input,
+    parity_distribution,
+    required_cutoff,
+)
+from passv.networks import (
+    ORTHOGONAL,
+    LinearNetwork,
+    haar_special_orthogonal,
+    haar_unitary,
+    reck_decompose,
+)
 from passv.sampling import output_distribution, uniform_input
 
 
@@ -187,13 +201,59 @@ def test_report_draws_and_decomposes_its_network_once(monkeypatch):
 
 
 def test_report_rows_are_the_oracle_distributions():
-    report = run_equivalence_experiment(2, 3, [0.0, 0.4], seed=11)
-    for row, xi, cutoff, loss in zip(report.brute, report.xi_values, report.cutoffs,
-                                     report.truncation_loss):
-        parity, oracle_cutoff, oracle_loss = brute_force_parity(2, 3, xi, seed=11)
-        assert (oracle_cutoff, oracle_loss) == (cutoff, loss)
-        assert row == [parity.probability(p) for p in report.patterns]
-        assert len(parity) == 2 ** 3
+    # A one-xi report is brute_force_parity's own computation.
+    for n, m, xi, variant, seed in ((2, 3, 0.4, ADDED, 11), (3, 5, 0.3, SUBTRACTED, 7)):
+        report = run_equivalence_experiment(n, m, [xi], variant, seed=seed)
+        parity, cutoff, loss = brute_force_parity(n, m, xi, variant, seed=seed)
+        assert (report.cutoffs, report.truncation_loss) == ([cutoff], [loss])
+        assert report.brute[0] == [parity.probability(p) for p in report.patterns]
+        assert len(parity) == 2 ** m
+
+
+@pytest.mark.parametrize("seed", [7, 12, 33])
+@pytest.mark.parametrize("n, m, xi_values, variant", [
+    (2, 4, [0.0, 0.3, 0.6], ADDED), (3, 5, [0.3], SUBTRACTED), (1, 3, [0.2, 0.8], ADDED),
+])
+def test_report_rows_match_one_evolution_per_xi(n, m, xi_values, variant, seed):
+    # Every row of a multi-xi report is read from one state; evolving each xi
+    # on its own, at its own cutoff, gives the same rows up to rounding.
+    report = run_equivalence_experiment(n, m, xi_values, variant, seed=seed)
+    decomposition = reck_decompose(haar_special_orthogonal(m, seed))
+    for row, xi, cutoff in zip(report.brute, xi_values, report.cutoffs):
+        state = build_passv_input(n, m, xi, variant, cutoff)
+        apply_network(state, decomposition)
+        parity = parity_distribution(state)
+        expected = [parity.probability(p) for p in report.patterns]
+        assert np.max(np.abs(np.subtract(row, expected))) <= 1e-14
+
+
+def test_report_evolves_one_state_whatever_the_number_of_xi(monkeypatch):
+    calls = {"build_passv_input": 0, "apply_network": 0}
+    for name in calls:
+        def counted(*args, _original=getattr(experiments, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, name, counted)
+    for xi_values in ([0.3], [0.0, 0.3, 0.6], [0.6, 0.1, 0.4, 0.2, 0.5]):
+        calls.update(dict.fromkeys(calls, 0))
+        assert run_equivalence_experiment(2, 4, xi_values, seed=7).passes()
+        assert calls == {"build_passv_input": 1, "apply_network": 1}
+    calls.update(dict.fromkeys(calls, 0))
+    brute_force_parity(2, 4, 0.4, SUBTRACTED, seed=7)
+    assert calls == {"build_passv_input": 1, "apply_network": 1}
+
+
+@pytest.mark.parametrize("seed", [7, 12, 33])
+@pytest.mark.parametrize("n, m, xi_values, variant", [
+    (2, 4, [0.0, 0.3, 0.6], ADDED), (3, 5, [0.3], SUBTRACTED),
+])
+def test_every_evolved_sector_matches_the_permanents(n, m, xi_values, variant, seed):
+    # The claim holds in each photon total on its own, not only in the mix.
+    report = run_equivalence_experiment(n, m, xi_values, variant, seed=seed)
+    assert report.sector_deviation <= 1e-13
+    assert report.to_json_dict()["sector_deviation"] == report.sector_deviation
+    assert report.passes()
 
 
 def test_report_deviations_are_the_pairwise_maxima():
@@ -233,3 +293,6 @@ def test_report_passes_reflects_tolerance():
         **{**report.__dict__, "tolerance": report.max_deviation / 2.0}
     )
     assert not strict.passes()
+    # A sector off by more than the floor fails the report, whatever the budget.
+    off = EquivalenceReport(**{**report.__dict__, "sector_deviation": 2 * TOLERANCE_FLOOR})
+    assert not off.passes()
