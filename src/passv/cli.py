@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import logging
@@ -59,7 +60,9 @@ def _configure_logging(level: int):
     logger.setLevel(level)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first ``execute`` and reused by later ones."""
     parser = argparse.ArgumentParser(
         prog="passv",
         description="Permanent-based boson sampling and its parity-measurement "

@@ -123,21 +123,28 @@ def configuration_count(total_photons: int, modes: int) -> int:
     return math.comb(total_photons + modes - 1, total_photons)
 
 
-def bounded_occupations(modes: int, cutoff: int) -> np.ndarray:
+def bounded_occupations(modes: int, cutoff: int, parity: int | None = None) -> np.ndarray:
     """Every occupation tuple over ``modes`` with total <= ``cutoff``, as a (modes, K) table.
 
     Column k is tuple k, in lexicographic order with the first mode most
     significant, so the vacuum comes first and K = C(cutoff + modes, modes).
     A partial tuple with b photons left expands into b + 1 tuples, one per
-    occupation of the next mode. The dtype is the smallest unsigned integer
-    that holds ``cutoff``.
+    occupation of the next mode. With a ``parity`` (0 or 1), only the tuples
+    whose total has that parity are made: the last mode takes only the
+    levels that give it, every other level apart. The dtype is the smallest
+    unsigned integer that holds ``cutoff``.
     """
     table = np.zeros((0, 1), dtype=np.min_scalar_type(cutoff))
     left = np.array([cutoff])
-    for _ in range(modes):
-        counts = left + 1
+    for mode in range(modes):
+        if parity is None or mode < modes - 1:
+            first, step = np.zeros_like(left), 1
+        else:
+            first, step = (cutoff - left + parity) % 2, 2  # cutoff - left photons so far
+        counts = (left - first) // step + 1  # 0 when one photon is left short
         parent = np.repeat(np.arange(len(left)), counts)
-        level = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts, counts)
+        rank = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts, counts)
+        level = first[parent] + step * rank
         table = np.vstack((table[:, parent], level.astype(table.dtype)))
         left = left[parent] - level
     return table

@@ -1,13 +1,18 @@
 """Brute-force evolution of truncated multimode Fock states.
 
 A state over m modes holds one amplitude for every occupation tuple whose
-total photon number is at most the cutoff D: C(D+m, m) amplitudes in one
-flat vector, in lexicographic order with the first mode most significant.
+total photon number is at most the cutoff D, in one flat vector, in
+lexicographic order with the first mode most significant: C(D+m, m)
+amplitudes. A state whose amplitudes all have totals of one parity holds
+only the totals of that parity, about half as many; a product of mode
+vectors that each have only even or only odd levels is such a state, as
+are squeezed vacuum and every PASSV input, whose totals are n + 2k.
 Passive networks never move amplitude between photon totals, so nothing is
-lost while a network is applied. A two-mode mixer gathers, for each subtotal
-s of its pair, the (s+1) x G block of the pair's splits of s against the G
-occupations of the other modes that fit under D - s, rotates it with
-exp(theta K_s) and scatters it back. Each sector rotation is assembled from
+lost while a network is applied and the parity is kept. A two-mode mixer
+gathers, for each subtotal s of its pair, the (s+1) x G block of the pair's
+splits of s against the G occupations of the other modes that fit under
+D - s, rotates it with exp(theta K_s) and scatters it back. A network builds
+the sector rotations of all its mixers at once, one stack per subtotal, from
 an eigenbasis of the generator K_s that is computed once per s and cached.
 The only truncation is the input's mass above total D; for a PASSV input,
 ``sector_weights`` gives it, and the weight of every total, in closed form.
@@ -86,27 +91,39 @@ def as_squeezing(value) -> Squeezing:
     return Squeezing(float(value))
 
 
-def _state_bytes(modes: int, cutoff: int) -> int:
+def _amplitude_count(modes: int, cutoff: int, parity: int | None) -> int:
+    """Occupation tuples over ``modes`` with total <= ``cutoff``, of ``parity`` if one is set."""
+    if parity is None:
+        return math.comb(cutoff + modes, modes)
+    return sum(math.comb(total + modes - 1, total) for total in range(parity, cutoff + 1, 2))
+
+
+@lru_cache(maxsize=None)  # every _index_tables call asks, so every mixer does
+def _state_bytes(modes: int, cutoff: int, parity: int | None = None) -> int:
     """Bytes of every array a state over ``modes`` up to ``cutoff`` photons needs.
 
-    Per amplitude: the amplitude and one workspace (a copy, a mixer's sectors,
-    or the squares and widened bins of ``parity_sectors``), 16 bytes each;
-    one cached occupation per mode and one sector bin; one cached 4-byte
-    gather index for each of at most m - 1 mode pairs, as many as a Reck
-    network mixes (``_pair_gather`` holds no more).
+    Per stored amplitude (every total, or those of ``parity``): the amplitude
+    and one workspace (a copy, a mixer's sectors, or the squares and widened
+    bins of ``parity_sectors``), 16 bytes each; one cached occupation per
+    mode and one sector bin; one cached 4-byte gather index for each of at
+    most m - 1 mode pairs, as many as a Reck network mixes (``_pair_gather``
+    holds no more). Besides, the real sector rotations of a network's
+    m(m-1)/2 mixers, (s+1)^2 entries of 8 bytes for each subtotal s <= D.
     """
     bin_bytes = np.min_scalar_type(((cutoff + 1) << modes) - 1).itemsize
     per_amplitude = 32 + modes * np.min_scalar_type(cutoff).itemsize + bin_bytes + 4 * (modes - 1)
-    return math.comb(cutoff + modes, modes) * per_amplitude
+    rotation_entries = (cutoff + 1) * (cutoff + 2) * (2 * cutoff + 3) // 6  # sum of (s+1)^2
+    return (_amplitude_count(modes, cutoff, parity) * per_amplitude
+            + modes * (modes - 1) // 2 * rotation_entries * 8)
 
 
-def _check_state_size(modes: int, cutoff: int) -> None:
+def _check_state_size(modes: int, cutoff: int, parity: int | None = None) -> None:
     """Refuse a state whose arrays would exceed STATE_SIZE_LIMIT, before any is built."""
-    needed = _state_bytes(modes, cutoff)
+    needed = _state_bytes(modes, cutoff, parity)
     if needed > STATE_SIZE_LIMIT:
         raise SizeLimitError(
             f"a {modes}-mode state up to {cutoff} photons "
-            f"({math.comb(cutoff + modes, modes)} amplitudes) needs {needed} bytes, "
+            f"({_amplitude_count(modes, cutoff, parity)} amplitudes) needs {needed} bytes, "
             f"over the {STATE_SIZE_LIMIT} byte limit; reduce the squeezing or epsilon_tail"
         )
 
@@ -119,7 +136,7 @@ def _real_or_complex(values) -> np.ndarray:
     return values.real.astype(np.float64)
 
 
-_index_cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, dict]] = {}
+_index_cache: dict[tuple[int, int, int | None], tuple[np.ndarray, np.ndarray, dict]] = {}
 
 
 def _cached_bytes(entry: tuple[np.ndarray, np.ndarray, dict]) -> int:
@@ -127,22 +144,25 @@ def _cached_bytes(entry: tuple[np.ndarray, np.ndarray, dict]) -> int:
     return table.nbytes + bins.nbytes + sum(order.nbytes for order, _ in gathers.values())
 
 
-def _index_tables(modes: int, cutoff: int) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Occupation table, sector bins and a dict of the pairs' gather orders of (modes, cutoff).
+def _index_tables(modes: int, cutoff: int, parity: int | None = None
+                  ) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Occupation table, sector bins and a dict of the pairs' gather orders of a state layout.
 
-    The table is ``bounded_occupations(modes, cutoff)``, column k for amplitude
-    k, whose bin is its total times 2^m plus its parity pattern; ``_pair_gather``
-    fills the dict on first use. Entries are cached, least recently used first
-    out, and the others are evicted until they fit STATE_SIZE_LIMIT together
-    with everything this (modes, cutoff) state needs.
+    The table is ``bounded_occupations(modes, cutoff, parity)``: every total
+    up to the cutoff, or with a parity only the totals of that parity.
+    Column k is for amplitude k, whose bin is its total times 2^m plus its
+    parity pattern; ``_pair_gather`` fills the dict on first use. Entries
+    are cached per (modes, cutoff, parity), least recently used first out,
+    and the others are evicted until they fit STATE_SIZE_LIMIT together with
+    everything this state needs.
     """
-    key = (modes, cutoff)
+    key = (modes, cutoff, parity)
     entry = _index_cache.pop(key, None)
-    room = STATE_SIZE_LIMIT - _state_bytes(modes, cutoff)
+    room = STATE_SIZE_LIMIT - _state_bytes(modes, cutoff, parity)
     while _index_cache and sum(map(_cached_bytes, _index_cache.values())) > room:
         del _index_cache[next(iter(_index_cache))]
     if entry is None:
-        table = bounded_occupations(modes, cutoff)
+        table = bounded_occupations(modes, cutoff, parity)
         # Shifted once per mode: the total ends up times 2^m, mode 0's parity in bit m - 1.
         bins = table.sum(axis=0, dtype=np.min_scalar_type(((cutoff + 1) << modes) - 1))
         for level in table:
@@ -155,7 +175,8 @@ def _index_tables(modes: int, cutoff: int) -> tuple[np.ndarray, np.ndarray, dict
     return entry
 
 
-def _pair_gather(modes: int, cutoff: int, i: int, j: int) -> tuple[np.ndarray, list[int]]:
+def _pair_gather(modes: int, cutoff: int, parity: int | None, i: int, j: int
+                 ) -> tuple[np.ndarray, list[int]]:
     """Gather order and sector bounds of a mixer on modes (i, j).
 
     A stable sort by the pair's subtotal s, then by mode i's occupation, lays
@@ -163,9 +184,10 @@ def _pair_gather(modes: int, cutoff: int, i: int, j: int) -> tuple[np.ndarray, l
     a run the other modes keep their lexicographic order, which is the same
     in every run, so ``order[bounds[s]:bounds[s + 1]].reshape(s + 1, -1)``
     indexes the block that the sector rotation acts on, row p. At most
-    m - 1 pairs are kept, the oldest first out.
+    m - 1 pairs are kept, the oldest first out. A one-parity layout keeps the
+    runs equal: the other modes' total must have the parity of ``parity - s``.
     """
-    occupations, _, gathers = _index_tables(modes, cutoff)
+    occupations, _, gathers = _index_tables(modes, cutoff, parity)
     if (i, j) not in gathers:
         if len(gathers) >= modes - 1:
             del gathers[next(iter(gathers))]
@@ -181,10 +203,13 @@ class TruncatedFockState:
     """Amplitudes of the occupation tuples over ``modes`` with total <= ``cutoff``.
 
     ``amplitudes`` is flat, ordered like the columns of the occupation table
-    of ``_index_tables``; the vacuum comes first. It is float64 when every
-    given amplitude has a zero imaginary part and complex128 otherwise.
-    Mutated in place by the apply_* operations; callers that need the
-    original should ``copy()`` first.
+    of ``_index_tables(modes, cutoff, parity)``; the vacuum comes first when
+    it is held. ``parity`` is None for a state that holds every total, which
+    is what __init__ makes, or 0 or 1 for one that holds only the totals of
+    that parity, as ``from_product`` makes when the product has one. The
+    amplitudes are float64 when every given amplitude has a zero imaginary
+    part and complex128 otherwise. Mutated in place by the apply_*
+    operations; callers that need the original should ``copy()`` first.
     """
 
     def __init__(self, modes: int, cutoff: int, amplitudes: np.ndarray | None = None):
@@ -203,14 +228,26 @@ class TruncatedFockState:
                 raise ValidationError(
                     f"amplitude vector shape {amplitudes.shape} does not match {shape}"
                 )
-        self.modes, self.cutoff, self.amplitudes = modes, cutoff, amplitudes
+        self.modes, self.cutoff, self.parity, self.amplitudes = modes, cutoff, None, amplitudes
+
+    @classmethod
+    def _holding(cls, modes: int, cutoff: int, parity: int | None,
+                 amplitudes: np.ndarray) -> "TruncatedFockState":
+        """A state that takes over ``amplitudes``, already laid out for ``parity``."""
+        state = cls.__new__(cls)
+        state.modes, state.cutoff, state.parity, state.amplitudes = (
+            modes, cutoff, parity, amplitudes)
+        return state
 
     @classmethod
     def from_product(cls, vectors) -> "TruncatedFockState":
         """The product of one amplitude vector per mode (occupations 0..D), up to total D.
 
-        Formed AMPLITUDE_BLOCK amplitudes at a time into one fresh array, which
-        the state takes over without __init__'s copy. The product is float64
+        When every vector is nonzero only at even levels or only at odd ones,
+        every total of the product has one parity, and the state holds only
+        the totals of that parity; otherwise it holds every total. Formed
+        AMPLITUDE_BLOCK amplitudes at a time into one fresh array, which the
+        state takes over without __init__'s copy. The product is float64
         unless some vector has a nonzero imaginary part.
         """
         vectors = [_real_or_complex(v) for v in vectors]
@@ -220,10 +257,14 @@ class TruncatedFockState:
         if len(lengths) != 1 or vectors[0].ndim != 1:
             raise ValidationError("mode vectors must be 1-D and equally long")
         modes, cutoff = len(vectors), vectors[0].shape[0] - 1
-        _check_state_size(modes, cutoff)
+        level_parities = [set((np.flatnonzero(v) % 2).tolist()) for v in vectors]
+        parity = None
+        if all(len(found) <= 1 for found in level_parities):
+            parity = sum(sum(found) for found in level_parities) % 2
+        _check_state_size(modes, cutoff, parity)
         dtype = np.result_type(*vectors)
         vectors = [v.astype(dtype, copy=False) for v in vectors]
-        occupations = _index_tables(modes, cutoff)[0]
+        occupations = _index_tables(modes, cutoff, parity)[0]
         amplitudes = np.empty(occupations.shape[1], dtype=dtype)
         for start in range(0, len(amplitudes), AMPLITUDE_BLOCK):
             columns = occupations[:, start:start + AMPLITUDE_BLOCK]
@@ -231,12 +272,10 @@ class TruncatedFockState:
             for vector, levels in zip(vectors[1:], columns[1:]):
                 block *= vector[levels]
             amplitudes[start:start + AMPLITUDE_BLOCK] = block
-        state = cls.__new__(cls)
-        state.modes, state.cutoff, state.amplitudes = modes, cutoff, amplitudes
-        return state
+        return cls._holding(modes, cutoff, parity, amplitudes)
 
     def copy(self) -> "TruncatedFockState":
-        return TruncatedFockState(self.modes, self.cutoff, self.amplitudes)
+        return self._holding(self.modes, self.cutoff, self.parity, self.amplitudes.copy())
 
     def squared_norm(self) -> float:
         return float(np.vdot(self.amplitudes, self.amplitudes).real)
@@ -247,9 +286,9 @@ class TruncatedFockState:
             raise ValidationError(
                 f"configuration over {config.modes} modes does not match {self.modes}"
             )
-        if config.total > self.cutoff:
+        if config.total > self.cutoff or self.parity not in (None, config.total % 2):
             return 0.0 + 0.0j
-        table = _index_tables(self.modes, self.cutoff)[0]
+        table = _index_tables(self.modes, self.cutoff, self.parity)[0]
         (k,) = np.flatnonzero((table.T == config.occupations).all(axis=1))
         return complex(self.amplitudes[k])
 
@@ -259,8 +298,11 @@ def squeezed_vacuum_vector(xi, cutoff: int) -> tuple[np.ndarray, float]:
 
     Only even occupations are populated:
     c_{2k} = (-1)^k sqrt((2k)!) / (2^k k!) * exp(i k theta) tanh^k(r) / sqrt(cosh r),
-    evaluated by a stable term-ratio recurrence. The returned tail is the exact
-    squared mass of the discarded occupations above the cutoff.
+    evaluated by a stable term-ratio recurrence. The returned tail is the
+    squared mass of the occupations above the cutoff, |c_{2k}|^2 summed from
+    the terms above it as ``sector_weights`` does: each ratio is below
+    tanh^2 r, so terms are made until the rest is negligible. Where the kept
+    mass is under 1/2, 1 minus it is as exact, and is taken instead.
     """
     sq = as_squeezing(xi)
     if cutoff < 0:
@@ -268,19 +310,29 @@ def squeezed_vacuum_vector(xi, cutoff: int) -> tuple[np.ndarray, float]:
     vec = np.zeros(cutoff + 1, dtype=np.complex128)
     r, theta = sq.r, sq.theta
     c = complex(1.0 / math.sqrt(math.cosh(r)))
-    retained = 0.0
+    kept = []
     t = math.tanh(r)
     phase = complex(math.cos(theta), math.sin(theta))
     k = 0
     while 2 * k <= cutoff:
         vec[2 * k] = c
-        retained += abs(c) ** 2
+        kept.append(abs(c) ** 2)
         c = c * (-phase * t) * math.sqrt((2 * k + 1) * (2 * k + 2)) / (2.0 * (k + 1))
         k += 1
         if c == 0.0:
             break
-    tail = max(0.0, 1.0 - retained)
-    return vec, tail
+    t2 = t * t
+    if math.fsum(kept) < 0.5 or t2 >= 1.0:
+        return vec, max(0.0, 1.0 - math.fsum(kept))
+    terms, weight, rough = [], abs(c) ** 2, 0.0
+    while weight > 0.0:
+        terms.append(weight)
+        rough += weight
+        if weight * t2 / (1.0 - t2) <= 2.0 ** -53 * rough:
+            break
+        weight *= t2 * (2 * k + 1) / (2 * k + 2)
+        k += 1
+    return vec, math.fsum(terms)
 
 
 def sector_weights(xi, epsilon_tail: float = 1e-8, modes: int = 1,
@@ -350,7 +402,7 @@ def _apply_mode_factors(state: TruncatedFockState, mode: int, factors: np.ndarra
     factors = _real_or_complex(factors)
     if factors.dtype == np.complex128 and state.amplitudes.dtype == np.float64:
         state.amplitudes = state.amplitudes.astype(np.complex128)
-    state.amplitudes *= factors[_index_tables(state.modes, state.cutoff)[0][mode]]
+    state.amplitudes *= factors[_index_tables(state.modes, state.cutoff, state.parity)[0][mode]]
 
 
 def _sector_generator(total: int) -> np.ndarray:
@@ -379,13 +431,32 @@ def _sector_rotation(total: int, theta: float) -> np.ndarray:
     return ((u * np.exp(-1j * theta * w)) @ uh).real
 
 
-def apply_beamsplitter(state: TruncatedFockState, i: int, j: int,
-                       theta: float) -> TruncatedFockState:
+def _sector_rotations(thetas, cutoff: int) -> list[np.ndarray]:
+    """The rotations of every angle on every photon total N <= cutoff, one stack per N.
+
+    Stack N is a real, contiguous (E, N+1, N+1) array whose entry e equals
+    ``_sector_rotation(N, thetas[e])`` bit for bit: one exp, one broadcast
+    product and one matrix product per total, of the E (N+1) rows of the
+    scaled eigenvectors against u^H at once. The complex result is freed
+    once its real part is copied out.
+    """
+    thetas = np.asarray(thetas, dtype=np.float64)[:, None]
+    stacks = []
+    for total in range(cutoff + 1):
+        w, u, uh = _sector_eigenbasis(total)
+        rows = (u * np.exp(-1j * thetas * w)[:, None, :]).reshape(-1, total + 1)
+        stacks.append(np.ascontiguousarray((rows @ uh).real).reshape(-1, total + 1, total + 1))
+    return stacks
+
+
+def apply_beamsplitter(state: TruncatedFockState, i: int, j: int, theta: float, *,
+                       rotations: list[np.ndarray] | None = None) -> TruncatedFockState:
     """Mix modes i and j in place with the real rotation of angle theta.
 
-    Acts exactly within each two-mode photon-total sector with the rotation
-    built from that sector's cached eigenbasis. Every sector fits under the
-    cutoff, so the squared norm is kept.
+    Acts exactly within each two-mode photon-total sector N with the rotation
+    exp(theta K_N); ``rotations``, when given, holds those matrices for
+    N = 0..D, as ``apply_network`` builds them for all its mixers at once.
+    Every sector fits under the cutoff, so the squared norm is kept.
     The rotation is real, so it acts on a float64 view of the gathered block:
     the block itself for a real state, interleaved real and imaginary parts
     for a complex one; the state keeps its dtype.
@@ -395,17 +466,15 @@ def apply_beamsplitter(state: TruncatedFockState, i: int, j: int,
     if not (0 <= i < state.modes and 0 <= j < state.modes):
         raise ValidationError(f"modes ({i}, {j}) out of range for {state.modes} modes")
     d = state.cutoff
-    # Fill the caches before the loop: entries first built between the loop's
-    # temporaries would pin freed heap pages and raise the peak RSS.
-    for total in range(1, d + 1):
-        _sector_eigenbasis(total)
-    order, bounds = _pair_gather(state.modes, d, i, j)
+    if rotations is None:
+        rotations = [stack[0] for stack in _sector_rotations([theta], d)]
+    order, bounds = _pair_gather(state.modes, d, state.parity, i, j)
     a = state.amplitudes
     for total in range(1, d + 1):
         # One conversion to intp per sector; numpy would convert the cached
         # int32 order again on every fancy-index call.
         index = order[bounds[total]:bounds[total + 1]].astype(np.intp).reshape(total + 1, -1)
-        a[index] = (_sector_rotation(total, theta) @ a[index].view(np.float64)).view(a.dtype)
+        a[index] = (rotations[total] @ a[index].view(np.float64)).view(a.dtype)
     return state
 
 
@@ -415,9 +484,11 @@ def apply_network(state: TruncatedFockState,
 
     Elements are ordered as matrix factors, so they are applied back to
     front, after the residual diagonal, whose entries equal to exactly 1 are
-    skipped. Restricted to the single-photon sector this reproduces the
-    matrix action of ``reconstruct``. A real state stays real through real
-    elements and a residual of +-1.
+    skipped. The sector rotations of every element are built in one pass per
+    photon total before the first element is applied, and each element's
+    mixer is handed its own. Restricted to the single-photon sector this
+    reproduces the matrix action of ``reconstruct``. A real state stays real
+    through real elements and a residual of +-1.
     """
     if not isinstance(decomposition, ReckDecomposition):
         raise ValidationError("apply_network expects a ReckDecomposition")
@@ -426,15 +497,19 @@ def apply_network(state: TruncatedFockState,
             f"decomposition over {decomposition.dimension} modes does not match "
             f"{state.modes}-mode state"
         )
+    elements = decomposition.elements[::-1]
+    for el in elements:
+        if not isinstance(el, TwoModeElement):
+            raise ValidationError(f"network elements must be TwoModeElement, got {el!r}")
     levels = np.arange(state.cutoff + 1)
     for mode, z in enumerate(decomposition.residual):
         z = complex(z)
         if z != 1.0 + 0.0j:
             _apply_mode_factors(state, mode, z ** levels)
-    for el in reversed(decomposition.elements):
-        if not isinstance(el, TwoModeElement):
-            raise ValidationError(f"network elements must be TwoModeElement, got {el!r}")
-        apply_beamsplitter(state, el.i, el.j, el.theta)
+    stacks = _sector_rotations([el.theta for el in elements], state.cutoff)
+    for e, el in enumerate(elements):
+        apply_beamsplitter(state, el.i, el.j, el.theta,
+                           rotations=[stack[e] for stack in stacks])
         if el.phi:
             _apply_mode_factors(state, el.i, np.exp(1j * el.phi * levels))
     return state
@@ -489,9 +564,10 @@ def build_passv_input(total_photons: int, modes: int, xi, variant: str,
 def parity_sectors(state: TruncatedFockState) -> np.ndarray:
     """Squared amplitudes summed per photon total (row) and parity pattern (column).
 
-    Column bits, the first mode most significant, are set on odd modes.
+    Column bits, the first mode most significant, are set on odd modes. A
+    one-parity state's rows of the other parity are zero.
     """
-    bins = _index_tables(state.modes, state.cutoff)[1]
+    bins = _index_tables(state.modes, state.cutoff, state.parity)[1]
     probs = np.abs(state.amplitudes)
     probs **= 2
     table = np.bincount(bins, weights=probs, minlength=(state.cutoff + 1) << state.modes)
@@ -520,7 +596,8 @@ def parity_distribution(state: TruncatedFockState) -> OutputDistribution:
 def number_distribution(state: TruncatedFockState) -> OutputDistribution:
     """Joint photon-number probabilities over all retained occupation tuples.
 
-    One entry per amplitude in an array-backed table, whose ModeConfiguration
+    One entry per amplitude in an array-backed table (a one-parity state
+    holds only the tuples of its parity), whose ModeConfiguration
     keys are made only when a caller asks for them. States over
     SUPPORT_SIZE_LIMIT amplitudes are refused before the table is built.
     """
@@ -533,13 +610,27 @@ def number_distribution(state: TruncatedFockState) -> OutputDistribution:
     if norm2 <= 1e-300:
         raise ValidationError("number distribution is undefined for the zero state")
     probs = np.abs(state.amplitudes) ** 2 / norm2
-    occupations = _index_tables(state.modes, state.cutoff)[0]
+    occupations = _index_tables(state.modes, state.cutoff, state.parity)[0]
     return OutputDistribution(occupations=occupations.T, probabilities=probs)
 
 
 def state_overlap(a: TruncatedFockState, b: TruncatedFockState) -> complex:
-    """Inner product <a|b>, conjugating the first argument."""
+    """Inner product <a|b>, conjugating the first argument.
+
+    States of different layouts meet on the totals both hold: a state that
+    holds every total is read at the positions of the other's parity, and
+    states of opposite parities are orthogonal.
+    """
     if (a.modes, a.cutoff) != (b.modes, b.cutoff):
         raise ValidationError("states must share mode count and cutoff: "
                               f"({a.modes}, {a.cutoff}) vs ({b.modes}, {b.cutoff})")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
+    left, right = a.amplitudes, b.amplitudes
+    if a.parity != b.parity:
+        if None not in (a.parity, b.parity):
+            return 0j
+        totals = _index_tables(a.modes, a.cutoff)[1] >> a.modes
+        if a.parity is None:
+            left = left[totals % 2 == b.parity]
+        else:
+            right = right[totals % 2 == a.parity]
+    return complex(np.vdot(left, right))

@@ -204,7 +204,8 @@ def _checked_inputs(n: int, m: int, xi_values: list, variant: str, epsilon_tail:
 
     The oracle's range comes first, for all values; then, value by value, the
     weights and build_passv_input's checks; last, the size guard on the one
-    state evolved, at the largest cutoff.
+    state evolved, at the largest cutoff, which holds the totals of the
+    parity of n.
     """
     if not (1 <= n <= m):
         raise ValidationError(f"need 1 <= n <= m, got n={n}, m={m}")
@@ -224,7 +225,7 @@ def _checked_inputs(n: int, m: int, xi_values: list, variant: str, epsilon_tail:
         weights, tail = sector_weights(sq, budget, modes=m, photons=n)
         _check_passv_input(n, m, sq, variant)
         checked.append((sq, weights, tail, n + 2 * (len(weights) - 1)))
-    _check_state_size(m, max(cutoff for *_, cutoff in checked))
+    _check_state_size(m, max(cutoff for *_, cutoff in checked), n % 2)
     return checked
 
 

@@ -71,6 +71,19 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
 
 
+def test_one_parser_serves_every_invocation_of_a_process(tmp_path, capsys):
+    # The parser is built once, on the first execute, and a usage error
+    # between two runs leaves it as it was.
+    args = ["compare", "--n", "2", "--m", "3", "--xi", "0.2,0.5", "--seed", "4"]
+    first, first_out = _run(tmp_path, "first.json", args)
+    refused = execute(["compare", "--n", "2", "--m", "3", "--bogus", "1"])
+    again, again_out = _run(tmp_path, "again.json", args)
+    assert (first, refused, again) == (0, 1, 0)
+    assert first_out.read_bytes() == again_out.read_bytes()
+    assert cli._build_parser() is cli._build_parser()
+    capsys.readouterr()
+
+
 def test_missing_required_flag_exits_one(capsys):
     assert execute(["compare", "--n", "2", "--m", "3", "--xi", "0.0"]) == 1
     capsys.readouterr()
@@ -448,7 +461,7 @@ def test_largest_admitted_state_peaks_within_the_limit_and_the_next_exits_two(
         monkeypatch, capsys):
     n, m, xi, seed = 2, 4, 0.6, 7
     cutoff = required_cutoff(xi, 4e-8, modes=m, photons=n)
-    limit = evolution._state_bytes(m, cutoff)
+    limit = evolution._state_bytes(m, cutoff, n % 2)  # the input holds totals n + 2k only
     monkeypatch.setattr(evolution, "STATE_SIZE_LIMIT", limit)
     # Sector eigenbases are cached per photon total, not per amplitude.
     for total in range(1, cutoff + 3):
@@ -483,7 +496,7 @@ def test_cached_index_tables_and_the_next_state_share_the_limit(monkeypatch):
     xis = (0.51, 0.53, 0.56, 0.59)
     cutoffs = [required_cutoff(xi, 4e-8, modes=m, photons=n) for xi in xis]
     assert cutoffs == [32, 34, 36, 38]
-    limit = evolution._state_bytes(m, cutoffs[-1])
+    limit = evolution._state_bytes(m, cutoffs[-1], n % 2)
     monkeypatch.setattr(evolution, "STATE_SIZE_LIMIT", limit)
     for total in range(1, cutoffs[-1] + 1):
         evolution._sector_eigenbasis(total)
@@ -496,7 +509,7 @@ def test_cached_index_tables_and_the_next_state_share_the_limit(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= limit
-    assert (m, cutoffs[-1]) in evolution._index_cache  # the last state's tables stay warm
+    assert (m, cutoffs[-1], n % 2) in evolution._index_cache  # the last state's stay warm
 
 
 def test_unknown_log_level_is_a_usage_error(monkeypatch, capsys):

@@ -93,6 +93,41 @@ def test_array_form_rejects_duplicate_rows_naming_the_configuration():
         _array_table(np.vstack((rows, rows[7:8])), np.full(len(rows) + 1, 0.01))
 
 
+def _first_duplicate(rows) -> list | None:
+    ordered = sorted(map(tuple, rows))
+    return next((list(a) for a, b in zip(ordered, ordered[1:]) if a == b), None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.lists(st.integers(0, 6), min_size=3, max_size=3),
+                     min_size=0, max_size=40))
+def test_duplicate_row_is_the_first_repeat_in_lexicographic_order(rows):
+    # Narrow rows take the int64 keys; the same rows beside a column of 2^40
+    # are too wide for them and take the column sort, and must name the
+    # same first repeat.
+    narrow = np.array(rows, dtype=np.intp).reshape(-1, 3)
+    wide = np.hstack((narrow, np.full((len(narrow), 1), 2 ** 40, dtype=np.intp)))
+    assert 7 ** 3 < 2 ** 63 <= (2 ** 40 + 1) ** 4
+    expected = _first_duplicate(rows)
+    found = distributions._duplicate_row(narrow)
+    assert (found if found is None else found.tolist()) == expected
+    found = distributions._duplicate_row(wide)
+    assert (found if found is None else found[:3].tolist()) == expected
+
+
+def test_duplicate_row_key_widths():
+    # Rows with (max + 1)^m = 2^62 are keyed as one int64; a repeat in rows
+    # with (max + 1)^m >= 2^63 is still found, by the column sort.
+    fits = np.array([[0, 3], [2, 1], [0, 3], [2, 1]]) * (2 ** 31 - 1) // 3
+    assert (int(fits.max()) + 1) ** 2 == 2 ** 62
+    assert distributions._duplicate_row(fits).tolist() == fits[0].tolist()
+    assert distributions._duplicate_row(np.array([[2 ** 62, 0], [0, 1]])) is None
+    wide = np.array([[5, 2 ** 62], [1, 2 ** 62], [5, 2 ** 62], [1, 2 ** 62]])
+    assert distributions._duplicate_row(wide).tolist() == [1, 2 ** 62]
+    with pytest.raises(ValidationError, match=r"duplicate .*\(1, 4611686018427387904\)"):
+        _array_table(wide, [0.25] * 4)
+
+
 def test_array_form_rejects_negative_entries_naming_the_key_and_clamps_noise():
     with pytest.raises(ValidationError, match=r"-0.25 for key .*\(0, 1\)"):
         _array_table([[1, 0], [0, 1]], [0.5, -0.25])

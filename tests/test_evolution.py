@@ -51,6 +51,7 @@ from passv.evolution import (
     _index_tables,
     _sector_generator,
     _sector_rotation,
+    _sector_rotations,
 )
 from passv.networks import (
     ReckDecomposition,
@@ -155,6 +156,21 @@ def test_squeezed_vector_frozen_values():
 def test_squeezed_vector_tail_frozen_value():
     _, tail = squeezed_vacuum_vector(0.5, 6)
     assert tail == pytest.approx(TAIL_HALF_D6, rel=1e-10)
+
+
+def test_squeezed_vector_tail_is_summed_from_the_terms_above():
+    # |c_2k|^2 = C(2k, k) (t/2)^(2k) / cosh r, summed above the cutoff through
+    # log-gamma. 1 minus the kept mass cannot resolve these: it gives 0.0 at
+    # D = 50 and 1.110e-15 at D = 40.
+    r = 0.5
+    t2 = math.tanh(r) ** 2
+    for d, expected in ((50, 4.56e-19), (40, 1.140e-15)):
+        exact = math.fsum(
+            math.exp(math.lgamma(2 * k + 1) - 2 * math.lgamma(k + 1) + k * math.log(t2 / 4.0))
+            / math.cosh(r) for k in range(d // 2 + 1, d // 2 + 400))
+        _, tail = squeezed_vacuum_vector(r, d)
+        assert exact == pytest.approx(expected, rel=2e-3)
+        assert tail == pytest.approx(exact, rel=1e-12)
 
 
 def test_squeezed_vector_matches_factorial_formula():
@@ -296,7 +312,7 @@ def test_passv_input_weights_each_total_by_the_closed_form(theta):
     n, m, r = 2, 3, 0.6
     weights, _ = sector_weights(r, 1e-8, modes=m, photons=n)
     d = n + 2 * (len(weights) - 1)
-    totals = _index_tables(m, d)[0].sum(axis=0, dtype=np.intp)
+    totals = _index_tables(m, d, n % 2)[0].sum(axis=0, dtype=np.intp)
     states = {}
     for variant in (ADDED, SUBTRACTED):
         states[variant] = build_passv_input(n, m, Squeezing(r, theta), variant, d)
@@ -357,11 +373,11 @@ def test_from_product_does_not_alias_the_mode_vectors():
 
 
 def test_passv_input_preparation_holds_one_state():
-    # C(123, 3) amplitudes, 4.8 MB: the ladders act on mode vectors and the
-    # product is formed a block at a time into the state's own array. The
-    # occupation table is the index cache's, so it is built first.
-    _index_tables(3, 120)
-    state_bytes = math.comb(123, 3) * 16
+    # The 153,171 amplitudes of even total up to 120, 2.5 MB at 16 bytes: the
+    # ladders act on mode vectors and the product is formed a block at a time
+    # into the state's own array. The occupation table is the index cache's,
+    # so it is built first.
+    state_bytes = _index_tables(3, 120, 0)[0].shape[1] * 16
     tracemalloc.start()
     try:
         build_passv_input(2, 3, 0.5, ADDED, 120)
@@ -397,7 +413,8 @@ def test_gather_orders_are_kept_for_at_most_m_minus_one_pairs():
     pairs = list(itertools.combinations(range(m), 2))
     for i, j in pairs:
         apply_beamsplitter(st, i, j, 0.3)
-    occupations, bins, gathers = _index_tables(m, d)
+    occupations, bins, gathers = _index_tables(m, d, st.parity)
+    assert st.parity == 0
     assert list(gathers) == pairs[-(m - 1):]
     assert evolution._cached_bytes((occupations, bins, gathers)) == (
         occupations.nbytes + bins.nbytes + 4 * (m - 1) * occupations.shape[1])
@@ -529,7 +546,7 @@ def test_splitter_conserves_photon_number_sectors():
     d = 5
     st = _fock((2, 1), d)
     apply_beamsplitter(st, 0, 1, 0.3)
-    for (p, q), value in zip(_index_tables(2, d)[0].T.tolist(), st.amplitudes):
+    for (p, q), value in zip(_index_tables(2, d, st.parity)[0].T.tolist(), st.amplitudes):
         if p + q != 3:
             assert value == 0.0
     assert st.squared_norm() == pytest.approx(1.0, abs=1e-13)
@@ -625,7 +642,7 @@ def test_network_keeps_the_norm_of_every_photon_total(variant, seed):
     st = build_passv_input(n, m, 0.6, variant, d)
     loss = 1.0 - st.squared_norm()
     assert loss == pytest.approx(_input_tail(n, m, 0.6, d), abs=1e-14)
-    totals = _index_tables(m, d)[0].sum(axis=0, dtype=np.intp)
+    totals = _index_tables(m, d, st.parity)[0].sum(axis=0, dtype=np.intp)
     before = np.bincount(totals, weights=np.abs(st.amplitudes) ** 2, minlength=d + 1)
     apply_network(st, reck_decompose(haar_special_orthogonal(m, seed)))
     after = np.bincount(totals, weights=np.abs(st.amplitudes) ** 2, minlength=d + 1)
@@ -667,7 +684,8 @@ def test_complex_squeezing_and_unitary_networks_give_complex_states():
     # The same evolution of a state that starts complex: one small imaginary
     # amplitude keeps it complex128 from the start.
     reference[-1] += 1e-300j
-    started_complex = TruncatedFockState(3, 8, reference)
+    started_complex = build_passv_input(2, 3, 0.5, ADDED, 8)
+    started_complex.amplitudes = reference
     assert started_complex.amplitudes.dtype == np.complex128
     apply_network(started_complex, dec)
     assert np.max(np.abs(st.amplitudes - started_complex.amplitudes)) <= 1e-14
@@ -732,8 +750,9 @@ def test_squeezed_product_loss_accounting():
 
 def test_passv_input_at_zero_squeezing_is_fock_state():
     st = build_passv_input(2, 3, 0.0, ADDED, 2)
-    expected = np.zeros(math.comb(5, 3), dtype=complex)
-    expected[_index_tables(3, 2)[0].T.tolist().index([1, 1, 0])] = 1.0
+    assert st.parity == 0  # totals 0 and 2: C(2, 2) + C(4, 2) amplitudes
+    expected = np.zeros(math.comb(2, 2) + math.comb(4, 2), dtype=complex)
+    expected[_index_tables(3, 2, 0)[0].T.tolist().index([1, 1, 0])] = 1.0
     np.testing.assert_allclose(st.amplitudes, expected, atol=1e-14)
     assert st.squared_norm() == 1.0
 
@@ -847,14 +866,14 @@ def test_number_distribution_added_one_mode():
 
 
 def test_number_distribution_refuses_states_over_the_support_limit(monkeypatch):
-    st = build_passv_input(1, 2, 0.3, ADDED, 3)  # C(5, 2) = 10 amplitudes
-    monkeypatch.setattr(evolution, "SUPPORT_SIZE_LIMIT", 10)
-    assert len(number_distribution(st)) == 10
+    st = build_passv_input(1, 2, 0.3, ADDED, 3)  # odd totals 1 and 3: 2 + 4 amplitudes
+    monkeypatch.setattr(evolution, "SUPPORT_SIZE_LIMIT", 6)
+    assert len(number_distribution(st)) == 6
 
     def no_keys(_):
         raise AssertionError("keys built before the size guard")
 
-    monkeypatch.setattr(evolution, "SUPPORT_SIZE_LIMIT", 9)
+    monkeypatch.setattr(evolution, "SUPPORT_SIZE_LIMIT", 5)
     monkeypatch.setattr(distributions, "configurations_from_array", no_keys)
     with pytest.raises(SizeLimitError):
         number_distribution(st)
@@ -870,7 +889,7 @@ def test_number_distribution_builds_no_keys_for_length_and_probabilities(monkeyp
 
     monkeypatch.setattr(distributions, "configurations_from_array", no_keys)
     dist = number_distribution(st)
-    assert len(dist) == 10
+    assert len(dist) == 6
     assert dist.probabilities.tolist() == reference.probabilities.tolist()
     assert dist.total() == reference.total()
     assert dist.occupations.tolist() == keys
@@ -889,8 +908,97 @@ def test_overlap_of_prepared_states():
     assert state_overlap(sq, sq).real == pytest.approx(1.0, abs=1e-12)
 
 
+def test_overlap_meets_layouts_on_the_totals_both_hold():
+    # A one-parity state and the same amplitudes in an all-totals state: each
+    # is read on the other's totals, and opposite parities are orthogonal.
+    m, d = 3, 8
+    odd = _fock((2, 1, 0), d)
+    even = build_squeezed_product(m, 0.5, d)
+    assert (odd.parity, even.parity) == (1, 0)
+    held = _all_totals(even)
+    for a, b in ((held, even), (even, held), (even, even)):
+        assert state_overlap(a, b) == pytest.approx(even.squared_norm(), abs=1e-15)
+    assert state_overlap(held, odd) == 0.0
+    assert state_overlap(odd, even) == 0.0
+    assert state_overlap(TruncatedFockState(m, d), even) == pytest.approx(
+        even.amplitudes[0], abs=1e-15)
+
+
 def test_overlap_requires_matching_shapes():
     with pytest.raises(ValidationError):
         state_overlap(TruncatedFockState(1, 2), TruncatedFockState(1, 3))
     with pytest.raises(ValidationError):
         state_overlap(TruncatedFockState(1, 2), TruncatedFockState(2, 2))
+
+
+# --------------------------------------------------------- one-parity states
+
+
+def _all_totals(state: TruncatedFockState) -> TruncatedFockState:
+    """The amplitudes of a one-parity state, held in a state of every total."""
+    totals = _index_tables(state.modes, state.cutoff)[1] >> state.modes
+    full = np.zeros(math.comb(state.cutoff + state.modes, state.modes), state.amplitudes.dtype)
+    full[totals % 2 == state.parity] = state.amplitudes
+    return TruncatedFockState(state.modes, state.cutoff, full)
+
+
+def test_one_parity_table_is_the_full_table_of_that_parity():
+    for m, d in ((1, 5), (2, 4), (3, 7), (5, 6)):
+        full = _index_tables(m, d)[0]
+        for parity in (0, 1):
+            table, bins, _ = _index_tables(m, d, parity)
+            kept = full.sum(axis=0) % 2 == parity
+            np.testing.assert_array_equal(table, full[:, kept])
+            np.testing.assert_array_equal(bins, _index_tables(m, d)[1][kept])
+            assert len(table[0]) == evolution._amplitude_count(m, d, parity)
+
+
+def test_from_product_infers_the_parity_of_its_totals():
+    assert build_squeezed_product(3, 0.5, 10).parity == 0
+    for n, m, variant in ((1, 3, ADDED), (2, 4, SUBTRACTED), (3, 5, ADDED)):
+        assert build_passv_input(n, m, 0.4, variant, n + 6).parity == n % 2
+    assert _fock((2, 1, 1), 5).parity == 0 and _fock((0, 3), 5).parity == 1
+    vec, _ = squeezed_vacuum_vector(0.5, 6)
+    mixed = vec + 0.1 * np.eye(7)[1]
+    for vectors in ([mixed, vec], [np.ones(4)] * 2):
+        state = TruncatedFockState.from_product(vectors)
+        assert state.parity is None
+        assert len(state.amplitudes) == math.comb(len(vectors[0]) + 1, 2)
+    assert TruncatedFockState(2, 3).parity is None
+
+
+@pytest.mark.parametrize("n, m, r", [(2, 4, 0.6), (3, 5, 0.5), (1, 3, 0.8)])
+@pytest.mark.parametrize("variant", [ADDED, SUBTRACTED])
+def test_one_parity_states_evolve_like_their_all_totals_copies(n, m, r, variant):
+    d = required_cutoff(r, m * 1e-8, modes=m, photons=n)
+    one = build_passv_input(n, m, r, variant, d)
+    kept = (_index_tables(m, d)[1] >> m) % 2 == n % 2
+    for seed in (7, 12, 33):
+        state, held = one.copy(), _all_totals(one)
+        dec = reck_decompose(haar_special_orthogonal(m, seed))
+        apply_network(state, dec)
+        apply_network(held, dec)
+        assert np.max(np.abs(held.amplitudes[kept] - state.amplitudes)) <= 1e-15
+        assert not np.any(held.amplitudes[~kept])
+        assert np.max(np.abs(parity_sectors(held) - parity_sectors(state))) <= 1e-15
+
+
+@pytest.mark.parametrize("count, cutoff", [(6, 38), (10, 21)])
+def test_network_rotation_stacks_equal_the_single_rotations_bit_for_bit(count, cutoff):
+    thetas = np.random.default_rng(count).uniform(-math.pi, math.pi, count)
+    stacks = _sector_rotations(thetas, cutoff)
+    assert len(stacks) == cutoff + 1
+    for total, stack in enumerate(stacks):
+        assert stack.shape == (count, total + 1, total + 1)
+        assert stack.dtype == np.float64 and stack.flags.c_contiguous
+        for rotation, theta in zip(stack, thetas):
+            np.testing.assert_array_equal(rotation, _sector_rotation(total, theta))
+
+
+def test_size_guard_counts_the_stored_parity_and_the_rotations():
+    m, d = 4, 38
+    rotations = 6 * sum((s + 1) ** 2 for s in range(d + 1)) * 8
+    per_amplitude = 32 + m + 2 + 4 * (m - 1)
+    for parity, amplitudes in ((None, math.comb(d + m, m)), (0, 58_730), (1, 53_200)):
+        assert evolution._amplitude_count(m, d, parity) == amplitudes
+        assert evolution._state_bytes(m, d, parity) == amplitudes * per_amplitude + rotations
