@@ -288,8 +288,6 @@ def _parse_xi_list(text: str) -> list[float]:
         values = [float(part) for part in str(text).split(",")]
     except ValueError as exc:
         raise ValidationError(f"cannot parse --xi list {text!r}") from exc
-    if not values:
-        raise ValidationError("--xi needs at least one value")
     return values
 
 

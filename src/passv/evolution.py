@@ -13,9 +13,11 @@ gathers, for each subtotal s of its pair, the (s+1) x G block of the pair's
 splits of s against the G occupations of the other modes that fit under
 D - s, rotates it with exp(theta K_s) and scatters it back. A network builds
 the sector rotations of all its mixers at once, one stack per subtotal, from
-an eigenbasis of the generator K_s that is computed once per s and cached.
-The only truncation is the input's mass above total D; for a PASSV input,
-``sector_weights`` gives it, and the weight of every total, in closed form.
+an eigenbasis of the generator K_s. One layout is held at a time, with the
+eigenbases up to its cutoff: STATE_SIZE_LIMIT counts it with one state, its
+workspace and one network's rotations. The only truncation is the input's
+mass above total D; for a PASSV input, ``sector_weights`` gives it, and the
+weight of every total, in closed form.
 
 A state's dtype follows its inputs: float64 when every amplitude it is built
 from has a zero imaginary part, complex128 otherwise. Sector rotations are
@@ -31,9 +33,9 @@ a state, and the residual diagonal acts first of all.
 
 from __future__ import annotations
 
+import bisect
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -98,23 +100,27 @@ def _amplitude_count(modes: int, cutoff: int, parity: int | None) -> int:
     return sum(math.comb(total + modes - 1, total) for total in range(parity, cutoff + 1, 2))
 
 
-@lru_cache(maxsize=None)  # every _index_tables call asks, so every mixer does
 def _state_bytes(modes: int, cutoff: int, parity: int | None = None) -> int:
     """Bytes of every array a state over ``modes`` up to ``cutoff`` photons needs.
 
     Per stored amplitude (every total, or those of ``parity``): the amplitude
     and one workspace (a copy, a mixer's sectors, or the squares and widened
-    bins of ``parity_sectors``), 16 bytes each; one cached occupation per
-    mode and one sector bin; one cached 4-byte gather index for each of at
-    most m - 1 mode pairs, as many as a Reck network mixes (``_pair_gather``
-    holds no more). Besides, the real sector rotations of a network's
-    m(m-1)/2 mixers, (s+1)^2 entries of 8 bytes for each subtotal s <= D.
+    bins of ``parity_sectors``), 16 bytes each; one held occupation per mode
+    and one sector bin; one held 4-byte gather index for each of at most
+    m - 1 mode pairs, as many as a Reck network mixes (``_pair_gather`` holds
+    no more). Per subtotal s <= D: 8 E (s+1)^2 bytes of real rotations for a
+    network's E = m(m-1)/2 mixers, the held eigenbasis (u, u^H and w),
+    32 (s+1)^2 + 8 (s+1), and under 1 KB of array objects. Besides, the top
+    total's complex temporaries: the stack and product, 32 E (D+1)^2, or
+    before them 1j K, eigh's copy and workspaces, under 64 (D+1)^2.
     """
     bin_bytes = np.min_scalar_type(((cutoff + 1) << modes) - 1).itemsize
     per_amplitude = 32 + modes * np.min_scalar_type(cutoff).itemsize + bin_bytes + 4 * (modes - 1)
-    rotation_entries = (cutoff + 1) * (cutoff + 2) * (2 * cutoff + 3) // 6  # sum of (s+1)^2
+    mixers = modes * (modes - 1) // 2
+    squares = (cutoff + 1) * (cutoff + 2) * (2 * cutoff + 3) // 6  # sum of (s+1)^2
     return (_amplitude_count(modes, cutoff, parity) * per_amplitude
-            + modes * (modes - 1) // 2 * rotation_entries * 8)
+            + (8 * mixers + 32) * squares + (4 * cutoff + 1032) * (cutoff + 1)
+            + 32 * (mixers + 2) * (cutoff + 1) ** 2)
 
 
 def _check_state_size(modes: int, cutoff: int, parity: int | None = None) -> None:
@@ -124,7 +130,7 @@ def _check_state_size(modes: int, cutoff: int, parity: int | None = None) -> Non
         raise SizeLimitError(
             f"a {modes}-mode state up to {cutoff} photons "
             f"({_amplitude_count(modes, cutoff, parity)} amplitudes) needs {needed} bytes, "
-            f"over the {STATE_SIZE_LIMIT} byte limit; reduce the squeezing or epsilon_tail"
+            f"over the {STATE_SIZE_LIMIT} byte limit; reduce the squeezing or raise epsilon_tail"
         )
 
 
@@ -136,12 +142,17 @@ def _real_or_complex(values) -> np.ndarray:
     return values.real.astype(np.float64)
 
 
-_index_cache: dict[tuple[int, int, int | None], tuple[np.ndarray, np.ndarray, dict]] = {}
+@dataclass
+class _Slot:
+    """The layout held: its (modes, cutoff, parity) ``key``, its ``_index_tables``
+    and the sector eigenbases of photon totals 0, 1, ... up to its cutoff."""
+
+    key: tuple[int, int, int | None] | None = None
+    tables: tuple = ()
+    eigenbases: list = field(default_factory=list)
 
 
-def _cached_bytes(entry: tuple[np.ndarray, np.ndarray, dict]) -> int:
-    table, bins, gathers = entry
-    return table.nbytes + bins.nbytes + sum(order.nbytes for order, _ in gathers.values())
+_slot = _Slot()
 
 
 def _index_tables(modes: int, cutoff: int, parity: int | None = None
@@ -151,17 +162,14 @@ def _index_tables(modes: int, cutoff: int, parity: int | None = None
     The table is ``bounded_occupations(modes, cutoff, parity)``: every total
     up to the cutoff, or with a parity only the totals of that parity.
     Column k is for amplitude k, whose bin is its total times 2^m plus its
-    parity pattern; ``_pair_gather`` fills the dict on first use. Entries
-    are cached per (modes, cutoff, parity), least recently used first out,
-    and the others are evicted until they fit STATE_SIZE_LIMIT together with
-    everything this state needs.
+    parity pattern; ``_pair_gather`` fills the dict on first use. Only the
+    layout in use is held: a different one drops it, and the eigenbases of
+    totals above its own cutoff, before it is built.
     """
     key = (modes, cutoff, parity)
-    entry = _index_cache.pop(key, None)
-    room = STATE_SIZE_LIMIT - _state_bytes(modes, cutoff, parity)
-    while _index_cache and sum(map(_cached_bytes, _index_cache.values())) > room:
-        del _index_cache[next(iter(_index_cache))]
-    if entry is None:
+    if _slot.key != key:
+        _slot.key, _slot.tables = None, ()
+        del _slot.eigenbases[cutoff + 1:]
         table = bounded_occupations(modes, cutoff, parity)
         # Shifted once per mode: the total ends up times 2^m, mode 0's parity in bit m - 1.
         bins = table.sum(axis=0, dtype=np.min_scalar_type(((cutoff + 1) << modes) - 1))
@@ -170,9 +178,8 @@ def _index_tables(modes: int, cutoff: int, parity: int | None = None
             bins |= level & 1
         for array in (table, bins):
             array.flags.writeable = False
-        entry = table, bins, {}
-    _index_cache[key] = entry
-    return entry
+        _slot.key, _slot.tables = key, (table, bins, {})
+    return _slot.tables
 
 
 def _pair_gather(modes: int, cutoff: int, parity: int | None, i: int, j: int
@@ -361,7 +368,9 @@ def sector_weights(xi, epsilon_tail: float = 1e-8, modes: int = 1,
         q = t2 * max(1.0, (k + a) / (k + 1.0))
         rest = terms[-1] * q / (1.0 - q) if q < 1.0 else math.inf
         if top is None and rest <= 2.0 ** -53 * epsilon_tail:
-            top = next(j for j in range(k + 1) if math.fsum(terms[j + 1:]) <= epsilon_tail)
+            # The rounded suffix sums fall with j, so the first that fits is bisected for.
+            top = bisect.bisect_left(range(k + 1), True,
+                                     key=lambda j: math.fsum(terms[j + 1:]) <= epsilon_tail)
         if top is not None and rest <= 2.0 ** -53 * math.fsum(terms[top + 1:]):
             return np.array(terms[:top + 1]), math.fsum(terms[top + 1:])
         terms.append(terms[-1] * (t2 * (k + a) / (k + 1.0)))
@@ -411,41 +420,27 @@ def _sector_generator(total: int) -> np.ndarray:
     return np.diag(w, -1) - np.diag(w, 1)
 
 
-@lru_cache(maxsize=None)
-def _sector_eigenbasis(total: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenvalues w, unitary eigenvectors u and u^H of the Hermitian 1j * K_N.
-
-    Then exp(theta K_N) = u diag(exp(-1j theta w)) u^H for every theta. The
-    eigenvalues are the integers N - 2p, so eigh is well conditioned.
-    """
-    w, u = np.linalg.eigh(1j * _sector_generator(total))
-    uh = np.ascontiguousarray(u.conj().T)
-    for array in (w, u, uh):
-        array.flags.writeable = False
-    return w, u, uh
-
-
-def _sector_rotation(total: int, theta: float) -> np.ndarray:
-    """The real orthogonal matrix exp(theta K_N) of a mixer on photon total N."""
-    w, u, uh = _sector_eigenbasis(total)
-    return ((u * np.exp(-1j * theta * w)) @ uh).real
-
-
 def _sector_rotations(thetas, cutoff: int) -> list[np.ndarray]:
-    """The rotations of every angle on every photon total N <= cutoff, one stack per N.
+    """The rotations exp(theta K_N) of every angle on every photon total N <= cutoff.
 
-    Stack N is a real, contiguous (E, N+1, N+1) array whose entry e equals
-    ``_sector_rotation(N, thetas[e])`` bit for bit: one exp, one broadcast
-    product and one matrix product per total, of the E (N+1) rows of the
-    scaled eigenvectors against u^H at once. The complex result is freed
-    once its real part is copied out.
+    Stack N is a real, contiguous (E, N+1, N+1) array, u diag(exp(-1j theta_e w))
+    u^H at entry e, from the eigenvalues w (the integers N - 2p, so eigh is well
+    conditioned) and unitary eigenvectors u of 1j K_N: one exp, one broadcast
+    product and one matrix product per total, freed once the real part is
+    copied out. Eigenbases up to the held layout's cutoff stay held; callers
+    fetch the state's layout first.
     """
+    held = _slot.eigenbases
+    for total in range(len(held), cutoff + 1):
+        w, u = np.linalg.eigh(1j * _sector_generator(total))
+        held.append((w, u, np.ascontiguousarray(u.conj().T)))
     thetas = np.asarray(thetas, dtype=np.float64)[:, None]
     stacks = []
-    for total in range(cutoff + 1):
-        w, u, uh = _sector_eigenbasis(total)
+    for total, (w, u, uh) in enumerate(held[:cutoff + 1]):
         rows = (u * np.exp(-1j * thetas * w)[:, None, :]).reshape(-1, total + 1)
         stacks.append(np.ascontiguousarray((rows @ uh).real).reshape(-1, total + 1, total + 1))
+        del rows
+    del held[_slot.key[1] + 1 if _slot.key else 0:]  # none above the held layout's cutoff
     return stacks
 
 
@@ -466,12 +461,12 @@ def apply_beamsplitter(state: TruncatedFockState, i: int, j: int, theta: float, 
     if not (0 <= i < state.modes and 0 <= j < state.modes):
         raise ValidationError(f"modes ({i}, {j}) out of range for {state.modes} modes")
     d = state.cutoff
+    order, bounds = _pair_gather(state.modes, d, state.parity, i, j)
     if rotations is None:
         rotations = [stack[0] for stack in _sector_rotations([theta], d)]
-    order, bounds = _pair_gather(state.modes, d, state.parity, i, j)
     a = state.amplitudes
     for total in range(1, d + 1):
-        # One conversion to intp per sector; numpy would convert the cached
+        # One conversion to intp per sector; numpy would convert the held
         # int32 order again on every fancy-index call.
         index = order[bounds[total]:bounds[total + 1]].astype(np.intp).reshape(total + 1, -1)
         a[index] = (rotations[total] @ a[index].view(np.float64)).view(a.dtype)
@@ -506,6 +501,8 @@ def apply_network(state: TruncatedFockState,
         z = complex(z)
         if z != 1.0 + 0.0j:
             _apply_mode_factors(state, mode, z ** levels)
+    # The state's layout first, so that its rotations are never built beside another.
+    _index_tables(state.modes, state.cutoff, state.parity)
     stacks = _sector_rotations([el.theta for el in elements], state.cutoff)
     for e, el in enumerate(elements):
         apply_beamsplitter(state, el.i, el.j, el.theta,

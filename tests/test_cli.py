@@ -406,9 +406,25 @@ def test_compare_oracle_size_limit_exits_two_with_hint(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "size limit" in err
-    assert "reduce the squeezing or epsilon_tail" in err
+    assert "reduce the squeezing or raise epsilon_tail" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_following_the_size_limit_hint_admits_the_run(tmp_path, capsys):
+    # D = 67 at the default budget 1e-8 is refused; a raised budget gives
+    # D = 53, which runs, where a lowered one would need D = 79.
+    args = ["compare", "--n", "3", "--m", "5", "--xi", "0.8", "--variant", "subtracted",
+            "--seed", "7"]
+    code, out = _run(tmp_path, "refused.json", args + ["--epsilon-tail", "1e-10"])
+    assert code == 2 and not out.exists()
+    code, out = _run(tmp_path, "refused.json", args)
+    assert code == 2 and not out.exists()
+    assert "raise epsilon_tail" in capsys.readouterr().err
+    code, out = _run(tmp_path, "report.json", args + ["--epsilon-tail", "1e-6"])
+    assert code == 0
+    report = json.loads(out.read_text())["report"]
+    assert report["passes"] is True and report["cutoffs"] == [53]
 
 
 @pytest.mark.parametrize("subcommand", ["compare", "sample-passv"])
@@ -463,14 +479,11 @@ def test_largest_admitted_state_peaks_within_the_limit_and_the_next_exits_two(
     cutoff = required_cutoff(xi, 4e-8, modes=m, photons=n)
     limit = evolution._state_bytes(m, cutoff, n % 2)  # the input holds totals n + 2k only
     monkeypatch.setattr(evolution, "STATE_SIZE_LIMIT", limit)
-    # Sector eigenbases are cached per photon total, not per amplitude.
-    for total in range(1, cutoff + 3):
-        evolution._sector_eigenbasis(total)
-    evolution._index_cache.clear()
+    monkeypatch.setattr(evolution, "_slot", evolution._Slot())  # cold: no layout held
     tracemalloc.start()
     try:
         brute_force_parity(n, m, xi, seed=seed)
-        held, peak = tracemalloc.get_traced_memory()  # held: the cached index tables
+        held, peak = tracemalloc.get_traced_memory()  # held: the layout and its eigenbases
         tracemalloc.reset_peak()
         # xi = 0.61 needs the next total up, cutoff + 2.
         assert required_cutoff(0.61, 4e-8, modes=m, photons=n) == cutoff + 2
@@ -489,18 +502,16 @@ def test_largest_admitted_state_peaks_within_the_limit_and_the_next_exits_two(
 
 
 def test_cached_index_tables_and_the_next_state_share_the_limit(monkeypatch):
-    # Cutoffs 32, 34, 36 and 38 in turn: the tables cached for the smaller
-    # states are evicted as far as the next state needs, so the whole
-    # sequence stays within the limit of the largest.
+    # Cutoffs 32, 34, 36 and 38 in turn: each state drops the layout held
+    # for the one before it, keeping the eigenbases up to its own cutoff, so
+    # the whole sequence stays within the limit of the largest.
     n, m, seed = 2, 4, 7
     xis = (0.51, 0.53, 0.56, 0.59)
     cutoffs = [required_cutoff(xi, 4e-8, modes=m, photons=n) for xi in xis]
     assert cutoffs == [32, 34, 36, 38]
     limit = evolution._state_bytes(m, cutoffs[-1], n % 2)
     monkeypatch.setattr(evolution, "STATE_SIZE_LIMIT", limit)
-    for total in range(1, cutoffs[-1] + 1):
-        evolution._sector_eigenbasis(total)
-    evolution._index_cache.clear()
+    monkeypatch.setattr(evolution, "_slot", evolution._Slot())  # cold: no layout held
     tracemalloc.start()
     try:
         for xi in xis:
@@ -509,7 +520,7 @@ def test_cached_index_tables_and_the_next_state_share_the_limit(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= limit
-    assert (m, cutoffs[-1], n % 2) in evolution._index_cache  # the last state's stay warm
+    assert evolution._slot.key == (m, cutoffs[-1], n % 2)  # the last state's layout stays
 
 
 def test_unknown_log_level_is_a_usage_error(monkeypatch, capsys):
@@ -546,6 +557,10 @@ def test_compare_rejects_bad_xi_list(tmp_path, capsys):
                     "--seed", "1"])
     assert code == 1
     capsys.readouterr()
+    code, _ = _run(tmp_path, "r.json", ["compare", "--n", "2", "--m", "3", "--xi", "",
+                                        "--seed", "1"])
+    assert code == 1
+    assert "cannot parse --xi list" in capsys.readouterr().err
 
 
 # ------------------------------------------------------- decompose / embed

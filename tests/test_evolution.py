@@ -4,11 +4,11 @@ The beamsplitter is cross-checked against an independent oracle: the matrix
 exponential of the full two-mode generator built from dense Kronecker
 products of ladder matrices. States keep every occupation tuple up to a total
 photon number, so no mixer sector ever crosses the cutoff and that oracle is
-exact. The sector rotations, which the mixer builds from a cached eigenbasis,
-are checked against scipy's ``expm`` of each sector generator. Cutoffs and
-truncation losses, 1 - ||psi||^2 of the prepared input, are checked against
-the tail of the input's total photon number, from its closed-form
-negative-binomial distribution.
+exact. The sector rotations, which a network builds from the eigenbases held
+with its layout, are checked against scipy's ``expm`` of each sector
+generator. Cutoffs and truncation losses, 1 - ||psi||^2 of the prepared
+input, are checked against the tail of the input's total photon number, from
+its closed-form negative-binomial distribution.
 """
 
 import functools
@@ -16,6 +16,7 @@ import itertools
 import math
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ except ImportError:  # numpy < 1.25
 from passv import distributions, evolution
 from passv.configurations import ModeConfiguration, ParityPattern
 from passv.errors import SizeLimitError, ValidationError
+from passv.experiments import squeezed_invariance_check
 from passv.evolution import (
     ADDED,
     SUBTRACTED,
@@ -50,7 +52,6 @@ from passv.evolution import (
     state_overlap,
     _index_tables,
     _sector_generator,
-    _sector_rotation,
     _sector_rotations,
 )
 from passv.networks import (
@@ -287,6 +288,17 @@ def test_required_cutoff_sums_the_tail_from_the_terms_above(epsilon):
     assert tail == pytest.approx(_input_tail(n, m, r, d), rel=1e-12)
 
 
+def test_sector_weights_bisects_for_the_tail_that_fits(monkeypatch):
+    # K = 2,522 at r = 3.0, with terms made well past it: a scan that summed
+    # the suffix above every j up to K took 2,526 sums over 13.2 million terms.
+    sums = []
+    fsum = math.fsum
+    monkeypatch.setattr(math, "fsum", lambda values: sums.append(len(values)) or fsum(values))
+    weights, tail = sector_weights(3.0, 4e-8, modes=4, photons=2)
+    assert len(weights) - 1 == 2_522 and tail <= 4e-8
+    assert len(sums) <= 20 and sum(sums) <= 100_000
+
+
 def test_sector_weights_are_the_negative_binomial_and_its_tail():
     for n, m, r in ((1, 1, 0.5), (2, 4, 0.6), (3, 5, 1.0)):
         weights, tail = sector_weights(r, 1e-8 * m, modes=m, photons=n)
@@ -345,7 +357,7 @@ def test_state_shape_validation():
 
 def test_state_size_guard():
     # C(125, 5) = 2.3e8 amplitudes over 5 modes, 18 GB with the index tables.
-    with pytest.raises(SizeLimitError, match="reduce the squeezing or epsilon_tail"):
+    with pytest.raises(SizeLimitError, match="reduce the squeezing or raise epsilon_tail"):
         TruncatedFockState(5, 120)
 
 
@@ -375,7 +387,7 @@ def test_from_product_does_not_alias_the_mode_vectors():
 def test_passv_input_preparation_holds_one_state():
     # The 153,171 amplitudes of even total up to 120, 2.5 MB at 16 bytes: the
     # ladders act on mode vectors and the product is formed a block at a time
-    # into the state's own array. The occupation table is the index cache's,
+    # into the state's own array. The occupation table is the held layout's,
     # so it is built first.
     state_bytes = _index_tables(3, 120, 0)[0].shape[1] * 16
     tracemalloc.start()
@@ -413,11 +425,11 @@ def test_gather_orders_are_kept_for_at_most_m_minus_one_pairs():
     pairs = list(itertools.combinations(range(m), 2))
     for i, j in pairs:
         apply_beamsplitter(st, i, j, 0.3)
-    occupations, bins, gathers = _index_tables(m, d, st.parity)
-    assert st.parity == 0
+    occupations, _, gathers = _index_tables(m, d, st.parity)
+    assert st.parity == 0 and evolution._slot.key == (m, d, 0)
     assert list(gathers) == pairs[-(m - 1):]
-    assert evolution._cached_bytes((occupations, bins, gathers)) == (
-        occupations.nbytes + bins.nbytes + 4 * (m - 1) * occupations.shape[1])
+    assert sum(order.nbytes for order, _ in gathers.values()) == (
+        4 * (m - 1) * occupations.shape[1])
 
 
 # ------------------------------------------------------------------- ladders
@@ -520,26 +532,27 @@ ROTATION_ANGLES = (-math.pi, -1.3, 0.3, math.pi / 4.0, math.pi / 2.0, 2.9)
 
 
 def test_sector_rotation_matches_expm_oracle():
+    stacks = _sector_rotations(ROTATION_ANGLES, 64)
     for total in range(1, 65):
         generator = _sector_generator(total)
-        for theta in ROTATION_ANGLES:
-            expected = expm(theta * generator)
-            assert np.max(np.abs(_sector_rotation(total, theta) - expected)) < 1e-12
+        for theta, rotation in zip(ROTATION_ANGLES, stacks[total]):
+            assert np.max(np.abs(rotation - expm(theta * generator))) < 1e-12
 
 
 def test_sector_rotation_is_orthogonal():
+    stacks = _sector_rotations(ROTATION_ANGLES, 64)
     for total in range(1, 65):
-        for theta in ROTATION_ANGLES:
-            r = _sector_rotation(total, theta)
+        for r in stacks[total]:
             assert r.dtype == np.float64
             assert np.max(np.abs(r @ r.T - np.eye(total + 1))) < 1e-13
 
 
 def test_sector_rotations_compose():
-    for total in (1, 7, 30, 64):
-        for a, b in ((0.3, -1.3), (math.pi / 4.0, 2.9), (-math.pi, math.pi / 2.0)):
-            product = _sector_rotation(total, a) @ _sector_rotation(total, b)
-            assert np.max(np.abs(product - _sector_rotation(total, a + b))) < 1e-12
+    for a, b in ((0.3, -1.3), (math.pi / 4.0, 2.9), (-math.pi, math.pi / 2.0)):
+        stacks = _sector_rotations([a, b, a + b], 64)
+        for total in (1, 7, 30, 64):
+            first, second, composed = stacks[total]
+            assert np.max(np.abs(first @ second - composed)) < 1e-12
 
 
 def test_splitter_conserves_photon_number_sectors():
@@ -972,33 +985,74 @@ def test_from_product_infers_the_parity_of_its_totals():
 def test_one_parity_states_evolve_like_their_all_totals_copies(n, m, r, variant):
     d = required_cutoff(r, m * 1e-8, modes=m, photons=n)
     one = build_passv_input(n, m, r, variant, d)
+    decompositions = [reck_decompose(haar_special_orthogonal(m, seed)) for seed in (7, 12, 33)]
+    # The states of one layout are evolved together: one layout is held at a time.
+    evolved = [apply_network(one.copy(), dec) for dec in decompositions]
+    sectors = [parity_sectors(state) for state in evolved]
+    full = _all_totals(one)
     kept = (_index_tables(m, d)[1] >> m) % 2 == n % 2
-    for seed in (7, 12, 33):
-        state, held = one.copy(), _all_totals(one)
-        dec = reck_decompose(haar_special_orthogonal(m, seed))
-        apply_network(state, dec)
-        apply_network(held, dec)
+    for dec, state, state_sectors in zip(decompositions, evolved, sectors):
+        held = apply_network(full.copy(), dec)
         assert np.max(np.abs(held.amplitudes[kept] - state.amplitudes)) <= 1e-15
         assert not np.any(held.amplitudes[~kept])
-        assert np.max(np.abs(parity_sectors(held) - parity_sectors(state))) <= 1e-15
+        assert np.max(np.abs(parity_sectors(held) - state_sectors)) <= 1e-15
 
 
 @pytest.mark.parametrize("count, cutoff", [(6, 38), (10, 21)])
 def test_network_rotation_stacks_equal_the_single_rotations_bit_for_bit(count, cutoff):
+    # A lone apply_beamsplitter builds the one-element stacks of its angle.
     thetas = np.random.default_rng(count).uniform(-math.pi, math.pi, count)
     stacks = _sector_rotations(thetas, cutoff)
+    singles = [_sector_rotations([theta], cutoff) for theta in thetas]
     assert len(stacks) == cutoff + 1
     for total, stack in enumerate(stacks):
         assert stack.shape == (count, total + 1, total + 1)
         assert stack.dtype == np.float64 and stack.flags.c_contiguous
-        for rotation, theta in zip(stack, thetas):
-            np.testing.assert_array_equal(rotation, _sector_rotation(total, theta))
+        for rotation, single in zip(stack, singles):
+            np.testing.assert_array_equal(rotation, single[total][0])
 
 
 def test_size_guard_counts_the_stored_parity_and_the_rotations():
     m, d = 4, 38
     rotations = 6 * sum((s + 1) ** 2 for s in range(d + 1)) * 8
+    eigenbases = sum(32 * (s + 1) ** 2 + 8 * (s + 1) + 1024 for s in range(d + 1))
+    top_total = 32 * (6 + 2) * (d + 1) ** 2  # its stack and product, or its cold eigh
     per_amplitude = 32 + m + 2 + 4 * (m - 1)
     for parity, amplitudes in ((None, math.comb(d + m, m)), (0, 58_730), (1, 53_200)):
         assert evolution._amplitude_count(m, d, parity) == amplitudes
-        assert evolution._state_bytes(m, d, parity) == amplitudes * per_amplitude + rotations
+        assert evolution._state_bytes(m, d, parity) == (
+            amplitudes * per_amplitude + rotations + eigenbases + top_total)
+
+
+@pytest.mark.parametrize("m, d", [(2, 200), (3, 60), (4, 38)])
+def test_cold_evolution_peaks_within_the_counted_bytes(monkeypatch, m, d):
+    # From cold, no layout or eigenbasis held: both states of the check, the
+    # layout, every eigenbasis up to d and the network's rotations fit the
+    # count. Uncounted eigenbases once took 87 MB at (2, 200), of 111 MB in all,
+    # where 22 MB were counted.
+    monkeypatch.setattr(evolution, "_slot", evolution._Slot())
+    limit = evolution._state_bytes(m, d, 0)
+    monkeypatch.setattr(evolution, "STATE_SIZE_LIMIT", limit)
+    network = haar_special_orthogonal(m, 3)
+    tracemalloc.start()
+    try:
+        squeezed_invariance_check(network, 0.5, d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit
+
+
+def test_one_layout_is_held_and_a_new_one_drops_it():
+    first = build_passv_input(2, 4, 0.5, ADDED, 38)
+    apply_network(first, reck_decompose(haar_special_orthogonal(4, 7)))
+    slot = evolution._slot
+    assert slot.key == (4, 38, 0) and len(slot.eigenbases) == 39
+    dropped = [weakref.ref(slot.tables[0]), weakref.ref(slot.eigenbases[38][1])]
+    second = build_passv_input(1, 3, 0.5, ADDED, 20)
+    apply_network(second, reck_decompose(haar_special_orthogonal(3, 7)))
+    assert slot.key == (3, 20, 1) and len(slot.eigenbases) == 21
+    table, bins, gathers = slot.tables
+    assert table.shape == (3, evolution._amplitude_count(3, 20, 1)) and len(gathers) == 2
+    assert all(order.shape == bins.shape for order, _ in gathers.values())
+    assert [ref() for ref in dropped] == [None, None]
