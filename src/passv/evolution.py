@@ -13,11 +13,19 @@ gathers, for each subtotal s of its pair, the (s+1) x G block of the pair's
 splits of s against the G occupations of the other modes that fit under
 D - s, rotates it with exp(theta K_s) and scatters it back. A network builds
 the sector rotations of all its mixers at once, one stack per subtotal, from
-an eigenbasis of the generator K_s. One layout is held at a time, with the
-eigenbases up to its cutoff: STATE_SIZE_LIMIT counts it with one state, its
-workspace and one network's rotations. The only truncation is the input's
-mass above total D; for a PASSV input, ``sector_weights`` gives it, and the
-weight of every total, in closed form.
+half an eigenbasis of the generator K_s: 1j K_s is Hermitian and purely
+imaginary, so the eigenvector of -w is the conjugate of that of w, and
+exp(theta K_s) is a real sum over the eigenvalues w >= 0 alone, formed for
+every angle in one batched real matrix product. One layout is held at a
+time, with the eigenbases up to its cutoff: STATE_SIZE_LIMIT counts it with
+one state, its workspace and one network's rotations. The only truncation is
+the input's mass above total D; for a PASSV input, ``sector_weights`` gives
+it, and the weight of every total, in closed form.
+
+Squared norms and overlaps are einsum sums, not BLAS dot products: a dot
+product of a state's length wakes OpenBLAS's other threads, which then spin
+through the rest of the op. A warm op on the benchmark inputs makes no BLAS
+call large enough to be threaded, so it runs on one core.
 
 A state's dtype follows its inputs: float64 when every amplitude it is built
 from has a zero imaginary part, complex128 otherwise. Sector rotations are
@@ -53,7 +61,7 @@ ADDED = "added"
 SUBTRACTED = "subtracted"
 
 STATE_SIZE_LIMIT = 400_000_000  # bytes per state, as counted by _state_bytes
-AMPLITUDE_BLOCK = 16_384  # amplitudes at a time in from_product
+AMPLITUDE_BLOCK = 16_384  # amplitudes at a time in from_product and _apply_mode_factors
 
 
 def __getattr__(name):
@@ -109,18 +117,20 @@ def _state_bytes(modes: int, cutoff: int, parity: int | None = None) -> int:
     and one sector bin; one held 4-byte gather index for each of at most
     m - 1 mode pairs, as many as a Reck network mixes (``_pair_gather`` holds
     no more). Per subtotal s <= D: 8 E (s+1)^2 bytes of real rotations for a
-    network's E = m(m-1)/2 mixers, the held eigenbasis (u, u^H and w),
-    32 (s+1)^2 + 8 (s+1), and under 1 KB of array objects. Besides, the top
-    total's complex temporaries: the stack and product, 32 E (D+1)^2, or
-    before them 1j K, eigh's copy and workspaces, under 64 (D+1)^2.
+    network's E = m(m-1)/2 mixers; the held half eigenbasis, u and q of its
+    h = s//2 + 1 eigenvalues w >= 0, 32 (s+1) h; and under 1 KB of array
+    objects. Besides, the top total's temporaries: its cold eigh, 1j K,
+    LAPACK's copy and workspaces and the full eigenvectors, 80 (D+1)^2, and
+    after it the phase table and the complex u exp(-1j theta w),
+    16 E (D+1) (h+1).
     """
     bin_bytes = np.min_scalar_type(((cutoff + 1) << modes) - 1).itemsize
     per_amplitude = 32 + modes * np.min_scalar_type(cutoff).itemsize + bin_bytes + 4 * (modes - 1)
     mixers = modes * (modes - 1) // 2
-    squares = (cutoff + 1) * (cutoff + 2) * (2 * cutoff + 3) // 6  # sum of (s+1)^2
-    return (_amplitude_count(modes, cutoff, parity) * per_amplitude
-            + (8 * mixers + 32) * squares + (4 * cutoff + 1032) * (cutoff + 1)
-            + 32 * (mixers + 2) * (cutoff + 1) ** 2)
+    held = sum((8 * mixers * (s + 1) + 32 * (s // 2 + 1)) * (s + 1) + 1024
+               for s in range(cutoff + 1))
+    return (_amplitude_count(modes, cutoff, parity) * per_amplitude + held
+            + (80 * (cutoff + 1) + 16 * mixers * (cutoff // 2 + 2)) * (cutoff + 1))
 
 
 def _check_state_size(modes: int, cutoff: int, parity: int | None = None) -> None:
@@ -285,7 +295,9 @@ class TruncatedFockState:
         return self._holding(self.modes, self.cutoff, self.parity, self.amplitudes.copy())
 
     def squared_norm(self) -> float:
-        return float(np.vdot(self.amplitudes, self.amplitudes).real)
+        # einsum, not vdot, which wakes OpenBLAS's threads (module docstring).
+        parts = self.amplitudes.view(np.float64)
+        return float(np.einsum("i,i->", parts, parts))
 
     def amplitude(self, configuration) -> complex:
         config = _as_configuration(configuration)
@@ -406,12 +418,17 @@ def _apply_mode_factors(state: TruncatedFockState, mode: int, factors: np.ndarra
 
     Real factors keep a real state real; the first factor with a nonzero
     imaginary part promotes the state to complex128 (STATE_SIZE_LIMIT counts
-    16 bytes per amplitude, so the promoted state still fits).
+    16 bytes per amplitude, so the promoted state still fits). The factors
+    are gathered AMPLITUDE_BLOCK amplitudes at a time, so no state-sized
+    temporary is made beside the promoted state.
     """
     factors = _real_or_complex(factors)
     if factors.dtype == np.complex128 and state.amplitudes.dtype == np.float64:
         state.amplitudes = state.amplitudes.astype(np.complex128)
-    state.amplitudes *= factors[_index_tables(state.modes, state.cutoff, state.parity)[0][mode]]
+    levels = _index_tables(state.modes, state.cutoff, state.parity)[0][mode]
+    for start in range(0, len(levels), AMPLITUDE_BLOCK):
+        block = slice(start, start + AMPLITUDE_BLOCK)
+        state.amplitudes[block] *= factors[levels[block]]
 
 
 def _sector_generator(total: int) -> np.ndarray:
@@ -423,23 +440,30 @@ def _sector_generator(total: int) -> np.ndarray:
 def _sector_rotations(thetas, cutoff: int) -> list[np.ndarray]:
     """The rotations exp(theta K_N) of every angle on every photon total N <= cutoff.
 
-    Stack N is a real, contiguous (E, N+1, N+1) array, u diag(exp(-1j theta_e w))
-    u^H at entry e, from the eigenvalues w (the integers N - 2p, so eigh is well
-    conditioned) and unitary eigenvectors u of 1j K_N: one exp, one broadcast
-    product and one matrix product per total, freed once the real part is
-    copied out. Eigenbases up to the held layout's cutoff stay held; callers
-    fetch the state's layout first.
+    1j K_N is Hermitian and purely imaginary, with the integer eigenvalues
+    w = N - 2p (so eigh is well conditioned), and the eigenvector of -w is the
+    conjugate of that of w. So exp(theta K_N) = sum over w > 0 of
+    2 Re(exp(-1j theta w) u u^H), plus z z^T for the real null vector z of an
+    even N: a real sum over half the eigenbasis. Held per total, for the
+    h = N//2 + 1 eigenvalues w >= 0 in ascending order: their eigenvectors u
+    (z weighted 1/sqrt 2, so that it enters once) and the real rows q of
+    2 Re u^H and 2 Im u^H, interleaved. Stack N is a real, contiguous
+    (E, N+1, N+1) array: the float64 view of u exp(-1j theta_e w), read from
+    one table of exp(-1j theta k) for k <= cutoff, times q in one batched
+    real matrix product, which forms each entry exactly as a one-angle stack
+    does. Eigenbases up to the held layout's cutoff stay held; callers fetch
+    the state's layout first.
     """
     held = _slot.eigenbases
     for total in range(len(held), cutoff + 1):
         w, u = np.linalg.eigh(1j * _sector_generator(total))
-        held.append((w, u, np.ascontiguousarray(u.conj().T)))
-    thetas = np.asarray(thetas, dtype=np.float64)[:, None]
-    stacks = []
-    for total, (w, u, uh) in enumerate(held[:cutoff + 1]):
-        rows = (u * np.exp(-1j * thetas * w)[:, None, :]).reshape(-1, total + 1)
-        stacks.append(np.ascontiguousarray((rows @ uh).real).reshape(-1, total + 1, total + 1))
-        del rows
+        u = np.ascontiguousarray(u[:, w > -0.5])
+        if total % 2 == 0:
+            u[:, 0] *= math.sqrt(0.5)
+        held.append((u, 2.0 * np.stack((u.T.real, u.T.imag), axis=1).reshape(-1, total + 1)))
+    phases = np.exp(-1j * np.outer(thetas, np.arange(cutoff + 1)))[:, None, :]
+    stacks = [(u * phases[:, :, total % 2:total + 1:2]).view(np.float64) @ q
+              for total, (u, q) in enumerate(held[:cutoff + 1])]
     del held[_slot.key[1] + 1 if _slot.key else 0:]  # none above the held layout's cutoff
     return stacks
 
@@ -496,13 +520,19 @@ def apply_network(state: TruncatedFockState,
     for el in elements:
         if not isinstance(el, TwoModeElement):
             raise ValidationError(f"network elements must be TwoModeElement, got {el!r}")
+        if el.j >= state.modes:
+            raise ValidationError(f"modes ({el.i}, {el.j}) out of range for {state.modes} modes")
+    # The state's layout and its pairs' gather orders first: its rotations are
+    # never built beside another layout, and no gather order is sorted beside a
+    # copy that a complex phase has promoted.
+    _index_tables(state.modes, state.cutoff, state.parity)
+    for el in elements:
+        _pair_gather(state.modes, state.cutoff, state.parity, el.i, el.j)
     levels = np.arange(state.cutoff + 1)
     for mode, z in enumerate(decomposition.residual):
         z = complex(z)
         if z != 1.0 + 0.0j:
             _apply_mode_factors(state, mode, z ** levels)
-    # The state's layout first, so that its rotations are never built beside another.
-    _index_tables(state.modes, state.cutoff, state.parity)
     stacks = _sector_rotations([el.theta for el in elements], state.cutoff)
     for e, el in enumerate(elements):
         apply_beamsplitter(state, el.i, el.j, el.theta,
@@ -630,4 +660,8 @@ def state_overlap(a: TruncatedFockState, b: TruncatedFockState) -> complex:
             left = left[totals % 2 == b.parity]
         else:
             right = right[totals % 2 == a.parity]
-    return complex(np.vdot(left, right))
+    # einsum over the real and imaginary parts of ``left``, not vdot (module docstring).
+    overlap = np.einsum("i,i->", left.real, right)
+    if np.iscomplexobj(left):
+        overlap = overlap - 1j * np.einsum("i,i->", left.imag, right)
+    return complex(overlap)

@@ -1015,8 +1015,10 @@ def test_network_rotation_stacks_equal_the_single_rotations_bit_for_bit(count, c
 def test_size_guard_counts_the_stored_parity_and_the_rotations():
     m, d = 4, 38
     rotations = 6 * sum((s + 1) ** 2 for s in range(d + 1)) * 8
-    eigenbases = sum(32 * (s + 1) ** 2 + 8 * (s + 1) + 1024 for s in range(d + 1))
-    top_total = 32 * (6 + 2) * (d + 1) ** 2  # its stack and product, or its cold eigh
+    # u (complex) and q (real, twice the columns) of the s // 2 + 1 eigenvalues w >= 0.
+    eigenbases = sum(32 * (s + 1) * (s // 2 + 1) + 1024 for s in range(d + 1))
+    # Its cold eigh, then the phase table and u exp(-1j theta w) of 6 angles.
+    top_total = 80 * (d + 1) ** 2 + 6 * 16 * (d + 1) * ((d // 2 + 1) + 1)
     per_amplitude = 32 + m + 2 + 4 * (m - 1)
     for parity, amplitudes in ((None, math.comb(d + m, m)), (0, 58_730), (1, 53_200)):
         assert evolution._amplitude_count(m, d, parity) == amplitudes
@@ -1024,16 +1026,22 @@ def test_size_guard_counts_the_stored_parity_and_the_rotations():
             amplitudes * per_amplitude + rotations + eigenbases + top_total)
 
 
-@pytest.mark.parametrize("m, d", [(2, 200), (3, 60), (4, 38)])
-def test_cold_evolution_peaks_within_the_counted_bytes(monkeypatch, m, d):
+@pytest.mark.parametrize("m, d, network", [
+    (2, 200, haar_special_orthogonal(2, 3)),
+    (3, 60, haar_special_orthogonal(3, 3)),
+    (4, 38, haar_special_orthogonal(4, 3)),
+    (5, 30, haar_unitary(5, 4)),
+], ids=["2-200", "3-60", "4-38", "5-30-unitary"])
+def test_cold_evolution_peaks_within_the_counted_bytes(monkeypatch, m, d, network):
     # From cold, no layout or eigenbasis held: both states of the check, the
     # layout, every eigenbasis up to d and the network's rotations fit the
     # count. Uncounted eigenbases once took 87 MB at (2, 200), of 111 MB in all,
-    # where 22 MB were counted.
+    # where 22 MB were counted. A unitary network promotes the evolved state to
+    # complex beside the real original, so neither its phases nor a gather-order
+    # sort may add a state-sized temporary as well.
     monkeypatch.setattr(evolution, "_slot", evolution._Slot())
     limit = evolution._state_bytes(m, d, 0)
     monkeypatch.setattr(evolution, "STATE_SIZE_LIMIT", limit)
-    network = haar_special_orthogonal(m, 3)
     tracemalloc.start()
     try:
         squeezed_invariance_check(network, 0.5, d)

@@ -7,6 +7,9 @@ independent of the squeezing strength.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -296,3 +299,35 @@ def test_report_passes_reflects_tolerance():
     # A sector off by more than the floor fails the report, whatever the budget.
     off = EquivalenceReport(**{**report.__dict__, "sector_deviation": 2 * TOLERANCE_FLOOR})
     assert not off.passes()
+
+
+# Twenty warm ops of each benchmark command, after one cold op. The cold op's
+# eigh of the larger sector generators wakes OpenBLAS's other threads, which
+# spin for about 0.1 s after; the pause lets them go idle first.
+ONE_CORE_CHILD = """
+import time
+from passv.experiments import run_equivalence_experiment
+
+for args, seed in (((2, 4, [0.0, 0.3, 0.6]), 3), ((3, 5, [0.3], "subtracted"), 7)):
+    run_equivalence_experiment(*args, seed=seed)
+    time.sleep(0.5)
+    wall, cpu = time.perf_counter(), time.process_time()
+    for _ in range(20):
+        run_equivalence_experiment(*args, seed=seed)
+    print((time.process_time() - cpu) / (time.perf_counter() - wall))
+"""
+
+
+@pytest.mark.parametrize("threads", ["2", None], ids=["openblas-2-threads", "openblas-unset"])
+def test_warm_equivalence_ops_keep_to_one_core(threads):
+    # A BLAS call too small to gain from threads still wakes OpenBLAS's other
+    # threads, and they spin through the rest of the op: process CPU time ran
+    # at about twice the wall time. Load on the host can only lower the ratio.
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    result = subprocess.run([sys.executable, "-c", ONE_CORE_CHILD], capture_output=True,
+                            text=True, env=env, timeout=300)
+    assert result.returncode == 0, result.stderr
+    ratios = [float(line) for line in result.stdout.split()]
+    assert len(ratios) == 2 and max(ratios) <= 1.3, f"process CPU / wall: {ratios}"
