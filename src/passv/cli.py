@@ -6,9 +6,9 @@ file plus rename), and a repeated invocation with identical flags produces
 byte-identical output.
 
 sample-passv and compare run one oracle path in ``experiments``, so they
-share its guards (n <= m <= 5, squeezing r <= 1.0, the state size limit), its
-cutoff choice and its truncation budget; the cutoff is chosen by the oracle
-and recorded, never set.
+share its guards (n <= m <= 5 and the state size limit, which bounds the
+squeezing), its cutoff choice and its truncation budget; the cutoff is
+chosen by the oracle and recorded, never set.
 
 Exit codes: 0 success, 1 validation failure or bad usage, 2 size-limit guard.
 The PASSV_LOG environment variable (quiet, info, debug) sets stderr
@@ -166,7 +166,7 @@ def _resolve_network(args) -> tuple[LinearNetwork, dict]:
         try:
             with open(args.matrix, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ValidationError(f"cannot read matrix file {args.matrix}: {exc}") from exc
         net = LinearNetwork.from_json_dict(data)
         return net, {"matrix": args.matrix, "m": net.dimension, "kind": net.kind}

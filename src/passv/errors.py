@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one memory budget."""
+
+MEMORY_LIMIT = 400_000_000  # bytes that a state, or a drawn network, may hold
 
 
 class ValidationError(ValueError):

@@ -53,14 +53,14 @@ from .configurations import (
     bounded_occupations,
 )
 from .distributions import OutputDistribution
-from .errors import SizeLimitError, ValidationError
+from .errors import MEMORY_LIMIT, SizeLimitError, ValidationError
 from .networks import ReckDecomposition, TwoModeElement
 from .sampling import SUPPORT_SIZE_LIMIT
 
 ADDED = "added"
 SUBTRACTED = "subtracted"
 
-STATE_SIZE_LIMIT = 400_000_000  # bytes per state, as counted by _state_bytes
+STATE_SIZE_LIMIT = MEMORY_LIMIT  # bytes per state, as counted by _state_bytes
 AMPLITUDE_BLOCK = 16_384  # amplitudes at a time in from_product and _apply_mode_factors
 
 
@@ -452,20 +452,24 @@ def _sector_rotations(thetas, cutoff: int) -> list[np.ndarray]:
     one table of exp(-1j theta k) for k <= cutoff, times q in one batched
     real matrix product, which forms each entry exactly as a one-angle stack
     does. Eigenbases up to the held layout's cutoff stay held; callers fetch
-    the state's layout first.
+    the state's layout first. Totals are built from the top down: the heap
+    hole that one total's freed temporaries leave then fits the next total's,
+    where built upward none fits and max RSS outgrows the byte count.
     """
     held = _slot.eigenbases
-    for total in range(len(held), cutoff + 1):
+    missing = range(len(held), cutoff + 1)
+    held += [None] * len(missing)
+    for total in reversed(missing):
         w, u = np.linalg.eigh(1j * _sector_generator(total))
         u = np.ascontiguousarray(u[:, w > -0.5])
         if total % 2 == 0:
             u[:, 0] *= math.sqrt(0.5)
-        held.append((u, 2.0 * np.stack((u.T.real, u.T.imag), axis=1).reshape(-1, total + 1)))
+        held[total] = u, 2.0 * np.stack((u.T.real, u.T.imag), axis=1).reshape(-1, total + 1)
     phases = np.exp(-1j * np.outer(thetas, np.arange(cutoff + 1)))[:, None, :]
     stacks = [(u * phases[:, :, total % 2:total + 1:2]).view(np.float64) @ q
-              for total, (u, q) in enumerate(held[:cutoff + 1])]
+              for total, (u, q) in reversed(list(enumerate(held[:cutoff + 1])))]
     del held[_slot.key[1] + 1 if _slot.key else 0:]  # none above the held layout's cutoff
-    return stacks
+    return stacks[::-1]
 
 
 def apply_beamsplitter(state: TruncatedFockState, i: int, j: int, theta: float, *,

@@ -67,7 +67,6 @@ from .networks import (
 from .sampling import outcome_probabilities, uniform_input
 
 MAX_ORACLE_MODES = 5
-MAX_SQUEEZING = 1.0
 
 TOLERANCE_FLOOR = 1e-9
 
@@ -184,8 +183,8 @@ def brute_force_parity(total_photons: int, modes: int, xi, variant: str = ADDED,
                        ) -> tuple[OutputDistribution, int, float]:
     """The truncated-Fock oracle: parity statistics of one input behind network ``seed``.
 
-    Refuses inputs outside the oracle's range (1 <= n <= m <= MAX_ORACLE_MODES,
-    r <= MAX_SQUEEZING), then chooses the smallest cutoff, of the parity of n,
+    Refuses inputs outside the oracle's range (1 <= n <= m <= MAX_ORACLE_MODES;
+    no cap on r), then chooses the smallest cutoff, of the parity of n,
     whose closed-form input tail fits ``truncation_budget``, and runs
     build_passv_input's checks and the state size guard on it, all before the
     network is drawn. Returns the parity distribution over all 2^m patterns,
@@ -214,11 +213,6 @@ def _checked_inputs(n: int, m: int, xi_values: list, variant: str, epsilon_tail:
             f"the brute-force oracle is limited to m <= {MAX_ORACLE_MODES} modes"
         )
     squeezings = [as_squeezing(xi) for xi in xi_values]
-    for sq in squeezings:
-        if sq.r > MAX_SQUEEZING:
-            raise ValidationError(
-                f"squeezing magnitude {sq.r} exceeds the supported {MAX_SQUEEZING}"
-            )
     budget = truncation_budget(m, epsilon_tail)
     checked = []
     for sq in squeezings:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .configurations import _as_configuration
-from .errors import ValidationError
+from .errors import MEMORY_LIMIT, SizeLimitError, ValidationError
 
 UNITARY = "unitary"
 ORTHOGONAL = "orthogonal"
@@ -95,16 +95,18 @@ class LinearNetwork:
             m = int(data["m"])
             kind = data["kind"]
             re = np.asarray(data["re"], dtype=np.float64)
+            im = data.get("im")
+            if im is not None:
+                im = np.asarray(im, dtype=np.float64)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed network record: {exc}") from exc
         if re.shape != (m, m):
             raise ValidationError(f"network record shape {re.shape} does not match m={m}")
-        if "im" in data and data["im"] is not None:
-            im = np.asarray(data["im"], dtype=np.float64)
-            if im.shape != (m, m):
-                raise ValidationError("network record re/im shapes differ")
-            return cls(re + 1j * im, kind)
-        return cls(re, kind)
+        if im is None:
+            return cls(re, kind)
+        if im.shape != (m, m):
+            raise ValidationError("network record re/im shapes differ")
+        return cls(re + 1j * im, kind)
 
     def __repr__(self):
         return f"LinearNetwork(m={self.dimension}, kind={self.kind!r})"
@@ -197,15 +199,28 @@ def _check_seed(seed: int) -> int:
     return seed
 
 
+def _check_draw_size(m: int, arrays: int, itemsize: int) -> None:
+    """Refuse a draw that holds ``arrays`` m x m arrays over MEMORY_LIMIT, before any is made."""
+    needed = arrays * itemsize * m * m
+    if needed > MEMORY_LIMIT:
+        raise SizeLimitError(
+            f"a {m}-mode network draw holds {arrays} arrays of {m} x {m} entries, "
+            f"{needed} bytes, over the {MEMORY_LIMIT} byte limit"
+        )
+
+
 def haar_unitary(m: int, seed: int) -> LinearNetwork:
     """Haar-distributed m x m unitary, deterministic per seed.
 
     QR of a complex Ginibre matrix with the diagonal phase correction
     d / |d| applied to the columns, which makes the factorization unique and
-    the distribution exactly Haar.
+    the distribution exactly Haar. The draw holds at most eight complex
+    m x m arrays: the Ginibre matrix, Q, R, the corrected Q, LinearNetwork's
+    copy, its conjugate and their product, and the QR step's working copy.
     """
     if m < 1:
         raise ValidationError(f"dimension must be positive, got {m}")
+    _check_draw_size(m, 8, 16)
     rng = np.random.default_rng(_check_seed(seed))
     z = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / math.sqrt(2.0)
     q, r = np.linalg.qr(z)
@@ -220,10 +235,14 @@ def haar_special_orthogonal(m: int, seed: int, *, special: bool = True) -> Linea
     QR of a real Gaussian matrix with sign-corrected diagonal samples the full
     orthogonal group; by default a determinant of -1 is repaired by negating
     the last column, which maps the reflection component measure-preservingly
-    onto SO(m). Pass ``special=False`` for the unrepaired O(m) sample.
+    onto SO(m). Pass ``special=False`` for the unrepaired O(m) sample. The
+    draw holds at most seven real m x m arrays: the Gaussian matrix, Q, R,
+    LinearNetwork's copy, its conjugate and their product, and the QR step's
+    working copy.
     """
     if m < 1:
         raise ValidationError(f"dimension must be positive, got {m}")
+    _check_draw_size(m, 7, 8)
     rng = np.random.default_rng(_check_seed(seed))
     g = rng.standard_normal((m, m))
     q, r = np.linalg.qr(g)

@@ -576,6 +576,44 @@ def test_decompose_round_trip_error_is_reported(tmp_path):
     assert data["config"]["subcommand"] == "decompose"
 
 
+@pytest.mark.parametrize("content", [
+    b'{"m": 2, "kind": "unitary", "re": [[1.0, 0.0], [0.0, 1.0]], "im": "x"}',
+    b'{"m": 2, "kind": "unitary", "re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0]]}',
+    b"\xff\xfe{}",
+], ids=["im-not-numbers", "im-ragged", "not-utf-8"])
+def test_malformed_matrix_file_exits_one_without_a_traceback(tmp_path, content):
+    matrix_file = tmp_path / "net.json"
+    matrix_file.write_bytes(content)
+    result = subprocess.run(
+        [sys.executable, "-m", "passv.cli", "decompose", "--matrix", str(matrix_file)],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 1
+    assert "validation:" in result.stderr and "Traceback" not in result.stderr
+
+
+# The child caps its own address space at 3 GB, so a draw that got past its
+# guard would fail there with a MemoryError instead of filling the host.
+CAPPED_CLI = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+from passv.cli import main
+main()
+"""
+
+
+@pytest.mark.parametrize("kind", ["unitary", "orthogonal"])
+def test_network_draw_over_the_memory_limit_exits_two_before_allocating(kind):
+    # One 50,000 x 50,000 array of the draw is 18.6 GiB real, 37.3 GiB complex.
+    result = subprocess.run(
+        [sys.executable, "-c", CAPPED_CLI, "decompose", "--m", "50000", "--kind", kind,
+         "--seed", "1"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 2, result.stderr
+    assert "size limit:" in result.stderr and "Traceback" not in result.stderr
+
+
 def test_embed_doubles_the_dimension(tmp_path):
     code, out = _run(tmp_path, "emb.json",
                      ["embed", "--m", "3", "--kind", "unitary", "--seed", "13"])

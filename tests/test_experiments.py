@@ -16,7 +16,7 @@ import pytest
 
 from passv.configurations import ParityPattern, collision_free_configurations, parity_pattern_of
 from passv.errors import SizeLimitError, ValidationError
-from passv import experiments
+from passv import evolution, experiments
 from passv.experiments import (
     TOLERANCE_FLOOR,
     EquivalenceReport,
@@ -147,15 +147,15 @@ def test_equivalence_report_serialization():
 def test_equivalence_validation():
     with pytest.raises(ValidationError):
         run_equivalence_experiment(2, 6, [0.0], seed=1)  # brute force capped at 5 modes
-    with pytest.raises(ValidationError):
-        run_equivalence_experiment(2, 3, [1.5], seed=1)  # squeezing capped at 1.0
+    # No squeezing cap: the byte guard admits r = 1.5 here (D = 242).
+    assert run_equivalence_experiment(2, 3, [1.5], seed=1).passes()
     with pytest.raises(ValidationError):
         run_equivalence_experiment(2, 3, [], seed=1)
     with pytest.raises(ValidationError):
         run_equivalence_experiment(2, 3, [0.0], variant="removed", seed=1)
 
 
-@pytest.mark.parametrize("n, m, xi", [(2, 6, 0.1), (4, 3, 0.1), (0, 3, 0.1), (2, 3, 1.5)])
+@pytest.mark.parametrize("n, m, xi", [(2, 6, 0.1), (4, 3, 0.1), (0, 3, 0.1)])
 def test_oracle_guards_fire_before_anything_is_built(monkeypatch, n, m, xi):
     def unreachable(*args, **kwargs):
         raise AssertionError("built past a guard")
@@ -171,11 +171,14 @@ def test_oracle_guards_fire_before_anything_is_built(monkeypatch, n, m, xi):
 @pytest.mark.parametrize("n, m, xi_values, variant, epsilon_tail, error", [
     # r = 1.0 at m = 5 needs total cutoff 92, over the state size limit.
     (2, 5, [0.1, 1.0], ADDED, 1e-8, SizeLimitError),
+    # r = 2.0 at m = 3 needs total cutoff 658, past the byte edge at r = 1.57 (D = 278).
+    (2, 3, [0.1, 2.0], ADDED, 1e-8, SizeLimitError),
     (2, 3, [0.3, 0.0], SUBTRACTED, 1e-8, ValidationError),  # subtraction from vacuum
     (2, 3, [0.3, 0.4], "doubled", 1e-8, ValidationError),
     (2, 3, [0.3, 0.4], ADDED, float("nan"), ValidationError),
     (2, 3, [0.3, 0.4], ADDED, float("inf"), ValidationError),
-], ids=["state-size", "subtracted-vacuum", "variant", "epsilon-nan", "epsilon-inf"])
+], ids=["state-size", "squeezing-past-the-byte-edge", "subtracted-vacuum", "variant",
+        "epsilon-nan", "epsilon-inf"])
 def test_every_guard_runs_for_every_xi_before_anything_is_built(
         monkeypatch, n, m, xi_values, variant, epsilon_tail, error):
     def unreachable(*args, **kwargs):
@@ -331,3 +334,28 @@ def test_warm_equivalence_ops_keep_to_one_core(threads):
     assert result.returncode == 0, result.stderr
     ratios = [float(line) for line in result.stdout.split()]
     assert len(ratios) == 2 and max(ratios) <= 1.3, f"process CPU / wall: {ratios}"
+
+
+# The m = 3 edge of the byte guard: r = 1.52 needs cutoff 275 and r = 1.53 is refused.
+EDGE_RSS_CHILD = """
+import resource
+from passv.experiments import run_equivalence_experiment
+
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+report = run_equivalence_experiment(3, 3, [1.52], seed=7)
+print(report.passes(), report.cutoffs[0],
+      (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) * 1024)
+"""
+
+
+def test_the_byte_guard_edge_holds_its_count_in_max_rss():
+    # Per-total arrays built from the top total down reuse the heap holes the
+    # larger totals leave; built upward, max RSS rose 489 MB on a 376 MB count.
+    with pytest.raises(SizeLimitError):
+        run_equivalence_experiment(3, 3, [1.53], seed=7)
+    result = subprocess.run([sys.executable, "-c", EDGE_RSS_CHILD], capture_output=True,
+                            text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    passes, cutoff, rise = result.stdout.split()
+    assert (passes, cutoff) == ("True", "275")
+    assert int(rise) <= evolution._state_bytes(3, 275, 1), f"max RSS rose {int(rise)} bytes"

@@ -1,12 +1,14 @@
 """Tests for transfer matrices, Haar sampling, factorization, and embedding."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies
 
-from passv.errors import ValidationError
+from passv import networks
+from passv.errors import MEMORY_LIMIT, SizeLimitError, ValidationError
 from passv.networks import (
     ORTHOGONAL,
     UNITARY,
@@ -72,6 +74,38 @@ def test_haar_seed_validation():
         haar_unitary(0, 5)
 
 
+@pytest.mark.parametrize("draw, arrays, itemsize", [
+    (haar_unitary, 8, 16), (haar_special_orthogonal, 7, 8),
+], ids=["unitary", "orthogonal"])
+def test_haar_draw_counts_its_arrays_and_is_refused_over_the_limit(monkeypatch, draw, arrays,
+                                                                  itemsize):
+    # The traced peak, a few m-long vectors aside, is every counted array but
+    # the QR step's working copy, which numpy allocates out of tracemalloc's
+    # sight. A first, small draw loads what numpy loads on first use.
+    m = 400
+    draw(2, 1)
+    tracemalloc.start()
+    try:
+        draw(m, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (arrays - 1) * itemsize * m * m <= peak <= 1.01 * (arrays - 1) * itemsize * m * m
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("drawn past the guard")
+
+    monkeypatch.setattr(networks, "MEMORY_LIMIT", arrays * itemsize * m * m)
+    assert draw(m, 1).dimension == m
+    monkeypatch.setattr(networks.np.random, "default_rng", unreachable)
+    with pytest.raises(SizeLimitError):
+        draw(m + 1, 1)
+    # The state guard's budget; a 50,000-mode draw would need hundreds of GB.
+    monkeypatch.setattr(networks, "MEMORY_LIMIT", MEMORY_LIMIT)
+    with pytest.raises(SizeLimitError, match=f"over the {MEMORY_LIMIT} byte limit"):
+        draw(50_000, 1)
+
+
 def test_haar_first_entry_second_moment():
     # E |M[0,0]|^2 = 1/m for Haar; 2000 draws at m=4 keeps the sample mean
     # within three standard errors (~0.013) of 0.25.
@@ -127,10 +161,17 @@ def test_network_json_round_trip(maker):
 
 
 def test_network_json_malformed():
-    with pytest.raises(ValidationError):
-        LinearNetwork.from_json_dict({"kind": UNITARY, "re": [[1.0]]})
-    with pytest.raises(ValidationError):
-        LinearNetwork.from_json_dict({"m": 2, "kind": UNITARY, "re": [[1.0]]})
+    eye = [[1.0, 0.0], [0.0, 1.0]]
+    for record in (
+        {"kind": UNITARY, "re": [[1.0]]},
+        {"m": 2, "kind": UNITARY, "re": [[1.0]]},
+        {"m": 2, "kind": UNITARY, "re": eye, "im": "x"},
+        {"m": 2, "kind": UNITARY, "re": eye, "im": [[0.0, 0.0], [0.0]]},
+        {"m": 2, "kind": UNITARY, "re": eye, "im": [[0.0, "x"], [0.0, 0.0]]},
+        {"m": 2, "kind": UNITARY, "re": eye, "im": [[0.0]]},
+    ):
+        with pytest.raises(ValidationError):
+            LinearNetwork.from_json_dict(record)
 
 
 # ---------------------------------------------------------------- elements
