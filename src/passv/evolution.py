@@ -509,9 +509,10 @@ def apply_network(state: TruncatedFockState,
     front, after the residual diagonal, whose entries equal to exactly 1 are
     skipped. The sector rotations of every element are built in one pass per
     photon total before the first element is applied, and each element's
-    mixer is handed its own. Restricted to the single-photon sector this
-    reproduces the matrix action of ``reconstruct``. A real state stays real
-    through real elements and a residual of +-1.
+    mixer is handed its own; a network without elements builds none.
+    Restricted to the single-photon sector this reproduces the matrix action
+    of ``reconstruct``. A real state stays real through real elements and a
+    residual of +-1.
     """
     if not isinstance(decomposition, ReckDecomposition):
         raise ValidationError("apply_network expects a ReckDecomposition")
@@ -537,7 +538,7 @@ def apply_network(state: TruncatedFockState,
         z = complex(z)
         if z != 1.0 + 0.0j:
             _apply_mode_factors(state, mode, z ** levels)
-    stacks = _sector_rotations([el.theta for el in elements], state.cutoff)
+    stacks = _sector_rotations([el.theta for el in elements], state.cutoff) if elements else []
     for e, el in enumerate(elements):
         apply_beamsplitter(state, el.i, el.j, el.theta,
                            rotations=[stack[e] for stack in stacks])

@@ -310,24 +310,29 @@ def reck_decompose(network: LinearNetwork) -> ReckDecomposition:
                 theta = math.atan(abs(rho))
                 phi = -cmath.phase(rho)
             elements.append(TwoModeElement(r - 1, r, theta, phi))
-            _rotate_rows_inverse(w, r - 1, r, theta, phi)
+            _rotate_rows(w, r - 1, r, theta, phi, inverse=True)
     diagonal = np.diagonal(w)
     residual = (np.sign(diagonal) if real else diagonal).astype(np.complex128)
     return ReckDecomposition(tuple(elements), residual)
 
 
-def _rotate_rows_inverse(w: np.ndarray, i: int, j: int, theta: float, phi: float):
-    """Left-multiply w by the inverse of the (i, j, theta, phi) element."""
+def _rotate_rows(w: np.ndarray, i: int, j: int, theta: float, phi: float, *,
+                 inverse: bool = False):
+    """Left-multiply w, in place, by the (i, j, theta, phi) element or its inverse.
+
+    Only rows i and j change, so a network of O(m^2) elements costs O(m^3).
+    """
     c, s = math.cos(theta), math.sin(theta)
+    if inverse:
+        ph = cmath.exp(-1j * phi) if phi else 1.0
+        (a, b), (p, q) = (ph * c, -s), (ph * s, c)
+    else:
+        ph = cmath.exp(1j * phi) if phi else 1.0
+        (a, b), (p, q) = (ph * c, ph * s), (-s, c)
     row_i = w[i].copy()
     row_j = w[j].copy()
-    if phi:
-        ph = cmath.exp(-1j * phi)
-        w[i] = ph * c * row_i - s * row_j
-        w[j] = ph * s * row_i + c * row_j
-    else:
-        w[i] = c * row_i - s * row_j
-        w[j] = s * row_i + c * row_j
+    w[i] = a * row_i + b * row_j
+    w[j] = p * row_i + q * row_j
 
 
 def reconstruct(decomposition: ReckDecomposition) -> LinearNetwork:
@@ -344,7 +349,9 @@ def reconstruct(decomposition: ReckDecomposition) -> LinearNetwork:
         raise ValidationError(f"dimension must be positive, got {m}")
     matrix = np.diag(decomposition.residual.astype(np.complex128))
     for el in reversed(decomposition.elements):
-        matrix = el.embedded(m) @ matrix
+        if el.j >= m:
+            raise ValidationError(f"element pair ({el.i}, {el.j}) exceeds m={m}")
+        _rotate_rows(matrix, el.i, el.j, el.theta, el.phi)
     if np.all(matrix.imag == 0.0):
         return LinearNetwork(matrix.real, ORTHOGONAL, allow_reflection=True)
     return LinearNetwork(matrix, UNITARY)

@@ -28,7 +28,7 @@ from passv.evolution import (
     required_cutoff,
 )
 from passv.experiments import (
-    comparison_tolerance,
+    TOLERANCE_FLOOR,
     predicted_parity_distribution,
     run_equivalence_experiment,
     squeezed_invariance_check,
@@ -166,9 +166,10 @@ def test_criterion_08_parity_statistics_are_squeezing_independent():
     t0 = time.perf_counter()
     n, m = 2, 4
     xi_values = [0.0, 0.3, 0.6]
-    tolerance = comparison_tolerance(m, 1e-8)
-    assert tolerance == pytest.approx(4.1e-8)
+    tolerance = TOLERANCE_FLOOR
+    assert tolerance == 1e-11
     report = run_equivalence_experiment(n, m, xi_values, ADDED, seed=7)
+    assert report.tolerance == tolerance
 
     # Re-derive the prediction with the normalization factors written out:
     # P(pattern) = |Per(O_S)|^2 * cosh(r)^{2n} * N^2 with N = cosh(r)^{-n},

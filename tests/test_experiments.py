@@ -13,6 +13,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from passv.configurations import ParityPattern, collision_free_configurations, parity_pattern_of
 from passv.errors import SizeLimitError, ValidationError
@@ -21,7 +22,6 @@ from passv.experiments import (
     TOLERANCE_FLOOR,
     EquivalenceReport,
     brute_force_parity,
-    comparison_tolerance,
     predicted_parity_distribution,
     run_equivalence_experiment,
     squeezed_invariance_check,
@@ -44,9 +44,14 @@ from passv.networks import (
 from passv.sampling import output_distribution, uniform_input
 
 
-def test_comparison_tolerance_formula():
-    assert comparison_tolerance(4, 1e-8) == pytest.approx(4e-8 + 1e-9)
-    assert comparison_tolerance(3, 0.0) == pytest.approx(1e-9)
+def test_report_tolerance_is_the_floor_for_every_m_and_epsilon():
+    # Truncation never enters a deviation, so the tolerance has no m or epsilon in it.
+    for n, m, epsilon_tail in ((1, 1, 1e-8), (2, 3, 1e-4), (2, 4, 1e-8), (3, 5, 1e-12)):
+        report = run_equivalence_experiment(n, m, [0.3], seed=7, epsilon_tail=epsilon_tail)
+        assert report.tolerance == TOLERANCE_FLOOR
+        assert report.to_json_dict()["tolerance"] == TOLERANCE_FLOOR
+        assert report.truncation_budget == m * epsilon_tail
+        assert report.passes()
 
 
 def test_predicted_matches_fock_sampler_exactly_at_zero_squeezing():
@@ -293,15 +298,37 @@ def test_invariance_fails_for_generic_unitaries():
 
 
 def test_report_passes_reflects_tolerance():
-    report = run_equivalence_experiment(1, 2, [0.3], seed=2)
+    report = run_equivalence_experiment(1, 2, [0.3, 0.6], seed=2)
     assert report.passes()
     strict = EquivalenceReport(
         **{**report.__dict__, "tolerance": report.max_deviation / 2.0}
     )
     assert not strict.passes()
-    # A sector off by more than the floor fails the report, whatever the budget.
-    off = EquivalenceReport(**{**report.__dict__, "sector_deviation": 2 * TOLERANCE_FLOOR})
-    assert not off.passes()
+    # Any one deviation above the floor, or not a number, fails the report,
+    # whatever the truncation budget.
+    for field in ("max_deviation", "cross_xi_deviation", "sector_deviation"):
+        for value in (2 * TOLERANCE_FLOOR, math.nan):
+            off = EquivalenceReport(**{**report.__dict__, field: value})
+            assert not off.passes(), (field, value)
+    lossy = EquivalenceReport(
+        **{**report.__dict__, "truncation_loss": [0.0, 2 * report.truncation_budget]})
+    assert not lossy.passes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=strategies.sampled_from([(n, m) for m in (1, 2, 3) for n in range(1, m + 1)]),
+       seed=strategies.integers(0, 2**32 - 1), r=strategies.integers(1, 100),
+       variant=strategies.sampled_from([ADDED, SUBTRACTED]))
+def test_every_deviation_is_within_the_floor(shape, seed, r, variant):
+    # The identity holds in every photon total, so only rounding enters a
+    # deviation, whatever the squeezing and the cutoff; r runs over [0, 1] in
+    # steps of 0.01, and r = 0 joins every added report as a second row.
+    n, m = shape
+    xi_values = [r / 100] if variant == SUBTRACTED else [0.0, r / 100]
+    report = run_equivalence_experiment(n, m, xi_values, variant, seed=seed)
+    worst = max(report.max_deviation, report.cross_xi_deviation, report.sector_deviation)
+    assert worst <= TOLERANCE_FLOOR
+    assert report.passes()
 
 
 # Twenty warm ops of each benchmark command, after one cold op. The cold op's

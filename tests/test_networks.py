@@ -229,6 +229,21 @@ def test_reconstruct_uses_list_order_as_factor_order():
     net = reconstruct(ReckDecomposition((ea, eb), residual))
     expected = ea.embedded(3) @ eb.embedded(3) @ np.diag(residual)
     np.testing.assert_allclose(net.entries, expected.real, atol=1e-14)
+    # Phased elements on non-adjacent pairs, in six modes, with a phase residual.
+    elements = (TwoModeElement(2, 5, 0.4, 1.3), TwoModeElement(0, 4, -1.1, -0.6),
+                TwoModeElement(1, 2, 0.8), TwoModeElement(3, 5, 2.2, 0.9))
+    residual = np.exp(1j * np.linspace(0.0, 2.5, 6))
+    net = reconstruct(ReckDecomposition(elements, residual))
+    expected = np.diag(residual)
+    for el in reversed(elements):
+        expected = el.embedded(6) @ expected
+    assert net.kind == UNITARY
+    np.testing.assert_allclose(net.entries, expected, atol=1e-14)
+
+
+def test_reconstruct_refuses_an_element_outside_the_modes():
+    with pytest.raises(ValidationError, match="exceeds m=3"):
+        reconstruct(_decomposition([TwoModeElement(1, 3, 0.5)], 3))
 
 
 def test_reconstruct_empty_is_identity():
