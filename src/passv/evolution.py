@@ -16,16 +16,20 @@ the sector rotations of all its mixers at once, one stack per subtotal, from
 half an eigenbasis of the generator K_s: 1j K_s is Hermitian and purely
 imaginary, so the eigenvector of -w is the conjugate of that of w, and
 exp(theta K_s) is a real sum over the eigenvalues w >= 0 alone, formed for
-every angle in one batched real matrix product. One layout is held at a
-time, with the eigenbases up to its cutoff: STATE_SIZE_LIMIT counts it with
-one state, its workspace and one network's rotations. The only truncation is
-the input's mass above total D; for a PASSV input, ``sector_weights`` gives
-it, and the weight of every total, in closed form.
+every angle in one batched real matrix product. The eigenbasis is in closed
+form, the 50:50 mixer exp(pi/4 K_s) with its rows phased by i^r, and the
+50:50 mixers of every subtotal come from one stable recursion over s: no
+eigensolver runs. One layout is held at a time, with the eigenbases up to
+its cutoff: STATE_SIZE_LIMIT counts it with one state, its workspace and one
+network's rotations. The only truncation is the input's mass above total D;
+for a PASSV input, ``sector_weights`` gives it, and the weight of every
+total, in closed form.
 
 Squared norms and overlaps are einsum sums, not BLAS dot products: a dot
 product of a state's length wakes OpenBLAS's other threads, which then spin
-through the rest of the op. A warm op on the benchmark inputs makes no BLAS
-call large enough to be threaded, so it runs on one core.
+through the rest of the op. An op on the benchmark inputs, cold or warm,
+makes no BLAS or LAPACK call large enough to be threaded, so it runs on one
+core.
 
 A state's dtype follows its inputs: float64 when every amplitude it is built
 from has a zero imaginary part, complex128 otherwise. Sector rotations are
@@ -116,21 +120,24 @@ def _state_bytes(modes: int, cutoff: int, parity: int | None = None) -> int:
     bins of ``parity_sectors``), 16 bytes each; one held occupation per mode
     and one sector bin; one held 4-byte gather index for each of at most
     m - 1 mode pairs, as many as a Reck network mixes (``_pair_gather`` holds
-    no more). Per subtotal s <= D: 8 E (s+1)^2 bytes of real rotations for a
-    network's E = m(m-1)/2 mixers; the held half eigenbasis, u and q of its
-    h = s//2 + 1 eigenvalues w >= 0, 32 (s+1) h; and under 1 KB of array
-    objects. Besides, the top total's temporaries: its cold eigh, 1j K,
-    LAPACK's copy and workspaces and the full eigenvectors, 80 (D+1)^2, and
-    after it the phase table and the complex u exp(-1j theta w),
-    16 E (D+1) (h+1).
+    no more). With two modes or more, a network has E = m(m-1)/2 mixers, and
+    per subtotal s <= D: 8 E (s+1)^2 bytes of real rotations; the held half
+    eigenbasis, u and q of its h = s//2 + 1 eigenvalues w >= 0, 32 (s+1) h;
+    and under 1 KB of array objects. Besides, the top total's temporaries:
+    the recursion's buffers (two raised copies of the 50:50 mixer of D - 1,
+    the mixer of D and two temporaries), 40 (D+1)^2, and after them the phase
+    table and the complex u exp(-1j theta w), 16 E (D+1) (h+1). A one-mode
+    network has no mixer and builds none of these.
     """
     bin_bytes = np.min_scalar_type(((cutoff + 1) << modes) - 1).itemsize
     per_amplitude = 32 + modes * np.min_scalar_type(cutoff).itemsize + bin_bytes + 4 * (modes - 1)
+    amplitudes = _amplitude_count(modes, cutoff, parity) * per_amplitude
+    if modes < 2:
+        return amplitudes
     mixers = modes * (modes - 1) // 2
     held = sum((8 * mixers * (s + 1) + 32 * (s // 2 + 1)) * (s + 1) + 1024
                for s in range(cutoff + 1))
-    return (_amplitude_count(modes, cutoff, parity) * per_amplitude + held
-            + (80 * (cutoff + 1) + 16 * mixers * (cutoff // 2 + 2)) * (cutoff + 1))
+    return amplitudes + held + (40 * (cutoff + 1) + 16 * mixers * (cutoff // 2 + 2)) * (cutoff + 1)
 
 
 def _check_state_size(modes: int, cutoff: int, parity: int | None = None) -> None:
@@ -431,40 +438,60 @@ def _apply_mode_factors(state: TruncatedFockState, mode: int, factors: np.ndarra
         state.amplitudes[block] *= factors[levels[block]]
 
 
-def _sector_generator(total: int) -> np.ndarray:
-    """Antisymmetric generator of a two-mode mixer restricted to a photon total."""
-    w = np.sqrt(np.arange(1, total + 1) * np.arange(total, 0, -1.0))  # sqrt((p+1)(N-p))
-    return np.diag(w, -1) - np.diag(w, 1)
-
-
 def _sector_rotations(thetas, cutoff: int) -> list[np.ndarray]:
     """The rotations exp(theta K_N) of every angle on every photon total N <= cutoff.
 
-    1j K_N is Hermitian and purely imaginary, with the integer eigenvalues
-    w = N - 2p (so eigh is well conditioned), and the eigenvector of -w is the
-    conjugate of that of w. So exp(theta K_N) = sum over w > 0 of
-    2 Re(exp(-1j theta w) u u^H), plus z z^T for the real null vector z of an
-    even N: a real sum over half the eigenbasis. Held per total, for the
-    h = N//2 + 1 eigenvalues w >= 0 in ascending order: their eigenvectors u
-    (z weighted 1/sqrt 2, so that it enters once) and the real rows q of
-    2 Re u^H and 2 Im u^H, interleaved. Stack N is a real, contiguous
-    (E, N+1, N+1) array: the float64 view of u exp(-1j theta_e w), read from
-    one table of exp(-1j theta k) for k <= cutoff, times q in one batched
-    real matrix product, which forms each entry exactly as a one-angle stack
-    does. Eigenbases up to the held layout's cutoff stay held; callers fetch
-    the state's layout first. Totals are built from the top down: the heap
-    hole that one total's freed temporaries leave then fits the next total's,
-    where built upward none fits and max RSS outgrows the byte count.
+    K_N = a^dag b - a b^dag on the splits (p, N - p) of modes i and j, and
+    1j K_N is Hermitian and purely imaginary, with the eigenvalues w = N - 2k,
+    k = 0..N; the eigenvector of -w is the conjugate of that of w. So
+    exp(theta K_N) = sum over w > 0 of 2 Re(exp(-1j theta w) u u^H), plus
+    z z^T for the real null vector z of an even N: a real sum over half the
+    eigenbasis. The eigenbasis is in closed form: diag(i^r) exp(pi/4 K_N),
+    the 50:50 mixer times the phases i^r of the rows r, has eigenvalue N - 2k
+    on column k. The 50:50 mixer of total N comes from that of N - 1 by
+    writing |p, N - p> as a^dag |p - 1, N - p> sqrt(p)/N plus
+    b^dag |p, N - p - 1> sqrt(N - p)/N, each raised through the mixer (a
+    spin-N/2 rotation under Schwinger's map; T. Risbo, J. Geodesy 70, 383
+    (1996)); raising one mode alone is unstable. Held per total, for the
+    h = N//2 + 1 eigenvalues w >= 0 in ascending order: their eigenvectors u,
+    columns k = N//2 .. 0 (z weighted 1/sqrt 2, so that it enters once), and
+    the real rows q of 2 Re u^H and 2 Im u^H, interleaved. Stack N is a real,
+    contiguous (E, N+1, N+1) array: the float64 view of u exp(-1j theta_e w),
+    read from one table of exp(-1j theta k) for k <= cutoff, times q in one
+    batched real matrix product, which forms each entry exactly as a
+    one-angle stack does. Eigenbases up to the held layout's cutoff stay
+    held; callers fetch the state's layout first. Per-total arrays are
+    allocated from the top total down, and the eigenbases filled from the
+    bottom up, so that the recursion's and the stacks' temporaries reuse the
+    heap holes of the larger totals: allocating each eigenbasis as it was
+    filled raised max RSS 25 MB more at the m = 3 edge of the byte guard.
     """
     held = _slot.eigenbases
     missing = range(len(held), cutoff + 1)
-    held += [None] * len(missing)
-    for total in reversed(missing):
-        w, u = np.linalg.eigh(1j * _sector_generator(total))
-        u = np.ascontiguousarray(u[:, w > -0.5])
-        if total % 2 == 0:
-            u[:, 0] *= math.sqrt(0.5)
-        held[total] = u, 2.0 * np.stack((u.T.real, u.T.imag), axis=1).reshape(-1, total + 1)
+    held += [(np.empty((total + 1, total // 2 + 1), np.complex128),
+              np.empty((total // 2 * 2 + 2, total + 1))) for total in reversed(missing)][::-1]
+    roots, row_phases = np.sqrt(np.arange(cutoff + 1)), np.array([1, 1j, -1, -1j])
+    mixer = np.ones((1, 1))  # exp(pi/4 K_0)
+    for total in range(cutoff + 1) if missing else ():
+        if total:
+            # Mode i, then mode j, raised on total - 1; the mixer takes a^dag to
+            # (a^dag - b^dag)/sqrt 2 and b^dag to (a^dag + b^dag)/sqrt 2. Each
+            # weight sqrt(p/2)/N is rounded on its own: a shared 1/(sqrt 2 N)
+            # carries one rounding of sqrt 2 into every total, and the mixer's
+            # orthogonality then drifted 20 times further by N = 357.
+            raised_i, raised_j = np.zeros((2, total + 1, total))
+            raised_i[1:] = roots[1:total + 1, None] * mixer
+            raised_j[:-1] = roots[total:0:-1, None] * mixer
+            weights = np.sqrt(np.arange(total + 1) / (2.0 * total * total))
+            mixer = np.zeros((total + 1, total + 1))
+            mixer[:, 1:] = (raised_i - raised_j) * weights[1:]
+            mixer[:, :-1] += (raised_i + raised_j) * weights[:0:-1]
+        if total in missing:
+            u, q = held[total]
+            np.multiply(mixer[:, total // 2::-1], row_phases[np.arange(total + 1) % 4, None], out=u)
+            if total % 2 == 0:
+                u[:, 0] *= math.sqrt(0.5)
+            q[0::2], q[1::2] = 2.0 * u.T.real, 2.0 * u.T.imag
     phases = np.exp(-1j * np.outer(thetas, np.arange(cutoff + 1)))[:, None, :]
     stacks = [(u * phases[:, :, total % 2:total + 1:2]).view(np.float64) @ q
               for total, (u, q) in reversed(list(enumerate(held[:cutoff + 1])))]

@@ -10,12 +10,11 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from passv.cli import execute
 from passv.configurations import enumerate_configurations
 from passv.distributions import total_variation_distance
-from passv.errors import SizeLimitError, ValidationError
+from passv.errors import ValidationError
 from passv.evolution import (
     ADDED,
     SUBTRACTED,
@@ -24,12 +23,10 @@ from passv.evolution import (
     apply_network,
     build_passv_input,
     number_distribution,
-    parity_distribution,
     required_cutoff,
 )
 from passv.experiments import (
     TOLERANCE_FLOOR,
-    predicted_parity_distribution,
     run_equivalence_experiment,
     squeezed_invariance_check,
 )

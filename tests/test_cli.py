@@ -473,6 +473,16 @@ def test_compare_three_photons_in_five_modes_at_r_0_6_passes(tmp_path):
     assert report["truncation_loss"][0] <= 5e-8
 
 
+def test_one_mode_is_not_charged_for_rotations_it_never_builds(tmp_path):
+    # r = 1.87 needs D = 421: 211 stored amplitudes, which the count once
+    # refused for the eigenbases and rotations a one-mode network does not build.
+    code, out = _run(tmp_path, "report.json",
+                     ["compare", "--n", "1", "--m", "1", "--xi", "1.87", "--seed", "7"])
+    assert code == 0
+    report = json.loads(out.read_text())["report"]
+    assert report["passes"] is True and report["cutoffs"] == [421]
+
+
 def test_largest_admitted_state_peaks_within_the_limit_and_the_next_exits_two(
         monkeypatch, capsys):
     n, m, xi, seed = 2, 4, 0.6, 7

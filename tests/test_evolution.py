@@ -6,9 +6,10 @@ products of ladder matrices. States keep every occupation tuple up to a total
 photon number, so no mixer sector ever crosses the cutoff and that oracle is
 exact. The sector rotations, which a network builds from the eigenbases held
 with its layout, are checked against scipy's ``expm`` of each sector
-generator. Cutoffs and truncation losses, 1 - ||psi||^2 of the prepared
-input, are checked against the tail of the input's total photon number, from
-its closed-form negative-binomial distribution.
+generator, and the closed-form eigenbases against numpy's ``eigh``. Cutoffs
+and truncation losses, 1 - ||psi||^2 of the prepared input, are checked
+against the tail of the input's total photon number, from its closed-form
+negative-binomial distribution.
 """
 
 import functools
@@ -51,7 +52,6 @@ from passv.evolution import (
     squeezed_vacuum_vector,
     state_overlap,
     _index_tables,
-    _sector_generator,
     _sector_rotations,
 )
 from passv.networks import (
@@ -531,6 +531,12 @@ def test_splitter_matches_dense_generator_oracle():
 ROTATION_ANGLES = (-math.pi, -1.3, 0.3, math.pi / 4.0, math.pi / 2.0, 2.9)
 
 
+def _sector_generator(total: int) -> np.ndarray:
+    """Antisymmetric generator of a two-mode mixer restricted to a photon total."""
+    w = np.sqrt(np.arange(1, total + 1) * np.arange(total, 0, -1.0))  # sqrt((p+1)(N-p))
+    return np.diag(w, -1) - np.diag(w, 1)
+
+
 def test_sector_rotation_matches_expm_oracle():
     stacks = _sector_rotations(ROTATION_ANGLES, 64)
     for total in range(1, 65):
@@ -553,6 +559,36 @@ def test_sector_rotations_compose():
         for total in (1, 7, 30, 64):
             first, second, composed = stacks[total]
             assert np.max(np.abs(first @ second - composed)) < 1e-12
+
+
+def test_held_eigenbases_match_eigh_projector_by_projector(monkeypatch):
+    # eigh's eigenvector phases are arbitrary, so each eigenvalue's projector
+    # is compared. The null vector of an even total is held weighted 1/sqrt 2.
+    monkeypatch.setattr(evolution, "_slot", evolution._Slot())
+    _index_tables(2, 200)  # a layout up to 200 keeps the eigenbases held
+    _sector_rotations([0.3], 200)
+    eigenbases = evolution._slot.eigenbases
+    assert len(eigenbases) == 201
+    for total, (u, q) in enumerate(eigenbases):
+        w, vectors = np.linalg.eigh(1j * _sector_generator(total))
+        held = u.copy()
+        if total % 2 == 0:
+            held[:, 0] *= math.sqrt(2.0)
+        for k, eigenvalue in enumerate(range(total % 2, total + 1, 2)):
+            v = vectors[:, np.argmin(np.abs(w - eigenvalue))]
+            assert np.max(np.abs(np.outer(held[:, k], held[:, k].conj())
+                                 - np.outer(v, v.conj()))) <= 1e-13, (total, eigenvalue)
+        np.testing.assert_array_equal(q[0::2], 2.0 * u.T.real)
+        np.testing.assert_array_equal(q[1::2], 2.0 * u.T.imag)
+
+
+def test_sector_rotations_stay_orthogonal_at_the_largest_mixed_cutoff(monkeypatch):
+    # D = 364, the n = 2 edge of the byte guard at m = 2, is the largest cutoff
+    # any mixer runs at, and the far end of the eigenbasis recursion.
+    monkeypatch.setattr(evolution, "_slot", evolution._Slot())
+    stacks = _sector_rotations([0.3], 364)
+    for total, (rotation,) in enumerate(stacks):
+        assert np.max(np.abs(rotation @ rotation.T - np.eye(total + 1))) < 1e-14, total
 
 
 def test_splitter_conserves_photon_number_sectors():
@@ -1017,13 +1053,23 @@ def test_size_guard_counts_the_stored_parity_and_the_rotations():
     rotations = 6 * sum((s + 1) ** 2 for s in range(d + 1)) * 8
     # u (complex) and q (real, twice the columns) of the s // 2 + 1 eigenvalues w >= 0.
     eigenbases = sum(32 * (s + 1) * (s // 2 + 1) + 1024 for s in range(d + 1))
-    # Its cold eigh, then the phase table and u exp(-1j theta w) of 6 angles.
-    top_total = 80 * (d + 1) ** 2 + 6 * 16 * (d + 1) * ((d // 2 + 1) + 1)
+    # The recursion's five (d+1)^2 buffers, then the phase table and
+    # u exp(-1j theta w) of 6 angles.
+    top_total = 40 * (d + 1) ** 2 + 6 * 16 * (d + 1) * ((d // 2 + 1) + 1)
     per_amplitude = 32 + m + 2 + 4 * (m - 1)
     for parity, amplitudes in ((None, math.comb(d + m, m)), (0, 58_730), (1, 53_200)):
         assert evolution._amplitude_count(m, d, parity) == amplitudes
         assert evolution._state_bytes(m, d, parity) == (
             amplitudes * per_amplitude + rotations + eigenbases + top_total)
+
+
+@pytest.mark.parametrize("d", [0, 38, 413, 1_001])
+def test_size_guard_counts_amplitudes_alone_for_one_mode(d):
+    # One mode has no mixer, so nothing is held per photon total.
+    amplitudes = evolution._amplitude_count(1, d, 1)
+    assert amplitudes == (d + 1) // 2
+    levels, bins = np.min_scalar_type(d).itemsize, np.min_scalar_type(2 * d + 1).itemsize
+    assert evolution._state_bytes(1, d, 1) == amplitudes * (32 + levels + bins)
 
 
 @pytest.mark.parametrize("m, d, network", [
