@@ -65,6 +65,10 @@ ADDED = "added"
 SUBTRACTED = "subtracted"
 
 STATE_SIZE_LIMIT = MEMORY_LIMIT  # bytes per state, as counted by _state_bytes
+# Modules and library code that a process's first network op maps beside its
+# arrays (numpy.random for the draw among them): max RSS rose 7.4 to 8.3 MiB
+# for a one-photon op at r = 0.1, m = 1 to 4.
+FIRST_OP_BYTES = 12 << 20
 AMPLITUDE_BLOCK = 16_384  # amplitudes at a time in from_product and _apply_mode_factors
 
 
@@ -126,8 +130,10 @@ def _state_bytes(modes: int, cutoff: int, parity: int | None = None) -> int:
     and under 1 KB of array objects. Besides, the top total's temporaries:
     the recursion's buffers (two raised copies of the 50:50 mixer of D - 1,
     the mixer of D and two temporaries), 40 (D+1)^2, and after them the phase
-    table and the complex u exp(-1j theta w), 16 E (D+1) (h+1). A one-mode
-    network has no mixer and builds none of these.
+    table and the complex u exp(-1j theta w), 16 E (D+1) (h+1); and
+    FIRST_OP_BYTES. A one-mode network has no mixer and builds none of
+    these, and its state is bounded by ``sector_weights`` long before this
+    count, so it is counted by its amplitudes alone.
     """
     bin_bytes = np.min_scalar_type(((cutoff + 1) << modes) - 1).itemsize
     per_amplitude = 32 + modes * np.min_scalar_type(cutoff).itemsize + bin_bytes + 4 * (modes - 1)
@@ -137,7 +143,8 @@ def _state_bytes(modes: int, cutoff: int, parity: int | None = None) -> int:
     mixers = modes * (modes - 1) // 2
     held = sum((8 * mixers * (s + 1) + 32 * (s // 2 + 1)) * (s + 1) + 1024
                for s in range(cutoff + 1))
-    return amplitudes + held + (40 * (cutoff + 1) + 16 * mixers * (cutoff // 2 + 2)) * (cutoff + 1)
+    top_total = (40 * (cutoff + 1) + 16 * mixers * (cutoff // 2 + 2)) * (cutoff + 1)
+    return amplitudes + held + top_total + FIRST_OP_BYTES
 
 
 def _check_state_size(modes: int, cutoff: int, parity: int | None = None) -> None:
@@ -181,12 +188,13 @@ def _index_tables(modes: int, cutoff: int, parity: int | None = None
     Column k is for amplitude k, whose bin is its total times 2^m plus its
     parity pattern; ``_pair_gather`` fills the dict on first use. Only the
     layout in use is held: a different one drops it, and the eigenbases of
-    totals above its own cutoff, before it is built.
+    totals above its own cutoff (every eigenbasis, for one mode, which mixes
+    nothing), before it is built.
     """
     key = (modes, cutoff, parity)
     if _slot.key != key:
         _slot.key, _slot.tables = None, ()
-        del _slot.eigenbases[cutoff + 1:]
+        del _slot.eigenbases[cutoff + 1 if modes > 1 else 0:]
         table = bounded_occupations(modes, cutoff, parity)
         # Shifted once per mode: the total ends up times 2^m, mode 0's parity in bit m - 1.
         bins = table.sum(axis=0, dtype=np.min_scalar_type(((cutoff + 1) << modes) - 1))
@@ -438,6 +446,37 @@ def _apply_mode_factors(state: TruncatedFockState, mode: int, factors: np.ndarra
         state.amplitudes[block] *= factors[levels[block]]
 
 
+def _extend_eigenbases(held: list, cutoff: int) -> None:
+    """Append the (u, q) of the totals above those ``held``, up to ``cutoff``.
+
+    ``_sector_rotations`` gives the closed form. The recursion runs from total
+    0, and its buffers are freed on return, before any rotation stack is made.
+    """
+    roots, row_phases = np.sqrt(np.arange(cutoff + 1)), np.array([1, 1j, -1, -1j])
+    mixer = np.ones((1, 1))  # exp(pi/4 K_0)
+    for total in range(cutoff + 1):
+        if total:
+            # Mode i, then mode j, raised on total - 1; the mixer takes a^dag to
+            # (a^dag - b^dag)/sqrt 2 and b^dag to (a^dag + b^dag)/sqrt 2. Each
+            # weight sqrt(p/2)/N is rounded on its own: a shared 1/(sqrt 2 N)
+            # carries one rounding of sqrt 2 into every total, and the mixer's
+            # orthogonality then drifted 20 times further by N = 357.
+            raised_i, raised_j = np.zeros((2, total + 1, total))
+            raised_i[1:] = roots[1:total + 1, None] * mixer
+            raised_j[:-1] = roots[total:0:-1, None] * mixer
+            weights = np.sqrt(np.arange(total + 1) / (2.0 * total * total))
+            mixer = np.zeros((total + 1, total + 1))
+            mixer[:, 1:] = (raised_i - raised_j) * weights[1:]
+            mixer[:, :-1] += (raised_i + raised_j) * weights[:0:-1]
+        if total >= len(held):
+            u = mixer[:, total // 2::-1] * row_phases[np.arange(total + 1) % 4, None]
+            if total % 2 == 0:
+                u[:, 0] *= math.sqrt(0.5)
+            q = np.empty((total // 2 * 2 + 2, total + 1))
+            q[0::2], q[1::2] = 2.0 * u.T.real, 2.0 * u.T.imag
+            held.append((u, q))
+
+
 def _sector_rotations(thetas, cutoff: int) -> list[np.ndarray]:
     """The rotations exp(theta K_N) of every angle on every photon total N <= cutoff.
 
@@ -460,38 +499,12 @@ def _sector_rotations(thetas, cutoff: int) -> list[np.ndarray]:
     read from one table of exp(-1j theta k) for k <= cutoff, times q in one
     batched real matrix product, which forms each entry exactly as a
     one-angle stack does. Eigenbases up to the held layout's cutoff stay
-    held; callers fetch the state's layout first. Per-total arrays are
-    allocated from the top total down, and the eigenbases filled from the
-    bottom up, so that the recursion's and the stacks' temporaries reuse the
-    heap holes of the larger totals: allocating each eigenbasis as it was
-    filled raised max RSS 25 MB more at the m = 3 edge of the byte guard.
+    held; callers fetch the state's layout first. Each eigenbasis is made as
+    the recursion reaches its total, and the stacks from the top total down.
     """
     held = _slot.eigenbases
-    missing = range(len(held), cutoff + 1)
-    held += [(np.empty((total + 1, total // 2 + 1), np.complex128),
-              np.empty((total // 2 * 2 + 2, total + 1))) for total in reversed(missing)][::-1]
-    roots, row_phases = np.sqrt(np.arange(cutoff + 1)), np.array([1, 1j, -1, -1j])
-    mixer = np.ones((1, 1))  # exp(pi/4 K_0)
-    for total in range(cutoff + 1) if missing else ():
-        if total:
-            # Mode i, then mode j, raised on total - 1; the mixer takes a^dag to
-            # (a^dag - b^dag)/sqrt 2 and b^dag to (a^dag + b^dag)/sqrt 2. Each
-            # weight sqrt(p/2)/N is rounded on its own: a shared 1/(sqrt 2 N)
-            # carries one rounding of sqrt 2 into every total, and the mixer's
-            # orthogonality then drifted 20 times further by N = 357.
-            raised_i, raised_j = np.zeros((2, total + 1, total))
-            raised_i[1:] = roots[1:total + 1, None] * mixer
-            raised_j[:-1] = roots[total:0:-1, None] * mixer
-            weights = np.sqrt(np.arange(total + 1) / (2.0 * total * total))
-            mixer = np.zeros((total + 1, total + 1))
-            mixer[:, 1:] = (raised_i - raised_j) * weights[1:]
-            mixer[:, :-1] += (raised_i + raised_j) * weights[:0:-1]
-        if total in missing:
-            u, q = held[total]
-            np.multiply(mixer[:, total // 2::-1], row_phases[np.arange(total + 1) % 4, None], out=u)
-            if total % 2 == 0:
-                u[:, 0] *= math.sqrt(0.5)
-            q[0::2], q[1::2] = 2.0 * u.T.real, 2.0 * u.T.imag
+    if len(held) <= cutoff:
+        _extend_eigenbases(held, cutoff)
     phases = np.exp(-1j * np.outer(thetas, np.arange(cutoff + 1)))[:, None, :]
     stacks = [(u * phases[:, :, total % 2:total + 1:2]).view(np.float64) @ q
               for total, (u, q) in reversed(list(enumerate(held[:cutoff + 1])))]

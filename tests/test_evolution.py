@@ -583,10 +583,10 @@ def test_held_eigenbases_match_eigh_projector_by_projector(monkeypatch):
 
 
 def test_sector_rotations_stay_orthogonal_at_the_largest_mixed_cutoff(monkeypatch):
-    # D = 364, the n = 2 edge of the byte guard at m = 2, is the largest cutoff
+    # D = 357, the n = 1 edge of the byte guard at m = 2, is the largest cutoff
     # any mixer runs at, and the far end of the eigenbasis recursion.
     monkeypatch.setattr(evolution, "_slot", evolution._Slot())
-    stacks = _sector_rotations([0.3], 364)
+    stacks = _sector_rotations([0.3], 357)
     for total, (rotation,) in enumerate(stacks):
         assert np.max(np.abs(rotation @ rotation.T - np.eye(total + 1))) < 1e-14, total
 
@@ -1056,11 +1056,12 @@ def test_size_guard_counts_the_stored_parity_and_the_rotations():
     # The recursion's five (d+1)^2 buffers, then the phase table and
     # u exp(-1j theta w) of 6 angles.
     top_total = 40 * (d + 1) ** 2 + 6 * 16 * (d + 1) * ((d // 2 + 1) + 1)
+    first_op = 12 * 2 ** 20  # the modules and library code a first op maps
     per_amplitude = 32 + m + 2 + 4 * (m - 1)
     for parity, amplitudes in ((None, math.comb(d + m, m)), (0, 58_730), (1, 53_200)):
         assert evolution._amplitude_count(m, d, parity) == amplitudes
         assert evolution._state_bytes(m, d, parity) == (
-            amplitudes * per_amplitude + rotations + eigenbases + top_total)
+            amplitudes * per_amplitude + rotations + eigenbases + top_total + first_op)
 
 
 @pytest.mark.parametrize("d", [0, 38, 413, 1_001])
@@ -1110,6 +1111,17 @@ def test_one_layout_is_held_and_a_new_one_drops_it():
     assert table.shape == (3, evolution._amplitude_count(3, 20, 1)) and len(gathers) == 2
     assert all(order.shape == bins.shape for order, _ in gathers.values())
     assert [ref() for ref in dropped] == [None, None]
+
+
+def test_a_one_mode_layout_drops_every_eigenbasis(monkeypatch):
+    # A one-mode state is counted by its amplitudes alone, so eigenbases
+    # left by a two-mode op (about 245 MB at D = 357) may not stay held.
+    monkeypatch.setattr(evolution, "_slot", evolution._Slot())
+    state = build_passv_input(1, 2, 0.5, ADDED, 41)
+    apply_network(state, reck_decompose(haar_special_orthogonal(2, 7)))
+    assert len(evolution._slot.eigenbases) == 42
+    build_passv_input(1, 1, 0.5, ADDED, 61)
+    assert evolution._slot.key == (1, 61, 1) and evolution._slot.eigenbases == []
 
 
 def test_a_network_without_elements_builds_no_rotations(monkeypatch):

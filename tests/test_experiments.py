@@ -331,9 +331,8 @@ def test_every_deviation_is_within_the_floor(shape, seed, r, variant):
     assert report.passes()
 
 
-# Twenty warm ops of each benchmark command, after one cold op. The cold op's
-# eigh of the larger sector generators wakes OpenBLAS's other threads, which
-# spin for about 0.1 s after; the pause lets them go idle first.
+# Twenty warm ops of each benchmark command, after one cold op and a pause
+# that lets any BLAS thread the cold op woke go idle first.
 ONE_CORE_CHILD = """
 import time
 from passv.experiments import run_equivalence_experiment
@@ -363,27 +362,49 @@ def test_warm_equivalence_ops_keep_to_one_core(threads):
     assert len(ratios) == 2 and max(ratios) <= 1.3, f"process CPU / wall: {ratios}"
 
 
-# The m = 3 edge of the byte guard: r = 1.53 needs cutoff 281 and r = 1.54 is refused.
+# An edge of the byte guard, run cold in a child: max RSS rises from the
+# imported process by the op's arrays and the modules a first op maps. The
+# peak is the child's own VmHWM: ru_maxrss carries over the RSS that the
+# forking process had, so under pytest it started 24 MB or more above the
+# child's imports and hid that much of the rise.
 EDGE_RSS_CHILD = """
-import resource
+import sys
 from passv.experiments import run_equivalence_experiment
 
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-report = run_equivalence_experiment(3, 3, [1.53], seed=7)
-print(report.passes(), report.cutoffs[0],
-      (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) * 1024)
+def peak():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+n, m, r = int(sys.argv[1]), int(sys.argv[2]), float(sys.argv[3])
+before = peak()
+report = run_equivalence_experiment(n, m, [r], seed=7)
+print(report.passes(), report.cutoffs[0], (peak() - before) * 1024)
 """
+needs_vmhwm = pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                                 reason="the child reads VmHWM from Linux's /proc")
 
 
-def test_the_byte_guard_edge_holds_its_count_in_max_rss():
-    # Per-total arrays are allocated from the top total down, so that the
-    # temporaries reuse the heap holes of the larger totals; allocated upward
-    # as the eigenbases were filled, max RSS rose 383 MB here, 25 MB more.
+def _edge_rise_within_count(n, m, r, cutoff):
     with pytest.raises(SizeLimitError):
-        run_equivalence_experiment(3, 3, [1.54], seed=7)
-    result = subprocess.run([sys.executable, "-c", EDGE_RSS_CHILD], capture_output=True,
-                            text=True, timeout=300)
+        run_equivalence_experiment(n, m, [round(r + 0.01, 2)], seed=7)
+    result = subprocess.run([sys.executable, "-c", EDGE_RSS_CHILD, str(n), str(m), str(r)],
+                            capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
-    passes, cutoff, rise = result.stdout.split()
-    assert (passes, cutoff) == ("True", "281")
-    assert int(rise) <= evolution._state_bytes(3, 281, 1), f"max RSS rose {int(rise)} bytes"
+    passes, held_cutoff, rise = result.stdout.split()
+    assert (passes, held_cutoff) == ("True", str(cutoff))
+    assert int(rise) <= evolution._state_bytes(m, cutoff, n % 2), f"max RSS rose {int(rise)} bytes"
+
+
+@needs_vmhwm
+def test_the_byte_guard_edge_holds_its_count_in_max_rss():
+    # The m = 3 edge: r = 1.52 needs cutoff 275 and r = 1.53 is refused. Max
+    # RSS rose 358 MB on a 385 MB count.
+    _edge_rise_within_count(3, 3, 1.52, 275)
+
+
+@needs_vmhwm
+def test_the_m2_byte_guard_edge_holds_its_count_in_max_rss():
+    # D = 357, the largest cutoff a mixer runs at: the held eigenbases are
+    # 245 MB of the 390 MB count. Max RSS rose 381 MB; it rose 6 MB over the
+    # count when the count left out the modules a first op maps.
+    _edge_rise_within_count(1, 2, 1.77, 357)
