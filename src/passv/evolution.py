@@ -19,11 +19,12 @@ exp(theta K_s) is a real sum over the eigenvalues w >= 0 alone, formed for
 every angle in one batched real matrix product. The eigenbasis is in closed
 form, the 50:50 mixer exp(pi/4 K_s) with its rows phased by i^r, and the
 50:50 mixers of every subtotal come from one stable recursion over s: no
-eigensolver runs. One layout is held at a time, with the eigenbases up to
-its cutoff: STATE_SIZE_LIMIT counts it with one state, its workspace and one
-network's rotations. The only truncation is the input's mass above total D;
-for a PASSV input, ``sector_weights`` gives it, and the weight of every
-total, in closed form.
+eigensolver runs. Only the real columns w >= 0 of each 50:50 mixer are held;
+an op phases their rows. One layout is held at a time, with the eigenbases
+up to its cutoff: STATE_SIZE_LIMIT counts it with one state, its workspace
+and one network's rotations. The only truncation is the input's mass above
+total D; for a PASSV input, ``sector_weights`` gives it, and the weight of
+every total, in closed form.
 
 Squared norms and overlaps are einsum sums, not BLAS dot products: a dot
 product of a state's length wakes OpenBLAS's other threads, which then spin
@@ -126,12 +127,13 @@ def _state_bytes(modes: int, cutoff: int, parity: int | None = None) -> int:
     m - 1 mode pairs, as many as a Reck network mixes (``_pair_gather`` holds
     no more). With two modes or more, a network has E = m(m-1)/2 mixers, and
     per subtotal s <= D: 8 E (s+1)^2 bytes of real rotations; the held half
-    eigenbasis, u and q of its h = s//2 + 1 eigenvalues w >= 0, 32 (s+1) h;
-    and under 1 KB of array objects. Besides, the top total's temporaries:
-    the recursion's buffers (two raised copies of the 50:50 mixer of D - 1,
-    the mixer of D and two temporaries), 40 (D+1)^2, and after them the phase
-    table and the complex u exp(-1j theta w), 16 E (D+1) (h+1); and
-    FIRST_OP_BYTES. A one-mode network has no mixer and builds none of
+    eigenbasis, the real 50:50 columns of its h = s//2 + 1 eigenvalues
+    w >= 0, 8 (s+1) h; and under 1 KB of array objects. Besides, the top
+    total's temporaries: the recursion's buffers (two raised copies of the
+    50:50 mixer of D - 1, the mixer of D and two temporaries), 40 (D+1)^2,
+    and after them the phase table and the complex u 2 exp(-1j theta w),
+    16 E (D+1) (h+1), and the complex u with its row phases, 16 (D+1) (h+1);
+    and FIRST_OP_BYTES. A one-mode network has no mixer and builds none of
     these, and its state is bounded by ``sector_weights`` long before this
     count, so it is counted by its amplitudes alone.
     """
@@ -141,9 +143,9 @@ def _state_bytes(modes: int, cutoff: int, parity: int | None = None) -> int:
     if modes < 2:
         return amplitudes
     mixers = modes * (modes - 1) // 2
-    held = sum((8 * mixers * (s + 1) + 32 * (s // 2 + 1)) * (s + 1) + 1024
+    held = sum((8 * mixers * (s + 1) + 8 * (s // 2 + 1)) * (s + 1) + 1024
                for s in range(cutoff + 1))
-    top_total = (40 * (cutoff + 1) + 16 * mixers * (cutoff // 2 + 2)) * (cutoff + 1)
+    top_total = (40 * (cutoff + 1) + 16 * (mixers + 1) * (cutoff // 2 + 2)) * (cutoff + 1)
     return amplitudes + held + top_total + FIRST_OP_BYTES
 
 
@@ -447,12 +449,15 @@ def _apply_mode_factors(state: TruncatedFockState, mode: int, factors: np.ndarra
 
 
 def _extend_eigenbases(held: list, cutoff: int) -> None:
-    """Append the (u, q) of the totals above those ``held``, up to ``cutoff``.
+    """Append the eigenbases of the totals above those ``held``, up to ``cutoff``.
 
-    ``_sector_rotations`` gives the closed form. The recursion runs from total
-    0, and its buffers are freed on return, before any rotation stack is made.
+    Total N holds one real float64 array and nothing else: the columns
+    w >= 0 of its 50:50 mixer, ``mixer[:, N//2::-1]``, of shape
+    (N+1, N//2+1). ``_sector_rotations`` gives the closed form. The recursion
+    runs from total 0, and its buffers are freed on return, before any
+    rotation stack is made.
     """
-    roots, row_phases = np.sqrt(np.arange(cutoff + 1)), np.array([1, 1j, -1, -1j])
+    roots = np.sqrt(np.arange(cutoff + 1))
     mixer = np.ones((1, 1))  # exp(pi/4 K_0)
     for total in range(cutoff + 1):
         if total:
@@ -469,12 +474,7 @@ def _extend_eigenbases(held: list, cutoff: int) -> None:
             mixer[:, 1:] = (raised_i - raised_j) * weights[1:]
             mixer[:, :-1] += (raised_i + raised_j) * weights[:0:-1]
         if total >= len(held):
-            u = mixer[:, total // 2::-1] * row_phases[np.arange(total + 1) % 4, None]
-            if total % 2 == 0:
-                u[:, 0] *= math.sqrt(0.5)
-            q = np.empty((total // 2 * 2 + 2, total + 1))
-            q[0::2], q[1::2] = 2.0 * u.T.real, 2.0 * u.T.imag
-            held.append((u, q))
+            held.append(mixer[:, total // 2::-1].copy())
 
 
 def _sector_rotations(thetas, cutoff: int) -> list[np.ndarray]:
@@ -491,23 +491,27 @@ def _sector_rotations(thetas, cutoff: int) -> list[np.ndarray]:
     writing |p, N - p> as a^dag |p - 1, N - p> sqrt(p)/N plus
     b^dag |p, N - p - 1> sqrt(N - p)/N, each raised through the mixer (a
     spin-N/2 rotation under Schwinger's map; T. Risbo, J. Geodesy 70, 383
-    (1996)); raising one mode alone is unstable. Held per total, for the
-    h = N//2 + 1 eigenvalues w >= 0 in ascending order: their eigenvectors u,
-    columns k = N//2 .. 0 (z weighted 1/sqrt 2, so that it enters once), and
-    the real rows q of 2 Re u^H and 2 Im u^H, interleaved. Stack N is a real,
-    contiguous (E, N+1, N+1) array: the float64 view of u exp(-1j theta_e w),
-    read from one table of exp(-1j theta k) for k <= cutoff, times q in one
-    batched real matrix product, which forms each entry exactly as a
-    one-angle stack does. Eigenbases up to the held layout's cutoff stay
-    held; callers fetch the state's layout first. Each eigenbasis is made as
-    the recursion reaches its total, and the stacks from the top total down.
+    (1996)); raising one mode alone is unstable. Held per total: the real
+    columns k = N//2 .. 0 of the mixer, the h = N//2 + 1 eigenvalues w >= 0
+    in ascending order. Per op, each total's u is those columns with their
+    rows phased by i^r, and stack N is a real, contiguous (E, N+1, N+1)
+    array: the float64 view of u 2 exp(-1j theta_e w), read from one table
+    of phases for w <= cutoff whose w = 0 entry is 1 so that z enters once,
+    times the float64 view of u transposed, in one batched real matrix
+    product, which forms each entry exactly as a one-angle stack does.
+    Eigenbases up to the held layout's cutoff stay held; callers fetch the
+    state's layout first. Each eigenbasis is made as the recursion reaches
+    its total, and the stacks from the top total down.
     """
     held = _slot.eigenbases
     if len(held) <= cutoff:
         _extend_eigenbases(held, cutoff)
-    phases = np.exp(-1j * np.outer(thetas, np.arange(cutoff + 1)))[:, None, :]
-    stacks = [(u * phases[:, :, total % 2:total + 1:2]).view(np.float64) @ q
-              for total, (u, q) in reversed(list(enumerate(held[:cutoff + 1])))]
+    phases = 2.0 * np.exp(-1j * np.outer(thetas, np.arange(cutoff + 1)))[:, None, :]
+    phases[..., 0] = 1.0  # w = 0: the null vector enters once
+    row_phases = np.array([1, 1j, -1, -1j])[np.arange(cutoff + 1) % 4, None]
+    stacks = [(u * phases[..., total % 2:total + 1:2]).view(np.float64) @ u.view(np.float64).T
+              for total in range(cutoff, -1, -1)
+              for u in [held[total] * row_phases[:total + 1]]]
     del held[_slot.key[1] + 1 if _slot.key else 0:]  # none above the held layout's cutoff
     return stacks[::-1]
 

@@ -19,6 +19,13 @@ w_k (``evolution.sector_weights``). O maps the part with odd modes S to
 Per(O_S) a_S^dag B^k|0>, of the same norm for every S, so P_k(S) =
 |Per(O_S)|^2 in every total k.
 
+Not every total tests that claim. Total n (k = 0) of a PASSV input is
+a_1^dag ... a_n^dag |0>, so its match is boson sampling itself and holds
+behind any network, real or not, at any squeezing. Only the totals k >= 1
+test the paper's claim: behind a complex network, or with one mode squeezed
+less, they miss |Per|^2 while total n still matches. A report at xi = 0
+evolves total n alone, so it checks boson sampling, not the claim.
+
 So a report evolves one state, at its largest cutoff, and normalizes each
 total's parity table by its own mass, which mixing keeps, to get P_k; the row
 of each squeezing is sum_k w_k P_k / sum_k w_k over the totals its cutoff

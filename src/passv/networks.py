@@ -200,11 +200,11 @@ def _check_seed(seed: int) -> int:
 
 
 def _check_draw_size(m: int, arrays: int, itemsize: int) -> None:
-    """Refuse a draw that holds ``arrays`` m x m arrays over MEMORY_LIMIT, before any is made."""
+    """Refuse a network that holds ``arrays`` m x m arrays over MEMORY_LIMIT, before any is made."""
     needed = arrays * itemsize * m * m
     if needed > MEMORY_LIMIT:
         raise SizeLimitError(
-            f"a {m}-mode network draw holds {arrays} arrays of {m} x {m} entries, "
+            f"a {m}-mode network holds {arrays} arrays of {m} x {m} entries, "
             f"{needed} bytes, over the {MEMORY_LIMIT} byte limit"
         )
 
@@ -257,7 +257,10 @@ def embed_unitary_as_orthogonal(network) -> LinearNetwork:
     """Realification U = A + iB -> [[A, -B], [B, A]] in SO(2m).
 
     A group homomorphism: the embedding of a product is the product of the
-    embeddings. Rejects inputs that are not unitary within 1e-8.
+    embeddings. Rejects inputs that are not unitary within 1e-8. Counted as
+    five real 2m x 2m arrays before any is made: the doubled block,
+    LinearNetwork's copy, the product and identity of its unitarity check,
+    and the m x m complex input, which is half of one.
     """
     if isinstance(network, LinearNetwork):
         u = np.asarray(network.entries, dtype=np.complex128)
@@ -265,6 +268,7 @@ def embed_unitary_as_orthogonal(network) -> LinearNetwork:
         u = np.asarray(network, dtype=np.complex128)
         if u.ndim != 2 or u.shape[0] != u.shape[1]:
             raise ValidationError(f"embedding needs a square matrix, got shape {u.shape}")
+    _check_draw_size(2 * u.shape[0], 5, 8)
     defect = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
     if defect > EMBED_ATOL:
         raise ValidationError(

@@ -563,30 +563,30 @@ def test_sector_rotations_compose():
 
 def test_held_eigenbases_match_eigh_projector_by_projector(monkeypatch):
     # eigh's eigenvector phases are arbitrary, so each eigenvalue's projector
-    # is compared. The null vector of an even total is held weighted 1/sqrt 2.
+    # is compared. Each total holds one real array, the columns w >= 0 of its
+    # 50:50 mixer; with rows phased by i^r they are the eigenvectors, the null
+    # vector of an even total unscaled.
     monkeypatch.setattr(evolution, "_slot", evolution._Slot())
     _index_tables(2, 200)  # a layout up to 200 keeps the eigenbases held
     _sector_rotations([0.3], 200)
     eigenbases = evolution._slot.eigenbases
     assert len(eigenbases) == 201
-    for total, (u, q) in enumerate(eigenbases):
+    for total, columns in enumerate(eigenbases):
+        assert columns.dtype == np.float64 and columns.shape == (total + 1, total // 2 + 1)
+        assert columns.flags.c_contiguous and columns.base is None
+        held = columns * 1j ** (np.arange(total + 1)[:, None] % 4)
         w, vectors = np.linalg.eigh(1j * _sector_generator(total))
-        held = u.copy()
-        if total % 2 == 0:
-            held[:, 0] *= math.sqrt(2.0)
         for k, eigenvalue in enumerate(range(total % 2, total + 1, 2)):
             v = vectors[:, np.argmin(np.abs(w - eigenvalue))]
             assert np.max(np.abs(np.outer(held[:, k], held[:, k].conj())
                                  - np.outer(v, v.conj()))) <= 1e-13, (total, eigenvalue)
-        np.testing.assert_array_equal(q[0::2], 2.0 * u.T.real)
-        np.testing.assert_array_equal(q[1::2], 2.0 * u.T.imag)
 
 
 def test_sector_rotations_stay_orthogonal_at_the_largest_mixed_cutoff(monkeypatch):
-    # D = 357, the n = 1 edge of the byte guard at m = 2, is the largest cutoff
+    # D = 446, the n = 2 edge of the byte guard at m = 2, is the largest cutoff
     # any mixer runs at, and the far end of the eigenbasis recursion.
     monkeypatch.setattr(evolution, "_slot", evolution._Slot())
-    stacks = _sector_rotations([0.3], 357)
+    stacks = _sector_rotations([0.3], 446)
     for total, (rotation,) in enumerate(stacks):
         assert np.max(np.abs(rotation @ rotation.T - np.eye(total + 1))) < 1e-14, total
 
@@ -1051,11 +1051,11 @@ def test_network_rotation_stacks_equal_the_single_rotations_bit_for_bit(count, c
 def test_size_guard_counts_the_stored_parity_and_the_rotations():
     m, d = 4, 38
     rotations = 6 * sum((s + 1) ** 2 for s in range(d + 1)) * 8
-    # u (complex) and q (real, twice the columns) of the s // 2 + 1 eigenvalues w >= 0.
-    eigenbases = sum(32 * (s + 1) * (s // 2 + 1) + 1024 for s in range(d + 1))
+    # The real 50:50 columns of the s // 2 + 1 eigenvalues w >= 0.
+    eigenbases = sum(8 * (s + 1) * (s // 2 + 1) + 1024 for s in range(d + 1))
     # The recursion's five (d+1)^2 buffers, then the phase table and
-    # u exp(-1j theta w) of 6 angles.
-    top_total = 40 * (d + 1) ** 2 + 6 * 16 * (d + 1) * ((d // 2 + 1) + 1)
+    # u exp(-1j theta w) of 6 angles, and the complex u with its row phases.
+    top_total = 40 * (d + 1) ** 2 + (6 + 1) * 16 * (d + 1) * ((d // 2 + 1) + 1)
     first_op = 12 * 2 ** 20  # the modules and library code a first op maps
     per_amplitude = 32 + m + 2 + 4 * (m - 1)
     for parity, amplitudes in ((None, math.comb(d + m, m)), (0, 58_730), (1, 53_200)):
@@ -1103,7 +1103,7 @@ def test_one_layout_is_held_and_a_new_one_drops_it():
     apply_network(first, reck_decompose(haar_special_orthogonal(4, 7)))
     slot = evolution._slot
     assert slot.key == (4, 38, 0) and len(slot.eigenbases) == 39
-    dropped = [weakref.ref(slot.tables[0]), weakref.ref(slot.eigenbases[38][1])]
+    dropped = [weakref.ref(slot.tables[0]), weakref.ref(slot.eigenbases[38])]
     second = build_passv_input(1, 3, 0.5, ADDED, 20)
     apply_network(second, reck_decompose(haar_special_orthogonal(3, 7)))
     assert slot.key == (3, 20, 1) and len(slot.eigenbases) == 21
@@ -1115,7 +1115,7 @@ def test_one_layout_is_held_and_a_new_one_drops_it():
 
 def test_a_one_mode_layout_drops_every_eigenbasis(monkeypatch):
     # A one-mode state is counted by its amplitudes alone, so eigenbases
-    # left by a two-mode op (about 245 MB at D = 357) may not stay held.
+    # left by a two-mode op (about 120 MB at D = 446) may not stay held.
     monkeypatch.setattr(evolution, "_slot", evolution._Slot())
     state = build_passv_input(1, 2, 0.5, ADDED, 41)
     apply_network(state, reck_decompose(haar_special_orthogonal(2, 7)))

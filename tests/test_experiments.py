@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies
+from hypothesis import assume, given, settings, strategies
 
 from passv.configurations import collision_free_configurations, parity_pattern_of
 from passv.errors import SizeLimitError, ValidationError
@@ -29,10 +29,14 @@ from passv.experiments import (
 from passv.evolution import (
     ADDED,
     SUBTRACTED,
+    TruncatedFockState,
     apply_network,
     build_passv_input,
+    mode_ladder,
     parity_distribution,
+    parity_sectors,
     required_cutoff,
+    squeezed_vacuum_vector,
 )
 from passv.networks import (
     ORTHOGONAL,
@@ -41,7 +45,7 @@ from passv.networks import (
     haar_unitary,
     reck_decompose,
 )
-from passv.sampling import output_distribution, uniform_input
+from passv.sampling import outcome_probabilities, output_distribution, uniform_input
 
 
 def test_report_tolerance_is_the_floor_for_every_m_and_epsilon():
@@ -176,7 +180,7 @@ def test_oracle_guards_fire_before_anything_is_built(monkeypatch, n, m, xi):
 @pytest.mark.parametrize("n, m, xi_values, variant, epsilon_tail, error", [
     # r = 1.0 at m = 5 needs total cutoff 92, over the state size limit.
     (2, 5, [0.1, 1.0], ADDED, 1e-8, SizeLimitError),
-    # r = 2.0 at m = 3 needs total cutoff 658, past the byte edge at r = 1.57 (D = 278).
+    # r = 2.0 at m = 3 needs total cutoff 658, past the byte edge at r = 1.61 (D = 302).
     (2, 3, [0.1, 2.0], ADDED, 1e-8, SizeLimitError),
     (2, 3, [0.3, 0.0], SUBTRACTED, 1e-8, ValidationError),  # subtraction from vacuum
     (2, 3, [0.3, 0.4], "doubled", 1e-8, ValidationError),
@@ -331,6 +335,53 @@ def test_every_deviation_is_within_the_floor(shape, seed, r, variant):
     assert report.passes()
 
 
+def _deviation_per_total(n, network, state):
+    """max over the n-odd patterns S of |P_k(S) - |Per(U_S)|^2|, for each total n + 2k."""
+    m = network.dimension
+    apply_network(state, reck_decompose(network))
+    sectors = parity_sectors(state)[n::2]
+    sectors /= sectors.sum(axis=1, keepdims=True)
+    outcomes = collision_free_configurations(n, m)
+    columns = [sum(1 << (m - 1 - i) for i, occupation in enumerate(config) if occupation)
+               for config in outcomes]
+    predicted = outcome_probabilities(network, uniform_input(n, m), outcomes)
+    return np.max(np.abs(sectors[:, columns] - predicted), axis=1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=strategies.sampled_from([(n, m) for m in (2, 3, 4) for n in range(1, m + 1)]),
+       seed=strategies.integers(0, 2**32 - 1), r=strategies.integers(1, 60),
+       variant=strategies.sampled_from([ADDED, SUBTRACTED]))
+def test_only_the_totals_above_n_tell_a_broken_condition(shape, seed, r, variant):
+    # Two inputs that break the paper's conditions: a complex Haar U, and a
+    # real O with the last mode squeezed to r/2. Total n is
+    # a_1^dag ... a_n^dag |0>, so its match is boson sampling itself and holds
+    # behind any network; every total n + 2k, k >= 1, misses. A network that
+    # barely mixes cannot tell, so networks within 1e-3 of these are skipped:
+    # U real up to its row phases and one phase common to every column, and O
+    # that leaves the last mode alone.
+    # Measured at r = 0.01, 0.1, 0.3 and 0.6 on 1,200 to 60,000 networks per
+    # m, k = 0 stayed within 2.8e-15 and k >= 1 missed by 6.6e-8 or more.
+    n, m = shape
+    r /= 100
+    cutoff = required_cutoff(r, m * 1e-8, modes=m, photons=n)
+    assert cutoff >= n + 2
+    unitary, rotation = haar_unitary(m, seed), haar_special_orthogonal(m, seed)
+    u = unitary.entries
+    assume(np.max(np.abs((u[:, :, None] * u[:, None, :].conj()).imag)) >= 1e-3)
+    assume(1.0 - np.max(rotation.entries[:, -1] ** 2) >= 1e-3)
+    direction = "raise" if variant == ADDED else "lower"
+    vectors = []
+    for mode in range(m):
+        vector, _ = squeezed_vacuum_vector(r / 2 if mode == m - 1 else r, cutoff + 1)
+        vectors.append((mode_ladder(vector, direction) if mode < n else vector)[:cutoff + 1])
+    for network, state in ((unitary, build_passv_input(n, m, r, variant, cutoff)),
+                           (rotation, TruncatedFockState.from_product(vectors))):
+        deviations = _deviation_per_total(n, network, state)
+        assert deviations[0] <= TOLERANCE_FLOOR
+        assert np.min(deviations[1:]) > 100 * TOLERANCE_FLOOR, network
+
+
 # Twenty warm ops of each benchmark command, after one cold op and a pause
 # that lets any BLAS thread the cold op woke go idle first.
 ONE_CORE_CHILD = """
@@ -397,14 +448,15 @@ def _edge_rise_within_count(n, m, r, cutoff):
 
 @needs_vmhwm
 def test_the_byte_guard_edge_holds_its_count_in_max_rss():
-    # The m = 3 edge: r = 1.52 needs cutoff 275 and r = 1.53 is refused. Max
-    # RSS rose 358 MB on a 385 MB count.
-    _edge_rise_within_count(3, 3, 1.52, 275)
+    # The m = 3 edge: r = 1.56 needs cutoff 299 and r = 1.57 is refused. Max
+    # RSS rose 320 MB on a 382 MB count.
+    _edge_rise_within_count(3, 3, 1.56, 299)
 
 
 @needs_vmhwm
 def test_the_m2_byte_guard_edge_holds_its_count_in_max_rss():
-    # D = 357, the largest cutoff a mixer runs at: the held eigenbases are
-    # 245 MB of the 390 MB count. Max RSS rose 381 MB; it rose 6 MB over the
-    # count when the count left out the modules a first op maps.
-    _edge_rise_within_count(1, 2, 1.77, 357)
+    # D = 446, the largest cutoff a mixer runs at: the held eigenbases are
+    # 120 MB of the 385 MB count. Max RSS rose 371 MB. At the former edge,
+    # D = 357, it rose 6 MB over the count when the count left out the modules
+    # a first op maps.
+    _edge_rise_within_count(2, 2, 1.82, 446)

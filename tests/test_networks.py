@@ -373,6 +373,42 @@ def test_embed_output_is_rotation(m):
     assert np.linalg.det(net.entries) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_embed_counts_its_doubled_arrays_before_building_them(monkeypatch):
+    # Five real 2m x 2m arrays: the traced peak, with the m x m complex input
+    # held beside it, stays within them.
+    m = 200
+    u = haar_unitary(m, 3)
+    embed_unitary_as_orthogonal(haar_unitary(2, 3))  # loads what a first call loads
+    tracemalloc.start()
+    try:
+        embed_unitary_as_orthogonal(u)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    counted = 5 * 8 * (2 * m) ** 2
+    assert peak + u.entries.nbytes <= counted
+    monkeypatch.setattr(networks, "MEMORY_LIMIT", counted)
+    assert embed_unitary_as_orthogonal(u).dimension == 2 * m
+    with pytest.raises(SizeLimitError):
+        embed_unitary_as_orthogonal(np.eye(m + 1, dtype=np.complex128))
+
+
+def test_embed_is_refused_at_the_first_m_over_the_limit():
+    # 160 bytes per m^2 admit m = 1,581 under the 400 MB limit; at 1,582 not
+    # one array of m^2 bytes is made.
+    m = 1_582
+    assert 160 * (m - 1) ** 2 <= MEMORY_LIMIT < 160 * m ** 2
+    identity = np.eye(m, dtype=np.complex128)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimitError, match=f"over the {MEMORY_LIMIT} byte limit"):
+            embed_unitary_as_orthogonal(identity)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < m * m
+
+
 def test_embed_is_a_homomorphism():
     u = haar_unitary(3, 11).entries
     v = haar_unitary(3, 12).entries
