@@ -32,7 +32,7 @@ import numpy as np
 
 from .configurations import serialize_rows
 from .distributions import OutputDistribution, check_shots, draw_indices
-from .errors import SizeLimitError, ValidationError
+from .errors import MEMORY_LIMIT, SizeLimitError, ValidationError
 from .experiments import brute_force_parity, run_equivalence_experiment
 from .networks import (
     LinearNetwork,
@@ -51,6 +51,13 @@ logger = logging.getLogger("passv")
 LOG_LEVELS = {"quiet": logging.WARNING, "info": logging.INFO, "debug": logging.DEBUG}
 
 SAMPLE_CHUNK = 8192  # sample rows per chunk written to the samples artifact
+# Per number of a matrix record: a float object and its list slot, 32 bytes, and
+# its text at indent 2, at most 32: a repr of up to 24 characters, 6 of indent, a
+# comma and a line break.
+JSON_NUMBER_BYTES = 64
+# Per element of a decomposition record: the TwoModeElement with its indices and
+# angles (198 bytes at m = 400), its record dict (193) and its text (112).
+JSON_ELEMENT_BYTES = 512
 
 
 def _configure_logging(level: int):
@@ -312,8 +319,35 @@ def _run_compare(args):
         _write_artifact(args.output, buf.getvalue())
 
 
+def _check_record_size(subcommand: str, m: int, needed: int) -> None:
+    """Refuse a decompose or embed record of ``needed`` bytes over MEMORY_LIMIT, before building it.
+
+    ``needed`` counts the arrays the command makes, the Python objects of its
+    record and the record's JSON text. The text is written in the encoder's
+    chunks (``_json_chunks``) but counted whole, so the artifact itself stays
+    under the limit too.
+    """
+    if needed > MEMORY_LIMIT:
+        raise SizeLimitError(
+            f"{subcommand} of a {m}-mode network needs {needed} bytes for its arrays, "
+            f"record and text, over the {MEMORY_LIMIT} byte limit"
+        )
+
+
+def _json_chunks(record: dict) -> Iterator[str]:
+    """The text of ``json.dumps(record, sort_keys=True, indent=2)`` and a line break, in chunks."""
+    yield from json.JSONEncoder(sort_keys=True, indent=2).iterencode(record)
+    yield "\n"
+
+
 def _run_decompose(args):
     net, source = _resolve_network(args)
+    m = net.dimension
+    # Eight complex m x m arrays (the network, the working copy, the rebuilt
+    # matrix, its validated copy, the check's product and the error's copies),
+    # every element and the residual.
+    _check_record_size("decompose", m, 128 * m * m + JSON_ELEMENT_BYTES * (m * (m - 1) // 2)
+                       + JSON_NUMBER_BYTES * 2 * m)
     dec = reck_decompose(net)
     rebuilt = reconstruct(dec)
     err = float(np.max(np.abs(
@@ -325,16 +359,20 @@ def _run_decompose(args):
         "kind": net.kind,
         "reconstruction_error": err,
     }
-    _write_artifact(args.output, json.dumps(record, sort_keys=True, indent=2) + "\n")
+    _write_artifact(args.output, _json_chunks(record))
 
 
 def _run_embed(args):
     net, source = _resolve_network(args)
     if net.kind != UNITARY:
         raise ValidationError("embed expects a unitary network")
+    # The five real 2m x 2m arrays that embed_unitary_as_orthogonal counts, and
+    # the (2m)^2 numbers of the doubled matrix.
+    doubled_entries = (2 * net.dimension) ** 2
+    _check_record_size("embed", net.dimension, (40 + JSON_NUMBER_BYTES) * doubled_entries)
     doubled = embed_unitary_as_orthogonal(net)
     record = {"config": {"subcommand": "embed", **source}, **doubled.to_json_dict()}
-    _write_artifact(args.output, json.dumps(record, sort_keys=True, indent=2) + "\n")
+    _write_artifact(args.output, _json_chunks(record))
 
 
 if __name__ == "__main__":

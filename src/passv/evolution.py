@@ -8,10 +8,14 @@ only the totals of that parity, about half as many; a product of mode
 vectors that each have only even or only odd levels is such a state, as
 are squeezed vacuum and every PASSV input, whose totals are n + 2k.
 Passive networks never move amplitude between photon totals, so nothing is
-lost while a network is applied and the parity is kept. A two-mode mixer
-gathers, for each subtotal s of its pair, the (s+1) x G block of the pair's
-splits of s against the G occupations of the other modes that fit under
-D - s, rotates it with exp(theta K_s) and scatters it back. A network builds
+lost while a network is applied and the parity is kept. A network moves the
+state into the pair-sorted order of its first mixer, where, for each
+subtotal s of the pair, the (s+1) x G block of the pair's splits of s
+against the G occupations of the other modes that fit under D - s is one
+contiguous slice. Each mixer rotates those slices with exp(theta K_s), an
+element phase scales their rows, and one held int32 permutation moves the
+state on into the next mixer's order; after the last mixer it is scattered
+back to canonical order once. A network builds
 the sector rotations of all its mixers at once, one stack per subtotal, from
 half an eigenbasis of the generator K_s: 1j K_s is Hermitian and purely
 imaginary, so the eigenvector of -w is the conjugate of that of w, and
@@ -20,11 +24,12 @@ every angle in one batched real matrix product. The eigenbasis is in closed
 form, the 50:50 mixer exp(pi/4 K_s) with its rows phased by i^r, and the
 50:50 mixers of every subtotal come from one stable recursion over s: no
 eigensolver runs. Only the real columns w >= 0 of each 50:50 mixer are held;
-an op phases their rows. One layout is held at a time, with the eigenbases
-up to its cutoff: STATE_SIZE_LIMIT counts it with one state, its workspace
-and one network's rotations. The only truncation is the input's mass above
-total D; for a PASSV input, ``sector_weights`` gives it, and the weight of
-every total, in closed form.
+an op phases their rows. One layout is held at a time, with its moves
+between pair-sorted orders and the eigenbases up to its cutoff:
+STATE_SIZE_LIMIT counts it with one state, the spare state-sized array the
+mixers move it into, and one network's rotations. The only truncation is
+the input's mass above total D; for a PASSV input, ``sector_weights`` gives
+it, and the weight of every total, in closed form.
 
 Squared norms and overlaps are einsum sums, not BLAS dot products: a dot
 product of a state's length wakes OpenBLAS's other threads, which then spin
@@ -70,7 +75,7 @@ STATE_SIZE_LIMIT = MEMORY_LIMIT  # bytes per state, as counted by _state_bytes
 # arrays (numpy.random for the draw among them): max RSS rose 7.4 to 8.3 MiB
 # for a one-photon op at r = 0.1, m = 1 to 4.
 FIRST_OP_BYTES = 12 << 20
-AMPLITUDE_BLOCK = 16_384  # amplitudes at a time in from_product and _apply_mode_factors
+AMPLITUDE_BLOCK = 16_384  # amplitudes at a time in from_product, mode factors and moves
 
 
 def __getattr__(name):
@@ -117,15 +122,28 @@ def _amplitude_count(modes: int, cutoff: int, parity: int | None) -> int:
     return sum(math.comb(total + modes - 1, total) for total in range(parity, cutoff + 1, 2))
 
 
+def _held_moves(modes: int) -> int:
+    """Moves between pair-sorted orders that ``_pair_gather`` holds at most: 2m - 3.
+
+    That is what a Reck network on adjacent pairs makes, counting the gather
+    from canonical order, which also scatters the state back: 1, 3, 5 and 7
+    at m = 2 to 5. One mode has no pair.
+    """
+    return max(2 * modes - 3, 0)
+
+
 def _state_bytes(modes: int, cutoff: int, parity: int | None = None) -> int:
     """Bytes of every array a state over ``modes`` up to ``cutoff`` photons needs.
 
     Per stored amplitude (every total, or those of ``parity``): the amplitude
-    and one workspace (a copy, a mixer's sectors, or the squares and widened
-    bins of ``parity_sectors``), 16 bytes each; one held occupation per mode
-    and one sector bin; one held 4-byte gather index for each of at most
-    m - 1 mode pairs, as many as a Reck network mixes (``_pair_gather`` holds
-    no more). With two modes or more, a network has E = m(m-1)/2 mixers, and
+    and one workspace (the spare a network's mixers move the state into, a
+    copy, or the squares and widened bins of ``parity_sectors``), 16 bytes
+    each; one held occupation per mode and one sector bin; with two modes or
+    more, one held 4-byte index for each of at most 2m - 3 moves between
+    pair-sorted orders, as many as a Reck network makes counting the gather
+    from canonical order (``_pair_gather`` holds no more, and builds each
+    from places streamed block by block, beside nothing state-sized). With
+    two modes or more, a network has E = m(m-1)/2 mixers, and
     per subtotal s <= D: 8 E (s+1)^2 bytes of real rotations; the held half
     eigenbasis, the real 50:50 columns of its h = s//2 + 1 eigenvalues
     w >= 0, 8 (s+1) h; and under 1 KB of array objects. Besides, the top
@@ -138,7 +156,8 @@ def _state_bytes(modes: int, cutoff: int, parity: int | None = None) -> int:
     count, so it is counted by its amplitudes alone.
     """
     bin_bytes = np.min_scalar_type(((cutoff + 1) << modes) - 1).itemsize
-    per_amplitude = 32 + modes * np.min_scalar_type(cutoff).itemsize + bin_bytes + 4 * (modes - 1)
+    per_amplitude = (32 + modes * np.min_scalar_type(cutoff).itemsize + bin_bytes
+                     + 4 * _held_moves(modes))
     amplitudes = _amplitude_count(modes, cutoff, parity) * per_amplitude
     if modes < 2:
         return amplitudes
@@ -183,7 +202,7 @@ _slot = _Slot()
 
 def _index_tables(modes: int, cutoff: int, parity: int | None = None
                   ) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Occupation table, sector bins and a dict of the pairs' gather orders of a state layout.
+    """Occupation table, sector bins and a dict of the moves between pair-sorted orders of a layout.
 
     The table is ``bounded_occupations(modes, cutoff, parity)``: every total
     up to the cutoff, or with a parity only the totals of that parity.
@@ -209,28 +228,117 @@ def _index_tables(modes: int, cutoff: int, parity: int | None = None
     return _slot.tables
 
 
-def _pair_gather(modes: int, cutoff: int, parity: int | None, i: int, j: int
-                 ) -> tuple[np.ndarray, list[int]]:
-    """Gather order and sector bounds of a mixer on modes (i, j).
+def _gather(values: np.ndarray, move: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out[k] = values[move[k]]``, widening the int32 move AMPLITUDE_BLOCK indices at a time.
 
+    ``mode="clip"`` because, with ``out``, numpy's default ``"raise"`` first
+    gathers into a buffer of its own; every move is in range by construction.
+    """
+    for start in range(0, len(move), AMPLITUDE_BLOCK):
+        block = slice(start, start + AMPLITUDE_BLOCK)
+        np.take(values, move[block], out=out[block], mode="clip")
+    return out
+
+
+def _scatter(values: np.ndarray, move: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out[move[k]] = values[k]``, undoing ``_gather``, AMPLITUDE_BLOCK indices at a time."""
+    for start in range(0, len(move), AMPLITUDE_BLOCK):
+        block = slice(start, start + AMPLITUDE_BLOCK)
+        # Widened here: numpy's own conversion for an int32 index is slower.
+        out[move[block].astype(np.intp)] = values[block]
+    return out
+
+
+def _pair_positions(occupations: np.ndarray, cutoff: int, pair: tuple[int, int]):
+    """The place of each amplitude in ``pair``'s order, block by block, and the sector bounds.
+
+    The pair's order sorts the amplitudes stably by their run (s, p), the
+    pair's subtotal s and then mode i's occupation p. A counting sort places
+    them without sorting the state: one pass counts the runs, and a second
+    gives each amplitude, AMPLITUDE_BLOCK at a time in canonical order, the
+    next free place of its run. The second pass is a generator of intp
+    blocks, so nothing state-sized is made.
+    """
+    i, j = pair
+    width = cutoff + 1
+    starts = range(0, occupations.shape[1], AMPLITUDE_BLOCK)
+
+    def runs(start):
+        first = occupations[i, start:start + AMPLITUDE_BLOCK].astype(np.intp)
+        return (first + occupations[j, start:start + AMPLITUDE_BLOCK]) * width + first
+
+    sizes = sum((np.bincount(runs(start), minlength=width * width) for start in starts),
+                np.zeros(width * width, dtype=np.intp))
+
+    def positions():
+        free = np.cumsum(sizes) - sizes  # the next free place of each run
+        for start in starts:
+            block = runs(start)
+            local = np.argsort(block, kind="stable")
+            counts = np.bincount(block, minlength=width * width)
+            ranked = block[local]
+            firsts = np.cumsum(counts) - counts  # where each run starts in the sorted block
+            placed = np.empty_like(block)
+            placed[local] = free[ranked] + np.arange(len(ranked)) - firsts[ranked]
+            free += counts
+            yield placed
+
+    return positions(), [0, *np.cumsum(sizes.reshape(width, width).sum(axis=1)).tolist()]
+
+
+def _move(occupations: np.ndarray, cutoff: int, step) -> tuple[np.ndarray, list[int]]:
+    """The move of ``step`` and the target's sector bounds.
+
+    ``move[q]`` is the place in the source's order of the amplitude at place q
+    of the target's order. Both orders' places are streamed block by block,
+    so the move is the one state-sized array made.
+    """
+    source, target = step
+    targets, bounds = _pair_positions(occupations, cutoff, target)
+    if source is None:
+        sources = (np.arange(start, start + AMPLITUDE_BLOCK)
+                   for start in range(0, occupations.shape[1], AMPLITUDE_BLOCK))
+    else:
+        sources = _pair_positions(occupations, cutoff, source)[0]
+    move = np.empty(occupations.shape[1], dtype=np.int32)
+    for places, comes_from in zip(targets, sources):
+        move[places] = comes_from[:len(places)]
+    return move, bounds
+
+
+def _pair_gather(modes: int, cutoff: int, parity: int | None, steps) -> None:
+    """Hold the move of each (source, target) in ``steps``, between orders of a layout.
+
+    An order is canonical (None) or that of a mixer on the mode pair (i, j).
     A stable sort by the pair's subtotal s, then by mode i's occupation, lays
     sector s out as s + 1 equal runs, one per occupation p of mode i. Within
     a run the other modes keep their lexicographic order, which is the same
-    in every run, so ``order[bounds[s]:bounds[s + 1]].reshape(s + 1, -1)``
-    indexes the block that the sector rotation acts on, row p. At most
-    m - 1 pairs are kept, the oldest first out. A one-parity layout keeps the
-    runs equal: the other modes' total must have the parity of ``parity - s``.
+    in every run, so ``a[bounds[s]:bounds[s + 1]].reshape(s + 1, -1)`` is the
+    contiguous block that the sector rotation acts on, row p. A one-parity
+    layout keeps the runs equal: the other modes' total must have the parity
+    of ``parity - s``. The move from source to target is the int32
+    permutation inverse(order_source)[order_target], which ``_gather`` takes
+    a source-ordered state through; from canonical order it is the target's
+    order itself, which ``_scatter`` also takes the state back through. It
+    is held in the layout's dict under (source, target), with the target's
+    sector bounds. At most ``_held_moves(modes)`` = 2m - 3 are held: a new
+    move drops the oldest move that ``steps`` does not use, and is not held
+    when every held move is one of ``steps``. So a walk that needs more, such
+    as a Reck network with a skipped step (2m - 2), keeps its first 2m - 3
+    and ``_mix`` builds the rest when it reaches them.
     """
-    occupations, _, gathers = _index_tables(modes, cutoff, parity)
-    if (i, j) not in gathers:
-        if len(gathers) >= modes - 1:
-            del gathers[next(iter(gathers))]
-        subtotal = occupations[i] + occupations[j]
-        order = np.lexsort((occupations[i], subtotal)).astype(np.int32)
-        order.flags.writeable = False
-        sizes = np.bincount(subtotal, minlength=cutoff + 1)
-        gathers[i, j] = order, [0, *np.cumsum(sizes).tolist()]
-    return gathers[i, j]
+    occupations, _, moves = _index_tables(modes, cutoff, parity)
+    for step in steps:
+        if step[0] == step[1] or step in moves:
+            continue
+        stale = [held for held in moves if held not in steps]
+        if len(moves) >= _held_moves(modes) and not stale:
+            return
+        move, bounds = _move(occupations, cutoff, step)
+        if len(moves) >= _held_moves(modes):
+            del moves[stale[0]]
+        move.flags.writeable = False
+        moves[step] = move, bounds
 
 
 class TruncatedFockState:
@@ -300,12 +408,13 @@ class TruncatedFockState:
         vectors = [v.astype(dtype, copy=False) for v in vectors]
         occupations = _index_tables(modes, cutoff, parity)[0]
         amplitudes = np.empty(occupations.shape[1], dtype=dtype)
+        gathered = np.empty(min(AMPLITUDE_BLOCK, len(amplitudes)), dtype=dtype)
         for start in range(0, len(amplitudes), AMPLITUDE_BLOCK):
             columns = occupations[:, start:start + AMPLITUDE_BLOCK]
-            block = vectors[0][columns[0]]
+            block, factors = amplitudes[start:start + AMPLITUDE_BLOCK], gathered[:columns.shape[1]]
+            np.take(vectors[0], columns[0], out=block, mode="clip")
             for vector, levels in zip(vectors[1:], columns[1:]):
-                block *= vector[levels]
-            amplitudes[start:start + AMPLITUDE_BLOCK] = block
+                block *= np.take(vector, levels, out=factors, mode="clip")
         return cls._holding(modes, cutoff, parity, amplitudes)
 
     def copy(self) -> "TruncatedFockState":
@@ -443,9 +552,11 @@ def _apply_mode_factors(state: TruncatedFockState, mode: int, factors: np.ndarra
     if factors.dtype == np.complex128 and state.amplitudes.dtype == np.float64:
         state.amplitudes = state.amplitudes.astype(np.complex128)
     levels = _index_tables(state.modes, state.cutoff, state.parity)[0][mode]
+    gathered = np.empty(min(AMPLITUDE_BLOCK, len(levels)), dtype=factors.dtype)
     for start in range(0, len(levels), AMPLITUDE_BLOCK):
         block = slice(start, start + AMPLITUDE_BLOCK)
-        state.amplitudes[block] *= factors[levels[block]]
+        state.amplitudes[block] *= np.take(factors, levels[block],
+                                           out=gathered[:len(levels[block])], mode="clip")
 
 
 def _extend_eigenbases(held: list, cutoff: int) -> None:
@@ -516,32 +627,76 @@ def _sector_rotations(thetas, cutoff: int) -> list[np.ndarray]:
     return stacks[::-1]
 
 
-def apply_beamsplitter(state: TruncatedFockState, i: int, j: int, theta: float, *,
-                       rotations: list[np.ndarray] | None = None) -> TruncatedFockState:
+def _mix(state: TruncatedFockState, pairs: list[tuple[int, int]], stacks: list[np.ndarray],
+         phases: list[float]) -> None:
+    """Mixer e on ``pairs[e]`` with ``stacks[N][e]`` on each total N, then phase ``phases[e]``.
+
+    The state enters in canonical order and is gathered into the first
+    pair's order, rotated there sector by sector as contiguous slices, and
+    moved on into each next pair's order by one held move; after the last
+    mixer it is scattered back into canonical order once. A spare
+    state-sized array takes each move and each rotation, and is swapped
+    with the state; the last rotation is made in place when the state is
+    then outside ``state.amplitudes``, so that the scatter back lands in
+    that array. The rotation is real, so it acts on a float64 view of each
+    block: the block itself for a real state, interleaved real and imaginary
+    parts for a complex one. Row p of a block is the first mode's occupation
+    p, so the element phase exp(1j phi p) scales it; the first phase with a
+    nonzero imaginary part promotes the state and the spare to complex128.
+    A move that is not held, past the 2m - 3 held for the walk, is built
+    when it is reached and dropped after its use, beside the spare.
+    """
+    occupations, _, moves = _index_tables(state.modes, state.cutoff, state.parity)
+    cutoff = state.cutoff
+
+    def held(step):
+        return moves[step] if step in moves else _move(occupations, cutoff, step)
+
+    levels = np.arange(cutoff + 1)
+    a, spare, source = state.amplitudes, np.empty_like(state.amplitudes), None
+    for e, pair in enumerate(pairs):
+        if pair != source:
+            move, bounds = held((source, pair))
+            a, spare, source = _gather(a, move, spare), a, pair
+        last_in_place = e == len(pairs) - 1 and a is not state.amplitudes
+        out = a if last_in_place else spare
+        if out is spare:
+            spare[:bounds[1]] = a[:bounds[1]]  # total 0 is left as it is
+        reals, width = (a.view(np.float64), out.view(np.float64)), a.itemsize // 8
+        for total in range(1, cutoff + 1):
+            block = slice(width * bounds[total], width * bounds[total + 1])
+            np.matmul(stacks[total][e], reals[0][block].reshape(total + 1, -1),
+                      out=reals[1][block].reshape(total + 1, -1))
+        if not last_in_place:
+            a, spare = spare, a
+        if phases[e]:
+            factors = _real_or_complex(np.exp(1j * phases[e] * levels))
+            if factors.dtype == np.complex128 and a.dtype == np.float64:
+                a = a.astype(np.complex128)
+                # Both real arrays are dropped before the complex spare is made.
+                state.amplitudes = spare = a
+                state.amplitudes = spare = np.empty_like(a)
+            for total in range(cutoff + 1):
+                rows = a[bounds[total]:bounds[total + 1]].reshape(total + 1, -1)
+                rows *= factors[:total + 1, None]
+    _scatter(a, held((None, source))[0], state.amplitudes)
+
+
+def apply_beamsplitter(state: TruncatedFockState, i: int, j: int,
+                       theta: float) -> TruncatedFockState:
     """Mix modes i and j in place with the real rotation of angle theta.
 
     Acts exactly within each two-mode photon-total sector N with the rotation
-    exp(theta K_N); ``rotations``, when given, holds those matrices for
-    N = 0..D, as ``apply_network`` builds them for all its mixers at once.
-    Every sector fits under the cutoff, so the squared norm is kept.
-    The rotation is real, so it acts on a float64 view of the gathered block:
-    the block itself for a real state, interleaved real and imaginary parts
-    for a complex one; the state keeps its dtype.
+    exp(theta K_N): the one-mixer case of ``apply_network``'s loop, canonical
+    order in and out. Every sector fits under the cutoff, so the squared norm
+    is kept; the rotation is real, so the state keeps its dtype.
     """
     if i == j:
         raise ValidationError("beamsplitter modes must differ")
     if not (0 <= i < state.modes and 0 <= j < state.modes):
         raise ValidationError(f"modes ({i}, {j}) out of range for {state.modes} modes")
-    d = state.cutoff
-    order, bounds = _pair_gather(state.modes, d, state.parity, i, j)
-    if rotations is None:
-        rotations = [stack[0] for stack in _sector_rotations([theta], d)]
-    a = state.amplitudes
-    for total in range(1, d + 1):
-        # One conversion to intp per sector; numpy would convert the held
-        # int32 order again on every fancy-index call.
-        index = order[bounds[total]:bounds[total + 1]].astype(np.intp).reshape(total + 1, -1)
-        a[index] = (rotations[total] @ a[index].view(np.float64)).view(a.dtype)
+    _pair_gather(state.modes, state.cutoff, state.parity, [(None, (i, j))])
+    _mix(state, [(i, j)], _sector_rotations([theta], state.cutoff), [0.0])
     return state
 
 
@@ -552,11 +707,11 @@ def apply_network(state: TruncatedFockState,
     Elements are ordered as matrix factors, so they are applied back to
     front, after the residual diagonal, whose entries equal to exactly 1 are
     skipped. The sector rotations of every element are built in one pass per
-    photon total before the first element is applied, and each element's
-    mixer is handed its own; a network without elements builds none.
-    Restricted to the single-photon sector this reproduces the matrix action
-    of ``reconstruct``. A real state stays real through real elements and a
-    residual of +-1.
+    photon total before the first element is applied, and the elements are
+    mixed in pair-sorted order (``_mix``); a network without elements builds
+    none. Restricted to the single-photon sector this reproduces the matrix
+    action of ``reconstruct``. A real state stays real through real elements
+    and a residual of +-1.
     """
     if not isinstance(decomposition, ReckDecomposition):
         raise ValidationError("apply_network expects a ReckDecomposition")
@@ -571,23 +726,22 @@ def apply_network(state: TruncatedFockState,
             raise ValidationError(f"network elements must be TwoModeElement, got {el!r}")
         if el.j >= state.modes:
             raise ValidationError(f"modes ({el.i}, {el.j}) out of range for {state.modes} modes")
-    # The state's layout and its pairs' gather orders first: its rotations are
-    # never built beside another layout, and no gather order is sorted beside a
-    # copy that a complex phase has promoted.
+    # The state's layout and its moves first: its rotations are never built
+    # beside another layout, and no order is sorted beside the spare or a copy
+    # that a complex phase has promoted.
     _index_tables(state.modes, state.cutoff, state.parity)
-    for el in elements:
-        _pair_gather(state.modes, state.cutoff, state.parity, el.i, el.j)
+    pairs = [(el.i, el.j) for el in elements]
+    if pairs:
+        _pair_gather(state.modes, state.cutoff, state.parity,
+                     [*zip([None, *pairs], pairs), (None, pairs[-1])])
     levels = np.arange(state.cutoff + 1)
     for mode, z in enumerate(decomposition.residual):
         z = complex(z)
         if z != 1.0 + 0.0j:
             _apply_mode_factors(state, mode, z ** levels)
-    stacks = _sector_rotations([el.theta for el in elements], state.cutoff) if elements else []
-    for e, el in enumerate(elements):
-        apply_beamsplitter(state, el.i, el.j, el.theta,
-                           rotations=[stack[e] for stack in stacks])
-        if el.phi:
-            _apply_mode_factors(state, el.i, np.exp(1j * el.phi * levels))
+    if pairs:
+        _mix(state, pairs, _sector_rotations([el.theta for el in elements], state.cutoff),
+             [el.phi for el in elements])
     return state
 
 

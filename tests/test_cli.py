@@ -635,6 +635,64 @@ def test_embed_doubles_the_dimension(tmp_path):
     assert np.max(np.abs(entries.T @ entries - np.eye(6))) < 1e-9
 
 
+@pytest.mark.parametrize("args", [
+    ["embed", "--m", "5", "--kind", "unitary", "--seed", "13"],
+    ["decompose", "--m", "6", "--kind", "unitary", "--seed", "12"],
+    ["decompose", "--m", "6", "--kind", "orthogonal", "--seed", "12"],
+], ids=["embed", "decompose-unitary", "decompose-orthogonal"])
+def test_records_written_in_chunks_are_the_json_dumps_text(tmp_path, args):
+    code, out = _run(tmp_path, "record.json", args)
+    assert code == 0
+    text = out.read_text()
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("args, builder", [
+    (["embed", "--m", "40", "--kind", "unitary", "--seed", "13"], "embed_unitary_as_orthogonal"),
+    (["decompose", "--m", "40", "--kind", "unitary", "--seed", "12"], "reck_decompose"),
+], ids=["embed", "decompose"])
+def test_records_over_the_limit_exit_two_before_they_are_built(monkeypatch, capsys, args, builder):
+    # The record of m = 40 is counted at 666 KB (embed) or 611 KB (decompose).
+    monkeypatch.setattr(cli, "MEMORY_LIMIT", 600_000)
+    monkeypatch.setattr(cli, builder, lambda *a, **k: pytest.fail("built past the guard"))
+    assert execute(args) == 2
+    assert "size limit" in capsys.readouterr().err
+
+
+# The child reads its own peak RSS: ru_maxrss would start at the forking
+# process's RSS.
+EMBED_RSS_CHILD = """
+import sys
+from passv.cli import execute
+
+def peak():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+before = peak()
+print(execute(sys.argv[1:]), (peak() - before) * 1024)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="the child reads VmHWM from Linux's /proc")
+def test_embed_of_a_thousand_modes_exits_two_before_allocating():
+    # Counted at 416 MB: five doubled arrays (160 MB), and the 4 million
+    # numbers of the record as Python floats (128 MB) and as text (128 MB).
+    # Before the count, m = 1000 peaked at 737 MB. Only the draw, counted at
+    # 128 MB of its own, may be made, and the modules a first op maps: the
+    # rise was 125 MB.
+    result = subprocess.run(
+        [sys.executable, "-c", EMBED_RSS_CHILD, "embed", "--m", "1000", "--kind", "unitary",
+         "--seed", "1"],
+        capture_output=True, text=True, timeout=120,
+    )
+    code, rise = result.stdout.split()
+    assert code == "2", result.stderr
+    assert "size limit:" in result.stderr and "Traceback" not in result.stderr
+    assert int(rise) <= 8 * 16 * 1000 ** 2 + evolution.FIRST_OP_BYTES
+
+
 def test_embed_rejects_orthogonal_input(tmp_path, capsys):
     code, _ = _run(tmp_path, "emb.json",
                    ["embed", "--m", "3", "--kind", "orthogonal", "--seed", "13"])

@@ -4,12 +4,14 @@ The beamsplitter is cross-checked against an independent oracle: the matrix
 exponential of the full two-mode generator built from dense Kronecker
 products of ladder matrices. States keep every occupation tuple up to a total
 photon number, so no mixer sector ever crosses the cutoff and that oracle is
-exact. The sector rotations, which a network builds from the eigenbases held
-with its layout, are checked against scipy's ``expm`` of each sector
-generator, and the closed-form eigenbases against numpy's ``eigh``. Cutoffs
-and truncation losses, 1 - ||psi||^2 of the prepared input, are checked
-against the tail of the input's total photon number, from its closed-form
-negative-binomial distribution.
+exact. Mixing in pair-sorted order is checked bit for bit against a kept copy
+of the mixer it replaced, which gathers each sector's block out of canonical
+order and scatters it back. The sector rotations, which a network builds
+from the eigenbases held with its layout, are checked against scipy's
+``expm`` of each sector generator, and the closed-form eigenbases against
+numpy's ``eigh``. Cutoffs and truncation losses, 1 - ||psi||^2 of the
+prepared input, are checked against the tail of the input's total photon
+number, from its closed-form negative-binomial distribution.
 """
 
 import functools
@@ -21,7 +23,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies
+from hypothesis import assume, given, settings, strategies
 from scipy.linalg import expm
 
 try:
@@ -55,6 +57,8 @@ from passv.evolution import (
     _sector_rotations,
 )
 from passv.networks import (
+    ORTHOGONAL,
+    LinearNetwork,
     ReckDecomposition,
     TwoModeElement,
     haar_special_orthogonal,
@@ -418,18 +422,50 @@ def test_occupation_table_is_lexicographic_and_looked_up():
         assert st.amplitude((d + 1,) + (0,) * (m - 1)) == 0.0  # past the cutoff
 
 
-def test_gather_orders_are_kept_for_at_most_m_minus_one_pairs():
-    # The size guard counts one gather index per amplitude for m - 1 pairs.
-    m, d = 4, 6
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_a_reck_network_holds_2m_minus_3_moves_of_the_counted_bytes(monkeypatch, m):
+    # A Reck network makes 2m - 3 moves, counting the gather from canonical
+    # order, which also scatters the state back; a longer walk over other
+    # pairs holds no more. The size guard counts exactly their bytes.
+    d = 6
     st = build_squeezed_product(m, 0.5, d)
-    pairs = list(itertools.combinations(range(m), 2))
-    for i, j in pairs:
-        apply_beamsplitter(st, i, j, 0.3)
-    occupations, _, gathers = _index_tables(m, d, st.parity)
+    apply_network(st, reck_decompose(haar_special_orthogonal(m, 3)))
+    occupations, _, moves = _index_tables(m, d, st.parity)
     assert st.parity == 0 and evolution._slot.key == (m, d, 0)
-    assert list(gathers) == pairs[-(m - 1):]
-    assert sum(order.nbytes for order, _ in gathers.values()) == (
-        4 * (m - 1) * occupations.shape[1])
+    assert len(moves) == 2 * m - 3
+    assert all(move.dtype == np.int32 and move.shape == occupations.shape[1:]
+               for move, _ in moves.values())
+    held = sum(move.nbytes for move, _ in moves.values())
+    for i, j in itertools.permutations(range(m), 2):
+        apply_beamsplitter(st, i, j, 0.3)
+    assert 1 <= len(moves) <= 2 * m - 3
+    counted = evolution._state_bytes(m, d, 0)
+    monkeypatch.setattr(evolution, "_held_moves", lambda modes: 0)
+    assert counted - evolution._state_bytes(m, d, 0) == held
+    assert held == 4 * (2 * m - 3) * len(st.amplitudes)
+
+
+def test_a_walk_past_the_held_moves_keeps_them_and_builds_only_the_rest(monkeypatch):
+    # Zeroing entry (3, 0) skips the first elimination step, so the network
+    # ends on pair (1, 2) and needs 2m - 2 = 6 moves, one more than are held.
+    # Dropping the oldest move for the newest once rebuilt all six on every
+    # application.
+    entries = haar_special_orthogonal(4, 5).entries.copy()
+    c, s = entries[2:, 0] / math.hypot(*entries[2:, 0])
+    entries[2:] = np.array([[c, s], [-s, c]]) @ entries[2:]
+    entries[3, 0] = 0.0
+    decomposition = reck_decompose(LinearNetwork(entries, ORTHOGONAL))
+    assert len(decomposition.elements) == 5 and decomposition.elements[0].j == 2
+    built = []
+    move = evolution._move
+    monkeypatch.setattr(evolution, "_move", lambda *args: built.append(args[2]) or move(*args))
+    state = build_passv_input(2, 4, 0.3, ADDED, 12)
+    first = apply_network(state.copy(), decomposition)
+    assert len(built) == 6 and len(_index_tables(4, 12, 0)[2]) == 5
+    del built[:]
+    again = apply_network(state.copy(), decomposition)
+    assert built == [(None, (1, 2))]
+    np.testing.assert_array_equal(again.amplitudes, first.amplitudes)
 
 
 # ------------------------------------------------------------------- ladders
@@ -640,6 +676,112 @@ def test_splitter_on_any_pair_is_the_front_pair_mixer_relabeled(m, d, order, see
     assert state.amplitudes is array
     assert abs(state.squared_norm() - before) <= 1e-12
     assert np.max(np.abs(state.amplitudes[old_of] - reference.amplitudes)) <= 1e-14
+
+
+def _random_state(m, d, parity, rng) -> TruncatedFockState:
+    """A random real or complex state: every total, or a product of the totals of ``parity``."""
+    def draw(size):
+        values = rng.standard_normal(size)
+        return values + 1j * rng.standard_normal(size) if rng.integers(2) else values
+    if parity is None:
+        return TruncatedFockState(m, d, draw(math.comb(d + m, m)))
+    vectors = []
+    for mode in range(m):
+        vector = np.zeros(d + 1, dtype=complex)
+        first = parity if mode == 0 else 0
+        vector[first::2] = draw(len(vector[first::2]))
+        vectors.append(vector)
+    state = TruncatedFockState.from_product(vectors)
+    assert state.parity == parity
+    return state
+
+
+def _reference_mix(state, i, j, rotations):
+    """The mixer before pair-sorted order: each sector's block is fancy-indexed
+    out of canonical order, rotated and scattered back."""
+    occupations = _index_tables(state.modes, state.cutoff, state.parity)[0]
+    subtotal = occupations[i] + occupations[j]
+    order = np.lexsort((occupations[i], subtotal))
+    bounds = [0, *np.cumsum(np.bincount(subtotal, minlength=state.cutoff + 1)).tolist()]
+    a = state.amplitudes
+    for total in range(1, state.cutoff + 1):
+        index = order[bounds[total]:bounds[total + 1]].reshape(total + 1, -1)
+        a[index] = (rotations[total] @ a[index].view(np.float64)).view(a.dtype)
+
+
+def _reference_mode_factors(state, mode, factors):
+    factors = evolution._real_or_complex(factors)
+    if factors.dtype == np.complex128 and state.amplitudes.dtype == np.float64:
+        state.amplitudes = state.amplitudes.astype(np.complex128)
+    state.amplitudes *= factors[_index_tables(state.modes, state.cutoff, state.parity)[0][mode]]
+
+
+def _reference_network(state, decomposition):
+    levels = np.arange(state.cutoff + 1)
+    for mode, z in enumerate(decomposition.residual):
+        if complex(z) != 1.0:
+            _reference_mode_factors(state, mode, complex(z) ** levels)
+    elements = decomposition.elements[::-1]
+    stacks = _sector_rotations([el.theta for el in elements], state.cutoff) if elements else []
+    for e, el in enumerate(elements):
+        _reference_mix(state, el.i, el.j, [stack[e] for stack in stacks])
+        if el.phi:
+            _reference_mode_factors(state, el.i, np.exp(1j * el.phi * levels))
+    return state
+
+
+def _walk(m, rng) -> ReckDecomposition:
+    """Random pairs, not adjacent ones only, some repeated back to back: more
+    moves than are held, so some are dropped and built again on the way."""
+    pairs = list(itertools.combinations(range(m), 2))
+    picks = np.repeat(rng.integers(len(pairs), size=3 * m), rng.integers(1, 3, size=3 * m))
+    angles = rng.uniform(-math.pi, math.pi, (len(picks), 2))
+    elements = tuple(TwoModeElement(*pairs[k], theta, phi * rng.integers(2))
+                     for k, (theta, phi) in zip(picks, angles))
+    return ReckDecomposition(elements, np.exp(1j * rng.uniform(-math.pi, math.pi, m)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=strategies.integers(2, 4), d=strategies.integers(0, 12),
+       parity=strategies.sampled_from([None, 0, 1]),
+       kind=strategies.sampled_from(["rotation", "reflection", "unitary", "walk"]),
+       seed=strategies.integers(0, 10_000))
+def test_pair_sorted_mixing_equals_the_per_sector_gather_bit_for_bit(m, d, parity, kind, seed):
+    assume(parity != 1 or d > 0)
+    rng = np.random.default_rng(seed)
+    state = _random_state(m, d, parity, rng)
+    if kind == "walk":
+        decomposition = _walk(m, rng)
+    elif kind == "reflection":
+        entries = haar_special_orthogonal(m, seed).entries.copy()
+        entries[:, -1] *= -1.0
+        decomposition = reck_decompose(LinearNetwork(entries, ORTHOGONAL, allow_reflection=True))
+        assert decomposition.residual[-1] == -1.0
+    else:
+        maker = haar_special_orthogonal if kind == "rotation" else haar_unitary
+        decomposition = reck_decompose(maker(m, seed))
+    expected = _reference_network(state.copy(), decomposition)
+    evolved = apply_network(state.copy(), decomposition)
+    assert evolved.amplitudes.dtype == expected.amplitudes.dtype
+    assert np.array_equal(evolved.amplitudes, expected.amplitudes)
+    assert len(_index_tables(m, d, parity)[2]) <= 2 * m - 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=strategies.integers(2, 4), d=strategies.integers(0, 12),
+       parity=strategies.sampled_from([None, 0, 1]), order=strategies.permutations(range(4)),
+       theta=strategies.floats(-math.pi, math.pi), seed=strategies.integers(0, 10_000))
+def test_a_lone_mixer_equals_the_per_sector_gather_bit_for_bit(m, d, parity, order, theta, seed):
+    # Either order of any pair: (j, i) is its own layout, rotated by row j.
+    assume(parity != 1 or d > 0)
+    i, j = [k for k in order if k < m][:2]
+    state = _random_state(m, d, parity, np.random.default_rng(seed))
+    expected = state.copy()
+    _reference_mix(expected, i, j, [stack[0] for stack in _sector_rotations([theta], d)])
+    array = state.amplitudes
+    apply_beamsplitter(state, i, j, theta)
+    assert state.amplitudes is array
+    assert np.array_equal(state.amplitudes, expected.amplitudes)
 
 
 def test_splitter_validation():
@@ -1057,7 +1199,7 @@ def test_size_guard_counts_the_stored_parity_and_the_rotations():
     # u exp(-1j theta w) of 6 angles, and the complex u with its row phases.
     top_total = 40 * (d + 1) ** 2 + (6 + 1) * 16 * (d + 1) * ((d // 2 + 1) + 1)
     first_op = 12 * 2 ** 20  # the modules and library code a first op maps
-    per_amplitude = 32 + m + 2 + 4 * (m - 1)
+    per_amplitude = 32 + m + 2 + 4 * (2 * m - 3)  # 2m - 3 held moves
     for parity, amplitudes in ((None, math.comb(d + m, m)), (0, 58_730), (1, 53_200)):
         assert evolution._amplitude_count(m, d, parity) == amplitudes
         assert evolution._state_bytes(m, d, parity) == (
@@ -1107,9 +1249,9 @@ def test_one_layout_is_held_and_a_new_one_drops_it():
     second = build_passv_input(1, 3, 0.5, ADDED, 20)
     apply_network(second, reck_decompose(haar_special_orthogonal(3, 7)))
     assert slot.key == (3, 20, 1) and len(slot.eigenbases) == 21
-    table, bins, gathers = slot.tables
-    assert table.shape == (3, evolution._amplitude_count(3, 20, 1)) and len(gathers) == 2
-    assert all(order.shape == bins.shape for order, _ in gathers.values())
+    table, bins, moves = slot.tables
+    assert table.shape == (3, evolution._amplitude_count(3, 20, 1)) and len(moves) == 3
+    assert all(move.shape == bins.shape for move, _ in moves.values())
     assert [ref() for ref in dropped] == [None, None]
 
 

@@ -180,7 +180,7 @@ def test_oracle_guards_fire_before_anything_is_built(monkeypatch, n, m, xi):
 @pytest.mark.parametrize("n, m, xi_values, variant, epsilon_tail, error", [
     # r = 1.0 at m = 5 needs total cutoff 92, over the state size limit.
     (2, 5, [0.1, 1.0], ADDED, 1e-8, SizeLimitError),
-    # r = 2.0 at m = 3 needs total cutoff 658, past the byte edge at r = 1.61 (D = 302).
+    # r = 2.0 at m = 3 needs total cutoff 658, past the byte edge at r = 1.60 (D = 296).
     (2, 3, [0.1, 2.0], ADDED, 1e-8, SizeLimitError),
     (2, 3, [0.3, 0.0], SUBTRACTED, 1e-8, ValidationError),  # subtraction from vacuum
     (2, 3, [0.3, 0.4], "doubled", 1e-8, ValidationError),
@@ -449,7 +449,7 @@ def _edge_rise_within_count(n, m, r, cutoff):
 @needs_vmhwm
 def test_the_byte_guard_edge_holds_its_count_in_max_rss():
     # The m = 3 edge: r = 1.56 needs cutoff 299 and r = 1.57 is refused. Max
-    # RSS rose 320 MB on a 382 MB count.
+    # RSS rose 347 MB on a 392 MB count.
     _edge_rise_within_count(3, 3, 1.56, 299)
 
 
@@ -460,3 +460,13 @@ def test_the_m2_byte_guard_edge_holds_its_count_in_max_rss():
     # D = 357, it rose 6 MB over the count when the count left out the modules
     # a first op maps.
     _edge_rise_within_count(2, 2, 1.82, 446)
+
+
+@needs_vmhwm
+def test_the_m5_byte_guard_edge_holds_its_count_in_max_rss():
+    # 5.4 million stored amplitudes at D = 63, where the seven held moves
+    # between pair-sorted orders are 28 bytes of the 67 counted per
+    # amplitude. Max RSS rose 336 MB on a 383 MB count. Sorting whole pair
+    # orders beside the held moves, as np.lexsort does with 18 to 20 bytes
+    # per amplitude, takes it 15 MB over the count.
+    _edge_rise_within_count(3, 5, 0.78, 63)
