@@ -10,6 +10,15 @@ share its guards (n <= m <= 5 and the state size limit, which bounds the
 squeezing), its cutoff choice and its truncation budget; the cutoff is
 chosen by the oracle and recorded, never set.
 
+sample-fock writes its CSV artifacts from one byte table of key fields
+(``configurations.occupation_fields``): a NUL-padded (K, W) uint8 matrix,
+one quoted key per outcome. The table CSV sets each field beside a comma,
+the probability's repr and a line break, and drops every NUL in one pass;
+the samples CSV takes SAMPLE_CHUNK field-plus-newline rows at a time, and
+compacts a chunk only when the fields differ in width (an occupation of 10
+or more). Artifacts are written as bytes: atomically to a file, or to
+``sys.stdout.buffer``.
+
 Exit codes: 0 success, 1 validation failure or bad usage, 2 size-limit guard.
 The PASSV_LOG environment variable (quiet, info, debug) sets stderr
 verbosity; any other value is a usage error.
@@ -30,7 +39,7 @@ from collections.abc import Iterable, Iterator
 
 import numpy as np
 
-from .configurations import serialize_rows
+from .configurations import occupation_fields, serialize_rows
 from .distributions import OutputDistribution, check_shots, draw_indices
 from .errors import MEMORY_LIMIT, SizeLimitError, ValidationError
 from .experiments import brute_force_parity, run_equivalence_experiment
@@ -188,18 +197,26 @@ def _resolve_network(args) -> tuple[LinearNetwork, dict]:
     return net, {"m": args.m, "kind": args.kind, "seed": args.seed}
 
 
-def _write_artifact(path: str | None, chunks: str | Iterable[str]):
-    """Write text, or an iterable of text chunks, to stdout or atomically to ``path``."""
+def _write_artifact(path: str | None, chunks: str | Iterable[str | np.ndarray]):
+    """Write text, or chunks of text or uint8 arrays, to stdout or atomically to ``path``.
+
+    Text is encoded as UTF-8; an array chunk must be C-contiguous, and its
+    bytes are written as they lie. Stdout gets the bytes through
+    ``sys.stdout.buffer``, after whatever its text layer holds.
+    """
     if isinstance(chunks, str):
         chunks = (chunks,)
+    chunks = (chunk.encode("utf-8") if isinstance(chunk, str) else chunk for chunk in chunks)
     if path is None:
+        sys.stdout.flush()
         for chunk in chunks:
-            sys.stdout.write(chunk)
+            sys.stdout.buffer.write(chunk)
+        sys.stdout.buffer.flush()
         return
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".passv-", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+        with os.fdopen(fd, "wb") as fh:
             for chunk in chunks:
                 fh.write(chunk)
         os.replace(tmp, path)
@@ -214,18 +231,22 @@ def _config_comment(config: dict) -> str:
     return "# config " + json.dumps(config, sort_keys=True)
 
 
-def _csv_fields(keys: list[str]) -> list[str]:
-    """Each key as csv.writer writes it in a field: quoted when it holds a comma.
+def _byte_column(rows: int, char: str) -> np.ndarray:
+    return np.full((rows, 1), ord(char), dtype=np.uint8)
 
-    Keys hold only digits and commas, or parity signs, so that is the whole of
-    csv's minimal quoting for them.
+
+def _distribution_csv(fields: np.ndarray, dist: OutputDistribution, config: dict) -> tuple[str, np.ndarray]:
+    """The table CSV, as its header and body, from a NUL-padded (K, W) byte matrix of key fields.
+
+    Each row of the body is its field, a comma, ``repr(p)`` (at most 24 bytes,
+    NUL-padded) and a line break; the NULs are dropped from the whole matrix
+    at once.
     """
-    return [f'"{key}"' if "," in key else key for key in keys]
-
-
-def _distribution_csv(fields: list[str], dist: OutputDistribution, config: dict) -> str:
-    rows = map("{},{!r}\n".format, fields, dist.probabilities.tolist())
-    return _config_comment(config) + "\nkey,probability\n" + "".join(rows)
+    k = len(fields)
+    reprs = np.array(list(map(repr, dist.probabilities.tolist())), dtype="S24")
+    rows = np.hstack((fields, _byte_column(k, ","), reprs.view(np.uint8).reshape(k, 24),
+                      _byte_column(k, "\n")))
+    return _config_comment(config) + "\nkey,probability\n", rows[rows != 0]
 
 
 def _distribution_json(keys: list[str], dist: OutputDistribution, config: dict) -> str:
@@ -244,26 +265,32 @@ def _run_sample_fock(args):
     net, source = _resolve_network(args)
     pump = uniform_input(args.n, net.dimension)
     dist = output_distribution(net, pump)
-    # The table's keys in its canonical order, serialized once for every artifact.
-    keys = serialize_rows(dist.occupations)
-    fields = _csv_fields(keys)
+    # The table's CSV fields in its canonical order, built once for both CSV artifacts.
+    fields = occupation_fields(dist.occupations, quote=True)
     config = {"subcommand": "sample-fock", "n": args.n, "input": pump.serialize(),
               "shots": args.shots, **source}
     if args.format == "csv":
         _write_artifact(args.output, _distribution_csv(fields, dist, config))
     else:
-        _write_artifact(args.output, _distribution_json(keys, dist, config))
+        _write_artifact(args.output,
+                        _distribution_json(serialize_rows(dist.occupations), dist, config))
     if args.shots:
         indices = draw_indices(dist, int(args.seed) + 1, args.shots)
         _write_artifact(_samples_path(args.output), _samples_csv(fields, indices, config))
 
 
-def _samples_csv(fields: list[str], indices: np.ndarray, config: dict) -> Iterator[str]:
-    """The sample CSV in chunks of SAMPLE_CHUNK rows, gathered from one line per key."""
-    lines = np.array([field + "\n" for field in fields], dtype=object)
+def _samples_csv(fields: np.ndarray, indices: np.ndarray, config: dict) -> Iterator[str | np.ndarray]:
+    """The sample CSV in chunks of SAMPLE_CHUNK rows, each one ``take`` of field-plus-newline rows.
+
+    A chunk is compacted only when the fields hold NUL padding, that is when
+    their widths differ.
+    """
+    lines = np.hstack((fields, _byte_column(len(fields), "\n")))
+    padded = not lines.all()
     yield _config_comment(config) + "\nsample\n"
     for start in range(0, len(indices), SAMPLE_CHUNK):
-        yield "".join(lines[indices[start:start + SAMPLE_CHUNK]].tolist())
+        chunk = lines.take(indices[start:start + SAMPLE_CHUNK], axis=0)
+        yield chunk[chunk != 0] if padded else chunk
 
 
 def _samples_path(path: str | None) -> str | None:
@@ -285,7 +312,9 @@ def _run_sample_passv(args):
     }
     keys = [key.serialize() for key in dist.keys]
     if args.format == "csv":
-        _write_artifact(args.output, _distribution_csv(_csv_fields(keys), dist, config))
+        # Sign patterns are m bytes each and hold no comma, so never quoted.
+        fields = np.array(keys, dtype=f"S{args.m}").view(np.uint8).reshape(len(keys), args.m)
+        _write_artifact(args.output, _distribution_csv(fields, dist, config))
     else:
         _write_artifact(args.output, _distribution_json(keys, dist, config))
 

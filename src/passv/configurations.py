@@ -151,7 +151,7 @@ def bounded_occupations(modes: int, cutoff: int, parity: int | None = None) -> n
 
 
 def configuration_array(total_photons: int, modes: int) -> np.ndarray:
-    """Every configuration of a fixed photon total as a (K, m) occupation array.
+    """Every configuration of a fixed photon total as a C-contiguous (K, m) intp array.
 
     Rows are in canonical order, first mode descending: (n, 0, ..., 0) first
     and (0, ..., 0, n) last, K = C(n + m - 1, n). The first m - 1 modes run
@@ -159,9 +159,11 @@ def configuration_array(total_photons: int, modes: int) -> np.ndarray:
     the last mode takes the photons left.
     """
     _check_dimensions(total_photons, modes)
-    head = bounded_occupations(modes - 1, total_photons)[:, ::-1].astype(np.intp)
-    last = total_photons - head.sum(axis=0)
-    return np.vstack((head, last)).T
+    head = bounded_occupations(modes - 1, total_photons)
+    table = np.empty((head.shape[1], modes), dtype=np.intp)
+    table[:, :-1] = head[:, ::-1].T
+    np.subtract(total_photons, table[:, :-1].sum(axis=1), out=table[:, -1])
+    return table
 
 
 def configurations_from_array(occupations: np.ndarray) -> list[ModeConfiguration]:
@@ -177,13 +179,40 @@ def configurations_from_array(occupations: np.ndarray) -> list[ModeConfiguration
     return configs
 
 
+def occupation_fields(occupations: np.ndarray, *, quote: bool) -> np.ndarray:
+    """``ModeConfiguration.serialize`` of every row of a (K, m) occupation array, as bytes.
+
+    Returns a (K, W) uint8 matrix, one row per key, padded with NUL bytes.
+    Each occupation value is formatted once, as a word of the widest value's
+    digit count, right-aligned behind NULs and followed by a comma; one
+    gather lays the words out in rows, and the last comma is dropped.
+    Dropping the NULs gives the key. Every row has the same width when every
+    occupation has the same number of digits, as when all are below 10.
+    With ``quote``, a key that holds a comma (m > 1) is wrapped in double
+    quotes, the whole of ``csv.writer``'s minimal quoting for keys of digits
+    and commas.
+    """
+    k, m = occupations.shape
+    top = int(occupations.max(initial=0))
+    width = len(str(top))
+    words = np.array([str(v).rjust(width, "\0") + "," for v in range(top + 1)],
+                     dtype=f"S{width + 1}")
+    fields = words[occupations].view(np.uint8)[:, :-1]
+    if quote and m > 1:
+        quotes = np.full((k, 1), ord('"'), dtype=np.uint8)
+        fields = np.hstack((quotes, fields, quotes))
+    return fields
+
+
 def serialize_rows(occupations: np.ndarray) -> list[str]:
     """``ModeConfiguration.serialize`` of every row of a (K, m) occupation array.
 
-    Each occupation value is formatted once, then each row is joined.
+    The unquoted ``occupation_fields``, each row ended by a line break, with
+    the NULs dropped in one pass and the text split once.
     """
-    words = np.array([str(k) for k in range(int(occupations.max(initial=0)) + 1)], dtype=object)
-    return list(map(",".join, words[occupations].tolist()))
+    fields = occupation_fields(occupations, quote=False)
+    lines = np.hstack((fields, np.full((len(fields), 1), ord("\n"), dtype=np.uint8)))
+    return lines[lines != 0].tobytes().decode("ascii").split("\n")[:-1]
 
 
 def enumerate_configurations(total_photons: int, modes: int) -> list[ModeConfiguration]:

@@ -24,6 +24,7 @@ import pytest
 
 from passv import cli, evolution, experiments
 from passv.cli import execute
+from passv.configurations import ModeConfiguration
 from passv.distributions import SHOTS_LIMIT, draw_samples
 from passv.evolution import required_cutoff
 from passv.experiments import brute_force_parity
@@ -230,6 +231,37 @@ def test_sample_fock_tables_match_a_reference_built_from_objects(tmp_path, fmt, 
     assert text == _reference_table(dist, config, fmt)
     if fmt == "csv" and m == 1:
         assert text.splitlines()[2] == "1,1.0"  # a one-mode key has no comma: unquoted
+
+
+def _bunched_input(total_photons, modes):
+    return ModeConfiguration((total_photons,) + (0,) * (modes - 1))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("m", [2, 3])
+def test_sample_fock_artifacts_with_fields_of_varying_width(tmp_path, monkeypatch, fmt, m):
+    # The CLI's input has one photon per mode, so a key needs m >= 10 to reach
+    # an occupation of 10; all ten photons in the first mode reach it at m = 2
+    # and 3. Chunks of 7 rows straddle one- and two-digit keys.
+    monkeypatch.setattr(cli, "uniform_input", _bunched_input)
+    monkeypatch.setattr(cli, "SAMPLE_CHUNK", 7)
+    code, out = _run(tmp_path, f"fock.{fmt}",
+                     ["sample-fock", "--n", "10", "--m", str(m), "--seed", "2",
+                      "--shots", "500", "--format", fmt])
+    assert code == 0
+    config = {"subcommand": "sample-fock", "n": 10, "input": "10" + ",0" * (m - 1),
+              "shots": 500, "m": m, "kind": "orthogonal", "seed": 2}
+    dist = output_distribution(haar_special_orthogonal(m, 2), _bunched_input(10, m))
+    assert out.read_text(encoding="utf-8") == _reference_table(dist, config, fmt)
+    buf = io.StringIO()
+    buf.write("# config " + json.dumps(config, sort_keys=True) + "\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["sample"])
+    keys = [key.serialize() for key in draw_samples(dist, 3, 500)]
+    writer.writerows([key] for key in keys)
+    assert len({len(key) for key in keys}) == 2  # one- and two-digit keys are both drawn
+    assert _first_difference((tmp_path / "fock.samples.csv").read_text(encoding="utf-8"),
+                             buf.getvalue()) is None
 
 
 def test_sample_fock_json_with_shots_writes_csv_samples(tmp_path):
@@ -664,6 +696,7 @@ def test_records_over_the_limit_exit_two_before_they_are_built(monkeypatch, caps
 EMBED_RSS_CHILD = """
 import sys
 from passv.cli import execute
+from passv.configurations import ModeConfiguration
 
 def peak():
     with open("/proc/self/status") as status:

@@ -1,10 +1,13 @@
 """Tests for mode-occupation configurations and parity patterns."""
 
+import csv
+import io
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from passv.configurations import (
     ModeConfiguration,
@@ -14,6 +17,7 @@ from passv.configurations import (
     configuration_array,
     configuration_count,
     enumerate_configurations,
+    occupation_fields,
     parity_pattern_of,
     serialize_rows,
 )
@@ -43,7 +47,8 @@ def test_configuration_array_matches_an_itertools_reference(n, m):
         (c for c in itertools.product(range(n + 1), repeat=m) if sum(c) == n), reverse=True
     )
     table = configuration_array(n, m)
-    assert np.issubdtype(table.dtype, np.integer)
+    assert table.dtype == np.intp and table.flags.c_contiguous
+    assert table.ravel().base is table  # a view: the permanent table reads it without a copy
     assert table.shape == (configuration_count(n, m), m)
     assert [tuple(row) for row in table.tolist()] == reference
     configs = enumerate_configurations(n, m)
@@ -65,6 +70,38 @@ def test_serialized_rows_match_configuration_serialize(n, m):
     assert keys == [c.serialize() for c in enumerate_configurations(n, m)]
     if n >= 10:
         assert f"{n}" + ",0" * (m - 1) == keys[0]
+
+
+def _csv_field(text: str) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow([text])
+    return buf.getvalue()
+
+
+# Rows of one to six modes with occupations of one to three digits, so that
+# fields of one matrix differ in width.
+OCCUPATION_ROWS = st.integers(1, 6).flatmap(lambda m: st.tuples(
+    st.just(m), st.lists(st.lists(st.integers(0, 120), min_size=m, max_size=m), max_size=50)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(shape_rows=OCCUPATION_ROWS)
+def test_occupation_fields_decode_to_csv_writer_fields(shape_rows):
+    m, rows = shape_rows
+    occupations = np.array(rows, dtype=np.intp).reshape(len(rows), m)
+    keys = [ModeConfiguration(tuple(row)).serialize() for row in rows]
+    for quote, expected in ((True, [_csv_field(key) for key in keys]), (False, keys)):
+        fields = occupation_fields(occupations, quote=quote)
+        assert fields.dtype == np.uint8 and fields.shape[0] == len(rows)
+        assert [bytes(row[row != 0]).decode("ascii") for row in fields] == expected
+    assert serialize_rows(occupations) == keys
+
+
+def test_occupation_fields_pad_only_where_widths_differ():
+    fields = occupation_fields(np.array([[10, 0], [9, 1], [0, 120]]), quote=True)
+    assert fields.shape == (3, 9)
+    assert bytes(fields[0]) == b'"\x0010,\x00\x000"'
+    assert occupation_fields(np.array([[3, 0], [2, 1]]), quote=True).all()
 
 
 def test_serialize_rows_of_an_empty_table():
