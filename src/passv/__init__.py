@@ -24,7 +24,6 @@ from .evolution import (
     apply_beamsplitter,
     apply_network,
     build_passv_input,
-    build_squeezed_product,
     mode_ladder,
     number_distribution,
     parity_distribution,
@@ -37,7 +36,6 @@ from .experiments import (
     brute_force_parity,
     predicted_parity_distribution,
     run_equivalence_experiment,
-    squeezed_invariance_check,
 )
 from .networks import (
     LinearNetwork,

@@ -41,7 +41,7 @@ import numpy as np
 
 from .configurations import occupation_fields, serialize_rows
 from .distributions import OutputDistribution, check_shots, draw_indices
-from .errors import MEMORY_LIMIT, SizeLimitError, ValidationError
+from .errors import SizeLimitError, ValidationError, check_memory
 from .experiments import brute_force_parity, run_equivalence_experiment
 from .networks import (
     LinearNetwork,
@@ -356,11 +356,7 @@ def _check_record_size(subcommand: str, m: int, needed: int) -> None:
     chunks (``_json_chunks``) but counted whole, so the artifact itself stays
     under the limit too.
     """
-    if needed > MEMORY_LIMIT:
-        raise SizeLimitError(
-            f"{subcommand} of a {m}-mode network needs {needed} bytes for its arrays, "
-            f"record and text, over the {MEMORY_LIMIT} byte limit"
-        )
+    check_memory(needed, f"{subcommand} of a {m}-mode network (its arrays, record and text)")
 
 
 def _json_chunks(record: dict) -> Iterator[str]:

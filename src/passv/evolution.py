@@ -6,7 +6,8 @@ lexicographic order with the first mode most significant: C(D+m, m)
 amplitudes. A state whose amplitudes all have totals of one parity holds
 only the totals of that parity, about half as many; a product of mode
 vectors that each have only even or only odd levels is such a state, as
-are squeezed vacuum and every PASSV input, whose totals are n + 2k.
+are squeezed vacuum and every PASSV input, whose totals are n + 2k. Two
+states meet (``state_overlap``) only when they share one layout.
 Passive networks never move amplitude between photon totals, so nothing is
 lost while a network is applied and the parity is kept. A network moves the
 state into the pair-sorted order of its first mixer, where, for each
@@ -25,11 +26,12 @@ form, the 50:50 mixer exp(pi/4 K_s) with its rows phased by i^r, and the
 50:50 mixers of every subtotal come from one stable recursion over s: no
 eigensolver runs. Only the real columns w >= 0 of each 50:50 mixer are held;
 an op phases their rows. One layout is held at a time, with its moves
-between pair-sorted orders and the eigenbases up to its cutoff:
-STATE_SIZE_LIMIT counts it with one state, the spare state-sized array the
-mixers move it into, and one network's rotations. The only truncation is
-the input's mass above total D; for a PASSV input, ``sector_weights`` gives
-it, and the weight of every total, in closed form.
+between pair-sorted orders and the eigenbases up to its cutoff; the size
+guard (``_state_bytes`` against ``errors.MEMORY_LIMIT``) counts it with one
+state, the spare state-sized array the mixers move it into, and one
+network's rotations. The only truncation is the input's mass above total
+D; for a PASSV input, ``sector_weights`` gives it, and the weight of every
+total, in closed form.
 
 Squared norms and overlaps are einsum sums, not BLAS dot products: a dot
 product of a state's length wakes OpenBLAS's other threads, which then spin
@@ -63,14 +65,13 @@ from .configurations import (
     bounded_occupations,
 )
 from .distributions import OutputDistribution
-from .errors import MEMORY_LIMIT, SizeLimitError, ValidationError
+from .errors import SizeLimitError, ValidationError, check_memory
 from .networks import ReckDecomposition, TwoModeElement
 from .sampling import SUPPORT_SIZE_LIMIT
 
 ADDED = "added"
 SUBTRACTED = "subtracted"
 
-STATE_SIZE_LIMIT = MEMORY_LIMIT  # bytes per state, as counted by _state_bytes
 # Modules and library code that a process's first network op maps beside its
 # arrays (numpy.random for the draw among them): max RSS rose 7.4 to 8.3 MiB
 # for a one-photon op at r = 0.1, m = 1 to 4.
@@ -101,6 +102,8 @@ class Squeezing:
         if not 0.0 <= self.r <= math.asinh(np.finfo(np.float64).max):
             raise ValidationError("squeezing magnitude must be >= 0 and at most about 710.48, "
                                   f"past which cosh r overflows; got {self.r}")
+        if not math.isfinite(self.theta):
+            raise ValidationError(f"squeezing phase must be finite, got {self.theta}")
 
     @property
     def xi(self) -> complex:
@@ -135,6 +138,7 @@ def _held_moves(modes: int) -> int:
 def _state_bytes(modes: int, cutoff: int, parity: int | None = None) -> int:
     """Bytes of every array a state over ``modes`` up to ``cutoff`` photons needs.
 
+    This is the count ``_check_state_size`` holds to ``errors.MEMORY_LIMIT``.
     Per stored amplitude (every total, or those of ``parity``): the amplitude
     and one workspace (the spare a network's mixers move the state into, a
     copy, or the squares and widened bins of ``parity_sectors``), 16 bytes
@@ -169,14 +173,11 @@ def _state_bytes(modes: int, cutoff: int, parity: int | None = None) -> int:
 
 
 def _check_state_size(modes: int, cutoff: int, parity: int | None = None) -> None:
-    """Refuse a state whose arrays would exceed STATE_SIZE_LIMIT, before any is built."""
-    needed = _state_bytes(modes, cutoff, parity)
-    if needed > STATE_SIZE_LIMIT:
-        raise SizeLimitError(
-            f"a {modes}-mode state up to {cutoff} photons "
-            f"({_amplitude_count(modes, cutoff, parity)} amplitudes) needs {needed} bytes, "
-            f"over the {STATE_SIZE_LIMIT} byte limit; reduce the squeezing or raise epsilon_tail"
-        )
+    """Refuse a state whose arrays, as ``_state_bytes`` counts them, exceed MEMORY_LIMIT."""
+    check_memory(_state_bytes(modes, cutoff, parity),
+                 f"a {modes}-mode state up to {cutoff} photons "
+                 f"({_amplitude_count(modes, cutoff, parity)} amplitudes)",
+                 "; reduce the squeezing or raise epsilon_tail")
 
 
 def _real_or_complex(values) -> np.ndarray:
@@ -543,7 +544,7 @@ def _apply_mode_factors(state: TruncatedFockState, mode: int, factors: np.ndarra
     """Multiply each amplitude by the factor of its occupation of ``mode``, in place.
 
     Real factors keep a real state real; the first factor with a nonzero
-    imaginary part promotes the state to complex128 (STATE_SIZE_LIMIT counts
+    imaginary part promotes the state to complex128 (``_state_bytes`` counts
     16 bytes per amplitude, so the promoted state still fits). The factors
     are gathered AMPLITUDE_BLOCK amplitudes at a time, so no state-sized
     temporary is made beside the promoted state.
@@ -745,14 +746,6 @@ def apply_network(state: TruncatedFockState,
     return state
 
 
-def build_squeezed_product(modes: int, xi, cutoff: int) -> TruncatedFockState:
-    """Identically squeezed vacuum in every mode up to total ``cutoff``, the rest cut off."""
-    if modes < 1:
-        raise ValidationError(f"mode count must be positive, got {modes}")
-    vec, _ = squeezed_vacuum_vector(xi, cutoff)
-    return TruncatedFockState.from_product([vec] * modes)
-
-
 def _check_passv_input(total_photons: int, modes: int, xi, variant: str) -> Squeezing:
     """The squeezing of ``xi``, once build_passv_input's checks short of the size guard pass."""
     if variant not in (ADDED, SUBTRACTED):
@@ -845,24 +838,17 @@ def number_distribution(state: TruncatedFockState) -> OutputDistribution:
 
 
 def state_overlap(a: TruncatedFockState, b: TruncatedFockState) -> complex:
-    """Inner product <a|b>, conjugating the first argument.
+    """Inner product <a|b>, conjugating the first argument, of two states of one layout.
 
-    States of different layouts meet on the totals both hold: a state that
-    holds every total is read at the positions of the other's parity, and
-    states of opposite parities are orthogonal.
+    Both states must share their modes, cutoff and parity, so their
+    amplitudes are in one order; nothing is looked up, and the layout held
+    with its moves and eigenbases is left as it is.
     """
-    if (a.modes, a.cutoff) != (b.modes, b.cutoff):
-        raise ValidationError("states must share mode count and cutoff: "
-                              f"({a.modes}, {a.cutoff}) vs ({b.modes}, {b.cutoff})")
+    if (a.modes, a.cutoff, a.parity) != (b.modes, b.cutoff, b.parity):
+        raise ValidationError("states must share mode count, cutoff and parity: "
+                              f"({a.modes}, {a.cutoff}, {a.parity}) vs "
+                              f"({b.modes}, {b.cutoff}, {b.parity})")
     left, right = a.amplitudes, b.amplitudes
-    if a.parity != b.parity:
-        if None not in (a.parity, b.parity):
-            return 0j
-        totals = _index_tables(a.modes, a.cutoff)[1] >> a.modes
-        if a.parity is None:
-            left = left[totals % 2 == b.parity]
-        else:
-            right = right[totals % 2 == a.parity]
     # einsum over the real and imaginary parts of ``left``, not vdot (module docstring).
     overlap = np.einsum("i,i->", left.real, right)
     if np.iscomplexobj(left):

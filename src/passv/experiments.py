@@ -17,7 +17,11 @@ product is sum_K c_K B^K|0>, and a real rotation keeps B. Since
 |psi_k> ~ a_1^dag ... a_n^dag B^k|0>; the variant and xi set only its weight
 w_k (``evolution.sector_weights``). O maps the part with odd modes S to
 Per(O_S) a_S^dag B^k|0>, of the same norm for every S, so P_k(S) =
-|Per(O_S)|^2 in every total k.
+|Per(O_S)|^2 in every total k. That a rotation keeps the squeezed product
+needs no harness of its own: the product is ``TruncatedFockState.from_product``
+of m squeezed vacuum vectors, and ``abs(state_overlap(...))`` with an evolved
+``copy()`` of it is 1, up to truncation, behind a rotation and not behind a
+generic unitary.
 
 Not every total tests that claim. Total n (k = 0) of a PASSV input is
 a_1^dag ... a_n^dag |0>, so its match is boson sampling itself and holds
@@ -59,10 +63,8 @@ from .evolution import (
     apply_network,
     as_squeezing,
     build_passv_input,
-    build_squeezed_product,
     parity_sectors,
     sector_weights,
-    state_overlap,
 )
 from .networks import (
     LinearNetwork,
@@ -302,18 +304,3 @@ def run_equivalence_experiment(total_photons: int, modes: int, xi_values,
         tolerance=TOLERANCE_FLOOR,
         transpose_convention_deviation=transpose_dev,
     )
-
-
-def squeezed_invariance_check(network: LinearNetwork, xi, cutoff: int) -> float:
-    """|overlap| between a product squeezed state and its network image.
-
-    Real rotations leave the identically squeezed product invariant up to
-    truncation, since they mix only like quadratures; a genuinely complex
-    network entangles the modes and the overlap drops measurably below 1.
-    """
-    if not isinstance(network, LinearNetwork):
-        raise ValidationError("squeezed_invariance_check expects a LinearNetwork")
-    state0 = build_squeezed_product(network.dimension, xi, cutoff)
-    evolved = state0.copy()
-    apply_network(evolved, reck_decompose(network))
-    return abs(state_overlap(state0, evolved))

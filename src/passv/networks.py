@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .configurations import _as_configuration
-from .errors import MEMORY_LIMIT, SizeLimitError, ValidationError
+from .errors import ValidationError, check_memory
 
 UNITARY = "unitary"
 ORTHOGONAL = "orthogonal"
@@ -201,12 +201,8 @@ def _check_seed(seed: int) -> int:
 
 def _check_draw_size(m: int, arrays: int, itemsize: int) -> None:
     """Refuse a network that holds ``arrays`` m x m arrays over MEMORY_LIMIT, before any is made."""
-    needed = arrays * itemsize * m * m
-    if needed > MEMORY_LIMIT:
-        raise SizeLimitError(
-            f"a {m}-mode network holds {arrays} arrays of {m} x {m} entries, "
-            f"{needed} bytes, over the {MEMORY_LIMIT} byte limit"
-        )
+    check_memory(arrays * itemsize * m * m,
+                 f"a {m}-mode network of {arrays} arrays of {m} x {m} entries")
 
 
 def haar_unitary(m: int, seed: int) -> LinearNetwork:

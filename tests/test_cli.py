@@ -22,7 +22,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from passv import cli, evolution, experiments
+from passv import cli, errors, evolution, experiments
 from passv.cli import execute
 from passv.configurations import ModeConfiguration
 from passv.distributions import SHOTS_LIMIT, draw_samples
@@ -396,7 +396,7 @@ def test_sample_passv_oversized_state_exits_two_before_allocating(tmp_path, caps
 
 def test_sample_passv_state_over_the_shared_limit_exits_two(tmp_path, capsys):
     # Three added photons at r = 1.0 need total cutoff 101: C(106, 5) = 101
-    # million amplitudes, about 7.8 GB, over the one STATE_SIZE_LIMIT.
+    # million amplitudes, about 7.8 GB, over the one MEMORY_LIMIT.
     code, out = _run(tmp_path, "parity.csv",
                      ["sample-passv", "--n", "3", "--m", "5", "--xi", "1.0",
                       "--seed", "7"])
@@ -520,7 +520,7 @@ def test_largest_admitted_state_peaks_within_the_limit_and_the_next_exits_two(
     n, m, xi, seed = 2, 4, 0.6, 7
     cutoff = required_cutoff(xi, 4e-8, modes=m, photons=n)
     limit = evolution._state_bytes(m, cutoff, n % 2)  # the input holds totals n + 2k only
-    monkeypatch.setattr(evolution, "STATE_SIZE_LIMIT", limit)
+    monkeypatch.setattr(errors, "MEMORY_LIMIT", limit)
     monkeypatch.setattr(evolution, "_slot", evolution._Slot())  # cold: no layout held
     tracemalloc.start()
     try:
@@ -552,7 +552,7 @@ def test_cached_index_tables_and_the_next_state_share_the_limit(monkeypatch):
     cutoffs = [required_cutoff(xi, 4e-8, modes=m, photons=n) for xi in xis]
     assert cutoffs == [32, 34, 36, 38]
     limit = evolution._state_bytes(m, cutoffs[-1], n % 2)
-    monkeypatch.setattr(evolution, "STATE_SIZE_LIMIT", limit)
+    monkeypatch.setattr(errors, "MEMORY_LIMIT", limit)
     monkeypatch.setattr(evolution, "_slot", evolution._Slot())  # cold: no layout held
     tracemalloc.start()
     try:
@@ -685,7 +685,7 @@ def test_records_written_in_chunks_are_the_json_dumps_text(tmp_path, args):
 ], ids=["embed", "decompose"])
 def test_records_over_the_limit_exit_two_before_they_are_built(monkeypatch, capsys, args, builder):
     # The record of m = 40 is counted at 666 KB (embed) or 611 KB (decompose).
-    monkeypatch.setattr(cli, "MEMORY_LIMIT", 600_000)
+    monkeypatch.setattr(errors, "MEMORY_LIMIT", 600_000)
     monkeypatch.setattr(cli, builder, lambda *a, **k: pytest.fail("built past the guard"))
     assert execute(args) == 2
     assert "size limit" in capsys.readouterr().err

@@ -31,10 +31,9 @@ try:
 except ImportError:  # numpy < 1.25
     from numpy import ComplexWarning
 
-from passv import distributions, evolution
+from passv import distributions, errors, evolution
 from passv.configurations import ModeConfiguration, ParityPattern
 from passv.errors import SizeLimitError, ValidationError
-from passv.experiments import squeezed_invariance_check
 from passv.evolution import (
     ADDED,
     SUBTRACTED,
@@ -44,7 +43,6 @@ from passv.evolution import (
     apply_network,
     as_squeezing,
     build_passv_input,
-    build_squeezed_product,
     mode_ladder,
     number_distribution,
     parity_distribution,
@@ -85,6 +83,11 @@ def _fock(modes_occupations, cutoff: int) -> TruncatedFockState:
     return TruncatedFockState.from_product(
         [np.eye(cutoff + 1)[k] for k in modes_occupations]
     )
+
+
+def _squeezed(modes: int, xi, cutoff: int) -> TruncatedFockState:
+    """Identically squeezed vacuum in every mode, up to total ``cutoff``."""
+    return TruncatedFockState.from_product([squeezed_vacuum_vector(xi, cutoff)[0]] * modes)
 
 
 def _input_tail(total_photons, modes, r, cutoff) -> float:
@@ -128,8 +131,20 @@ def test_squeezing_validation():
     for refused in (lambda: Squeezing(711.0), lambda: as_squeezing(711.0j),
                     lambda: build_passv_input(1, 2, 800.0, ADDED, 4),
                     lambda: required_cutoff(800.0),
-                    lambda: build_squeezed_product(2, 711.0, 4)):
+                    lambda: squeezed_vacuum_vector(711.0, 4)):
         with pytest.raises(ValidationError, match="overflows"):
+            refused()
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_squeezing_phase_is_refused(theta):
+    # A NaN phase once gave NaN amplitudes with a tail of 0.0 and a PASSV
+    # input of NaN norm, which passed the vanished-state check; an infinite
+    # one raised a bare ValueError from math.cos.
+    for refused in (lambda: Squeezing(0.5, theta),
+                    lambda: squeezed_vacuum_vector(Squeezing(0.5, theta), 4),
+                    lambda: build_passv_input(1, 2, Squeezing(0.5, theta), ADDED, 4)):
+        with pytest.raises(ValidationError, match="phase must be finite"):
             refused()
 
 
@@ -366,7 +381,7 @@ def test_state_size_guard():
 
 
 def test_product_size_guard_fires_before_allocation(monkeypatch):
-    monkeypatch.setattr(evolution, "STATE_SIZE_LIMIT", 1_000_000)
+    monkeypatch.setattr(errors, "MEMORY_LIMIT", 1_000_000)
     vectors = [np.ones(101)] * 3  # C(103, 3) amplitudes, 8.3 MB with the index tables
     tracemalloc.start()
     try:
@@ -428,7 +443,7 @@ def test_a_reck_network_holds_2m_minus_3_moves_of_the_counted_bytes(monkeypatch,
     # order, which also scatters the state back; a longer walk over other
     # pairs holds no more. The size guard counts exactly their bytes.
     d = 6
-    st = build_squeezed_product(m, 0.5, d)
+    st = _squeezed(m, 0.5, d)
     apply_network(st, reck_decompose(haar_special_orthogonal(m, 3)))
     occupations, _, moves = _index_tables(m, d, st.parity)
     assert st.parity == 0 and evolution._slot.key == (m, d, 0)
@@ -644,7 +659,7 @@ def test_splitter_acts_on_named_pair_only():
 
 
 def test_splitter_truncation_loss_balances_norm():
-    st = build_squeezed_product(2, 0.6, 8)
+    st = _squeezed(2, 0.6, 8)
     loss = 1.0 - st.squared_norm()
     apply_beamsplitter(st, 0, 1, 0.9)
     assert 1.0 - st.squared_norm() == pytest.approx(loss, abs=1e-10)
@@ -922,7 +937,7 @@ def test_complex_values_written_into_a_real_state_fail_loudly():
 
 
 def test_squeezed_product_amplitudes_factorize():
-    st = build_squeezed_product(2, 0.5, 10)
+    st = _squeezed(2, 0.5, 10)
     vec, _ = squeezed_vacuum_vector(0.5, 10)
     assert st.amplitude((0, 0)) == pytest.approx(vec[0] ** 2, abs=1e-14)
     assert st.amplitude((2, 4)) == pytest.approx(vec[2] * vec[4], abs=1e-14)
@@ -930,7 +945,7 @@ def test_squeezed_product_amplitudes_factorize():
 
 
 def test_squeezed_product_loss_accounting():
-    st = build_squeezed_product(3, 0.5, 6)
+    st = _squeezed(3, 0.5, 6)
     loss = 1.0 - st.squared_norm()
     # The loss is the mass above total 6, so more than the three one-mode tails.
     vec, _ = squeezed_vacuum_vector(0.5, 6)
@@ -980,7 +995,7 @@ def test_passv_input_validation():
 
 
 def test_parity_distribution_covers_all_patterns():
-    st = build_squeezed_product(2, 0.5, 8)
+    st = _squeezed(2, 0.5, 8)
     dist = parity_distribution(st)
     assert len(dist) == 4
     assert dist.total() == pytest.approx(1.0, abs=1e-12)
@@ -1025,7 +1040,7 @@ def test_parity_sectors_split_the_distribution_by_photon_total():
 
 
 def test_parity_of_squeezed_vacuum_is_all_even():
-    dist = parity_distribution(build_squeezed_product(2, 0.7, 16))
+    dist = parity_distribution(_squeezed(2, 0.7, 16))
     assert dist.probability(ParityPattern((1, 1))) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -1093,26 +1108,31 @@ def test_expm_is_looked_up_lazily():
 
 
 def test_overlap_of_prepared_states():
-    vac = TruncatedFockState(1, 40)
-    sq = build_squeezed_product(1, 0.5, 40)
+    vac = _fock((0,), 40)
+    sq = _squeezed(1, 0.5, 40)
     assert state_overlap(vac, sq) == pytest.approx(C0_HALF, abs=1e-12)
     assert state_overlap(sq, sq).real == pytest.approx(1.0, abs=1e-12)
 
 
-def test_overlap_meets_layouts_on_the_totals_both_hold():
-    # A one-parity state and the same amplitudes in an all-totals state: each
-    # is read on the other's totals, and opposite parities are orthogonal.
-    m, d = 3, 8
-    odd = _fock((2, 1, 0), d)
-    even = build_squeezed_product(m, 0.5, d)
-    assert (odd.parity, even.parity) == (1, 0)
-    held = _all_totals(even)
-    for a, b in ((held, even), (even, held), (even, even)):
-        assert state_overlap(a, b) == pytest.approx(even.squared_norm(), abs=1e-15)
-    assert state_overlap(held, odd) == 0.0
-    assert state_overlap(odd, even) == 0.0
-    assert state_overlap(TruncatedFockState(m, d), even) == pytest.approx(
-        even.amplitudes[0], abs=1e-15)
+def test_overlap_of_different_layouts_is_refused_and_keeps_the_held_layout(monkeypatch):
+    # An all-totals, an even and an odd state of one (m, D) do not meet. The
+    # refusal looks nothing up, so the moves and eigenbases held for the
+    # evolved state stay, and its next op sorts no order again.
+    monkeypatch.setattr(evolution, "_slot", evolution._Slot())
+    m, d = 3, 60
+    odd, every = _fock((2, 1, 0), d), TruncatedFockState(m, d)
+    even = apply_network(_squeezed(m, 0.5, d), reck_decompose(haar_special_orthogonal(m, 3)))
+    assert (odd.parity, even.parity, every.parity) == (1, 0, None)
+    slot = evolution._slot
+    key, moves, eigenbases = slot.key, dict(slot.tables[2]), list(slot.eigenbases)
+    assert key == (m, d, 0) and len(moves) == 3 and len(eigenbases) == d + 1
+    for a, b in ((every, even), (even, every), (odd, even), (every, odd)):
+        with pytest.raises(ValidationError, match="parity"):
+            state_overlap(a, b)
+    assert slot.key == key and slot.tables[2].keys() == moves.keys()
+    assert all(slot.tables[2][step] is held for step, held in moves.items())
+    assert all(x is y for x, y in zip(slot.eigenbases, eigenbases, strict=True))
+    assert state_overlap(even, even) == pytest.approx(even.squared_norm(), abs=1e-15)
 
 
 def test_overlap_requires_matching_shapes():
@@ -1145,7 +1165,7 @@ def test_one_parity_table_is_the_full_table_of_that_parity():
 
 
 def test_from_product_infers_the_parity_of_its_totals():
-    assert build_squeezed_product(3, 0.5, 10).parity == 0
+    assert _squeezed(3, 0.5, 10).parity == 0
     for n, m, variant in ((1, 3, ADDED), (2, 4, SUBTRACTED), (3, 5, ADDED)):
         assert build_passv_input(n, m, 0.4, variant, n + 6).parity == n % 2
     assert _fock((2, 1, 1), 5).parity == 0 and _fock((0, 3), 5).parity == 1
@@ -1230,10 +1250,12 @@ def test_cold_evolution_peaks_within_the_counted_bytes(monkeypatch, m, d, networ
     # sort may add a state-sized temporary as well.
     monkeypatch.setattr(evolution, "_slot", evolution._Slot())
     limit = evolution._state_bytes(m, d, 0)
-    monkeypatch.setattr(evolution, "STATE_SIZE_LIMIT", limit)
+    monkeypatch.setattr(errors, "MEMORY_LIMIT", limit)
     tracemalloc.start()
     try:
-        squeezed_invariance_check(network, 0.5, d)
+        original = _squeezed(m, 0.5, d)
+        evolved = apply_network(original.copy(), reck_decompose(network))
+        assert abs(state_overlap(original, evolved)) <= 1.0
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

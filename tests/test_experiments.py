@@ -24,7 +24,6 @@ from passv.experiments import (
     brute_force_parity,
     predicted_parity_distribution,
     run_equivalence_experiment,
-    squeezed_invariance_check,
 )
 from passv.evolution import (
     ADDED,
@@ -286,19 +285,6 @@ def test_report_deviations_are_the_pairwise_maxima():
     assert report.transpose_convention_deviation == max(
         abs(r[i] - alt.probability(report.patterns[i])) for r in rows for i in k
     )
-
-
-def test_invariance_holds_for_rotations():
-    fidelity = squeezed_invariance_check(
-        haar_special_orthogonal(3, 21), 0.4, required_cutoff(0.4, 1e-8)
-    )
-    assert fidelity >= 1.0 - 1e-6
-
-
-def test_invariance_fails_for_generic_unitaries():
-    net = haar_unitary(3, 4)
-    fidelity = squeezed_invariance_check(net, 0.4, required_cutoff(0.4, 1e-8))
-    assert fidelity <= 0.999
 
 
 def test_report_passes_reflects_tolerance():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies
 
-from passv import networks
+from passv import errors, networks
 from passv.errors import MEMORY_LIMIT, SizeLimitError, ValidationError
 from passv.networks import (
     ORTHOGONAL,
@@ -95,13 +95,13 @@ def test_haar_draw_counts_its_arrays_and_is_refused_over_the_limit(monkeypatch, 
     def unreachable(*args, **kwargs):
         raise AssertionError("drawn past the guard")
 
-    monkeypatch.setattr(networks, "MEMORY_LIMIT", arrays * itemsize * m * m)
+    monkeypatch.setattr(errors, "MEMORY_LIMIT", arrays * itemsize * m * m)
     assert draw(m, 1).dimension == m
     monkeypatch.setattr(networks.np.random, "default_rng", unreachable)
     with pytest.raises(SizeLimitError):
         draw(m + 1, 1)
     # The state guard's budget; a 50,000-mode draw would need hundreds of GB.
-    monkeypatch.setattr(networks, "MEMORY_LIMIT", MEMORY_LIMIT)
+    monkeypatch.setattr(errors, "MEMORY_LIMIT", MEMORY_LIMIT)
     with pytest.raises(SizeLimitError, match=f"over the {MEMORY_LIMIT} byte limit"):
         draw(50_000, 1)
 
@@ -387,7 +387,7 @@ def test_embed_counts_its_doubled_arrays_before_building_them(monkeypatch):
         tracemalloc.stop()
     counted = 5 * 8 * (2 * m) ** 2
     assert peak + u.entries.nbytes <= counted
-    monkeypatch.setattr(networks, "MEMORY_LIMIT", counted)
+    monkeypatch.setattr(errors, "MEMORY_LIMIT", counted)
     assert embed_unitary_as_orthogonal(u).dimension == 2 * m
     with pytest.raises(SizeLimitError):
         embed_unitary_as_orthogonal(np.eye(m + 1, dtype=np.complex128))
