@@ -39,8 +39,8 @@ from collections.abc import Iterable, Iterator
 
 import numpy as np
 
-from .configurations import occupation_fields, serialize_rows
-from .distributions import OutputDistribution, check_shots, draw_indices
+from .configurations import configuration_count, occupation_fields, serialize_rows
+from .distributions import OutputDistribution, check_shots, check_table_size, draw_indices
 from .errors import SizeLimitError, ValidationError, check_memory
 from .experiments import brute_force_parity, run_equivalence_experiment
 from .networks import (
@@ -262,6 +262,9 @@ def _run_sample_fock(args):
     check_shots(args.shots)  # before the table is written
     if args.shots and args.seed is None:
         raise ValidationError("--seed is required to draw samples")
+    if args.m is not None and not args.matrix and args.n <= args.m:
+        # Before a network is drawn; output_distribution counts the table again.
+        check_table_size(configuration_count(args.n, args.m), args.m)
     net, source = _resolve_network(args)
     pump = uniform_input(args.n, net.dimension)
     dist = output_distribution(net, pump)

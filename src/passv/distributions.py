@@ -9,6 +9,9 @@ keys, items or a lookup; its length, probabilities and total never need them.
 Asau, 1974): equal buckets of [0, 1) bracket the index of every draw, and a
 vectorized bisection closes the brackets, one block of draws at a time. The
 indices equal those of a plain ``searchsorted`` over the CDF.
+
+``check_table_size`` and ``check_shots`` count the bytes of a table and of
+its draws against ``errors.MEMORY_LIMIT``, before either is made.
 """
 
 from __future__ import annotations
@@ -18,11 +21,35 @@ from collections import Counter
 import numpy as np
 
 from .configurations import ModeConfiguration, configurations_from_array
-from .errors import SizeLimitError, ValidationError
+from .errors import FIRST_OP_BYTES, ValidationError, check_memory
 
 SAMPLING_DEFECT_LIMIT = 1e-6
 DRAW_BLOCK = 1 << 14  # draws per block of draw_indices; bounds its temporaries
-SHOTS_LIMIT = 10_000_000  # draws per call: 160 MB of uniform draws and indices
+# What an output table over m modes holds per outcome, TABLE_MODE_BYTES * m +
+# TABLE_OUTCOME_BYTES: its occupation array and probabilities, the duplicate
+# check and permanent table that build it, and the artifact sample-fock writes
+# from it, in either format. At the largest m admitted for each n = 2 to 11,
+# the max RSS of a cold sample-fock rose by 39-67% of the count (with
+# FIRST_OP_BYTES) in CSV and 70-84% in JSON, the most at n = 7, m = 18.
+TABLE_MODE_BYTES = 24
+TABLE_OUTCOME_BYTES = 640
+DRAW_BYTES = 24  # per draw: its uniform and its index, and draw_samples' list slot
+
+
+def _table_bytes(outcomes: int, modes: int) -> int:
+    """The bytes ``check_table_size`` counts for a table of ``outcomes`` over ``modes``."""
+    return outcomes * (TABLE_MODE_BYTES * modes + TABLE_OUTCOME_BYTES) + FIRST_OP_BYTES
+
+
+def check_table_size(outcomes: int, modes: int) -> None:
+    """Refuse a table of ``outcomes`` over ``modes`` whose count is over MEMORY_LIMIT.
+
+    The count is TABLE_MODE_BYTES per outcome and mode, TABLE_OUTCOME_BYTES
+    per outcome, and FIRST_OP_BYTES; callers run it before the occupation
+    array is made.
+    """
+    check_memory(_table_bytes(outcomes, modes),
+                 f"a table of {outcomes:,} outcomes over {modes} modes")
 
 
 class OutputDistribution:
@@ -174,7 +201,7 @@ def draw_indices(distribution: OutputDistribution, seed: int, shots: int) -> np.
     """Draw indices into ``distribution.keys`` by inverse-CDF sampling.
 
     Deterministic for a given seed: one ``rng.random(shots)`` stream, each
-    draw mapped to the first CDF entry above it, at most SHOTS_LIMIT draws.
+    draw mapped to the first CDF entry above it, as many as ``check_shots`` admits.
     The distribution must be normalized within 1e-6; the residual defect is
     renormalized away before drawing.
     """
@@ -198,11 +225,10 @@ def draw_indices(distribution: OutputDistribution, seed: int, shots: int) -> np.
 
 
 def check_shots(shots: int):
-    """Refuse a negative shot count, and one over SHOTS_LIMIT before any draw."""
+    """Refuse negative shots, and shots over MEMORY_LIMIT at DRAW_BYTES each, before any draw."""
     if shots < 0:
         raise ValidationError(f"shots must be non-negative, got {shots}")
-    if shots > SHOTS_LIMIT:
-        raise SizeLimitError(f"shots are limited to {SHOTS_LIMIT:,} per run, got {shots:,}")
+    check_memory(DRAW_BYTES * shots, f"{shots:,} shots")
 
 
 def inverse_cdf(cdf: np.ndarray, draws: np.ndarray) -> np.ndarray:

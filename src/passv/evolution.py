@@ -64,18 +64,13 @@ from .configurations import (
     _as_configuration,
     bounded_occupations,
 )
-from .distributions import OutputDistribution
-from .errors import SizeLimitError, ValidationError, check_memory
+from .distributions import OutputDistribution, check_table_size
+from .errors import FIRST_OP_BYTES, SizeLimitError, ValidationError, check_memory
 from .networks import ReckDecomposition, TwoModeElement
-from .sampling import SUPPORT_SIZE_LIMIT
 
 ADDED = "added"
 SUBTRACTED = "subtracted"
 
-# Modules and library code that a process's first network op maps beside its
-# arrays (numpy.random for the draw among them): max RSS rose 7.4 to 8.3 MiB
-# for a one-photon op at r = 0.1, m = 1 to 4.
-FIRST_OP_BYTES = 12 << 20
 AMPLITUDE_BLOCK = 16_384  # amplitudes at a time in from_product, mode factors and moves
 
 
@@ -119,10 +114,19 @@ def as_squeezing(value) -> Squeezing:
 
 
 def _amplitude_count(modes: int, cutoff: int, parity: int | None) -> int:
-    """Occupation tuples over ``modes`` with total <= ``cutoff``, of ``parity`` if one is set."""
+    """Occupation tuples over ``modes`` with total <= ``cutoff``, of ``parity`` if one is set.
+
+    In O(m) binomials, however large the cutoff: over k modes, the tuples
+    whose total has the cutoff's parity number half the sum of C(D + k, k)
+    and their count over k - 1 modes, and the other parity has the rest.
+    """
+    total = math.comb(cutoff + modes, modes)
     if parity is None:
-        return math.comb(cutoff + modes, modes)
-    return sum(math.comb(total + modes - 1, total) for total in range(parity, cutoff + 1, 2))
+        return total
+    same = int(cutoff >= 0 and cutoff % 2 == 0)  # over no modes: the empty tuple, of total 0
+    for k in range(1, modes):
+        same = (math.comb(cutoff + k, k) + same) // 2
+    return (total + same) // 2 if parity == cutoff % 2 else (total - same) // 2
 
 
 def _held_moves(modes: int) -> int:
@@ -166,8 +170,10 @@ def _state_bytes(modes: int, cutoff: int, parity: int | None = None) -> int:
     if modes < 2:
         return amplitudes
     mixers = modes * (modes - 1) // 2
-    held = sum((8 * mixers * (s + 1) + 8 * (s // 2 + 1)) * (s + 1) + 1024
-               for s in range(cutoff + 1))
+    # The sums over s = 0..D of 8 E (s+1)^2, 8 (s//2 + 1)(s + 1) and 1 KB, in closed form.
+    totals, odd = cutoff + 1, (cutoff + 1) // 2
+    held = (8 * mixers * totals * (totals + 1) * (2 * totals + 1) // 6
+            + 4 * (totals * (totals + 1) * (totals + 2) // 3 - odd * (odd + 1)) + 1024 * totals)
     top_total = (40 * (cutoff + 1) + 16 * (mixers + 1) * (cutoff // 2 + 2)) * (cutoff + 1)
     return amplitudes + held + top_total + FIRST_OP_BYTES
 
@@ -448,11 +454,14 @@ def squeezed_vacuum_vector(xi, cutoff: int) -> tuple[np.ndarray, float]:
     squared mass of the occupations above the cutoff, |c_{2k}|^2 summed from
     the terms above it as ``sector_weights`` does: each ratio is below
     tanh^2 r, so terms are made until the rest is negligible. Where the kept
-    mass is under 1/2, 1 minus it is as exact, and is taken instead.
+    mass is under 1/2, 1 minus it is as exact, and is taken instead. The
+    vector and the kept masses, a float in a list per even level, are
+    counted at 32 (cutoff + 1) bytes against MEMORY_LIMIT before either is made.
     """
     sq = as_squeezing(xi)
     if cutoff < 0:
         raise ValidationError(f"cutoff must be non-negative, got {cutoff}")
+    check_memory(32 * (cutoff + 1), f"a squeezed vacuum vector up to {cutoff} photons")
     vec = np.zeros(cutoff + 1, dtype=np.complex128)
     r, theta = sq.r, sq.theta
     c = complex(1.0 / math.sqrt(math.cosh(r)))
@@ -770,6 +779,9 @@ def build_passv_input(total_photons: int, modes: int, xi, variant: str,
     mode annihilates the vacuum and raises a validation error.
     """
     sq = _check_passv_input(total_photons, modes, xi, variant)
+    if cutoff < 0:
+        raise ValidationError(f"cutoff must be non-negative, got {cutoff}")
+    _check_state_size(modes, cutoff, total_photons % 2)  # before any mode vector is made
     # One level past the cutoff, so that lowering fills level D too.
     vec, _ = squeezed_vacuum_vector(sq, cutoff + 1)
     if variant == ADDED:
@@ -821,14 +833,11 @@ def number_distribution(state: TruncatedFockState) -> OutputDistribution:
 
     One entry per amplitude in an array-backed table (a one-parity state
     holds only the tuples of its parity), whose ModeConfiguration
-    keys are made only when a caller asks for them. States over
-    SUPPORT_SIZE_LIMIT amplitudes are refused before the table is built.
+    keys are made only when a caller asks for them. The table is counted
+    as an output table of one outcome per amplitude (``check_table_size``)
+    before it is built.
     """
-    if len(state.amplitudes) > SUPPORT_SIZE_LIMIT:
-        raise SizeLimitError(
-            f"a number distribution of {len(state.amplitudes)} amplitudes exceeds "
-            f"{SUPPORT_SIZE_LIMIT} entries"
-        )
+    check_table_size(len(state.amplitudes), state.modes)
     norm2 = state.squared_norm()
     if norm2 <= 1e-300:
         raise ValidationError("number distribution is undefined for the zero state")

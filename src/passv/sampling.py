@@ -28,13 +28,12 @@ from .configurations import (
     configuration_array,
     configuration_count,
 )
-from .distributions import OutputDistribution
+from .distributions import OutputDistribution, check_table_size
 from .errors import SizeLimitError, ValidationError
 from .networks import LinearNetwork
 from .permanents import permanent_table
 
 AMPLITUDE_PHOTON_LIMIT = 20
-SUPPORT_SIZE_LIMIT = 1_000_000
 
 
 def transition_amplitude(network: LinearNetwork, input_config, output_config) -> complex:
@@ -95,16 +94,14 @@ def output_distribution(network: LinearNetwork, input_config) -> OutputDistribut
     ``configuration_array``, with zeros retained; the normalization defect is
     measured, not assumed. The table is array-backed: it keeps the outcome
     array and makes ModeConfiguration keys only if a caller asks for them.
+    ``check_table_size`` counts it before the outcome array is made.
     """
     t = _as_configuration(input_config)
     m = network.dimension
     if t.modes != m:
         raise ValidationError(f"input over {t.modes} modes does not match m={m}")
     n = t.total
-    if configuration_count(n, m) > SUPPORT_SIZE_LIMIT:
-        raise SizeLimitError(
-            f"output support C({n + m - 1},{n}) exceeds {SUPPORT_SIZE_LIMIT} entries"
-        )
+    check_table_size(configuration_count(n, m), m)
     outcomes = configuration_array(n, m)
     probs = outcome_probabilities(network, t, outcomes)
     return OutputDistribution(occupations=outcomes, probabilities=probs)

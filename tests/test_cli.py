@@ -22,10 +22,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from passv import cli, errors, evolution, experiments
+from passv import cli, distributions, errors, evolution, experiments
 from passv.cli import execute
-from passv.configurations import ModeConfiguration
-from passv.distributions import SHOTS_LIMIT, draw_samples
+from passv.configurations import ModeConfiguration, configuration_count
+from passv.distributions import DRAW_BYTES, draw_samples
 from passv.evolution import required_cutoff
 from passv.experiments import brute_force_parity
 from passv.networks import haar_special_orthogonal, haar_unitary
@@ -283,16 +283,47 @@ def test_sample_fock_negative_shots_exit_one_before_writing(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_sample_fock_shots_over_the_limit_exit_two_before_writing(tmp_path, capsys):
+def test_sample_fock_shots_over_the_limit_exit_two_before_writing(tmp_path, capsys, monkeypatch):
+    # A limit that admits 10 million draws; the next is refused before the table.
+    monkeypatch.setattr(errors, "MEMORY_LIMIT", 10_000_000 * DRAW_BYTES)
     tracemalloc.start()
     try:
         code, _ = _run(tmp_path, "t.csv", ["sample-fock", "--n", "2", "--m", "3", "--seed", "1",
-                                           "--shots", str(SHOTS_LIMIT + 1)])
+                                           "--shots", "10000001"])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert code == 2
     assert "shots" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    assert peak < 1_000_000
+
+
+# The largest m whose table the count admits, in either format, at n = 2, 3 and 5.
+TABLE_EDGES = {2: 309, 3: 92, 5: 30}
+
+
+def test_table_edges_are_the_largest_admitted_m():
+    for n, m in TABLE_EDGES.items():
+        assert (distributions._table_bytes(configuration_count(n, m), m) <= errors.MEMORY_LIMIT
+                < distributions._table_bytes(configuration_count(n, m + 1), m + 1))
+
+
+@pytest.mark.parametrize("n, m", [*((n, m + 1) for n, m in TABLE_EDGES.items()), (3, 140)])
+def test_sample_fock_tables_past_the_edge_exit_two_before_allocating(tmp_path, capsys, n, m):
+    # n = 3, m = 140 has 467,180 outcomes; a run would peak at 1,137 MB.
+    assert distributions._table_bytes(configuration_count(n, m), m) > errors.MEMORY_LIMIT
+    tracemalloc.start()
+    try:
+        # Counted before the network is drawn: the draw alone peaks at 1.9 MB at m = 93.
+        code, _ = _run(tmp_path, "t.json", ["sample-fock", "--n", str(n), "--m", str(m),
+                                            "--kind", "unitary", "--seed", "1", "--format", "json"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "size limit" in err and "outcomes" in err and "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
     assert peak < 1_000_000
 
@@ -691,9 +722,9 @@ def test_records_over_the_limit_exit_two_before_they_are_built(monkeypatch, caps
     assert "size limit" in capsys.readouterr().err
 
 
-# The child reads its own peak RSS: ru_maxrss would start at the forking
-# process's RSS.
-EMBED_RSS_CHILD = """
+# The child runs one CLI invocation and reads its own peak RSS: ru_maxrss
+# would start at the forking process's RSS.
+CLI_RSS_CHILD = """
 import sys
 from passv.cli import execute
 from passv.configurations import ModeConfiguration
@@ -716,7 +747,7 @@ def test_embed_of_a_thousand_modes_exits_two_before_allocating():
     # 128 MB of its own, may be made, and the modules a first op maps: the
     # rise was 125 MB.
     result = subprocess.run(
-        [sys.executable, "-c", EMBED_RSS_CHILD, "embed", "--m", "1000", "--kind", "unitary",
+        [sys.executable, "-c", CLI_RSS_CHILD, "embed", "--m", "1000", "--kind", "unitary",
          "--seed", "1"],
         capture_output=True, text=True, timeout=120,
     )
@@ -724,6 +755,26 @@ def test_embed_of_a_thousand_modes_exits_two_before_allocating():
     assert code == "2", result.stderr
     assert "size limit:" in result.stderr and "Traceback" not in result.stderr
     assert int(rise) <= 8 * 16 * 1000 ** 2 + evolution.FIRST_OP_BYTES
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="the child reads VmHWM from Linux's /proc")
+@pytest.mark.parametrize("fmt, n", [("csv", 2), ("json", 5)])
+def test_the_table_edge_holds_its_count_in_max_rss(tmp_path, fmt, n):
+    # Max RSS rose 267 MB (CSV, n = 2, m = 309) and 316 MB (JSON, n = 5,
+    # m = 30), on counts of 398 and 391 MB.
+    m = TABLE_EDGES[n]
+    out = tmp_path / f"table.{fmt}"
+    result = subprocess.run(
+        [sys.executable, "-c", CLI_RSS_CHILD, "sample-fock", "--n", str(n), "--m", str(m),
+         "--seed", "7", "--format", fmt, "--output", str(out)],
+        capture_output=True, text=True, timeout=300,
+    )
+    code, rise = result.stdout.split()
+    assert code == "0", result.stderr
+    assert out.stat().st_size > configuration_count(n, m) * 2 * m
+    assert int(rise) <= distributions._table_bytes(configuration_count(n, m), m), (
+        f"max RSS rose {int(rise)} bytes")
 
 
 def test_embed_rejects_orthogonal_input(tmp_path, capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from passv import distributions
+from passv import distributions, errors
 from passv.configurations import (
     ModeConfiguration,
     ParityPattern,
@@ -15,7 +15,7 @@ from passv.configurations import (
 )
 from passv.distributions import (
     DRAW_BLOCK,
-    SHOTS_LIMIT,
+    DRAW_BYTES,
     OutputDistribution,
     draw_indices,
     draw_samples,
@@ -326,13 +326,19 @@ def test_draw_samples_refuses_subnormalized_tables():
         draw_samples(_coin(0.5), 1, -1)
 
 
-def test_shots_guard_fires_before_allocation():
+def test_shots_guard_fires_before_allocation(monkeypatch):
     dist = _coin(0.5)
+    # Draws are counted at DRAW_BYTES each: a limit of three admits three.
+    monkeypatch.setattr(errors, "MEMORY_LIMIT", 3 * DRAW_BYTES)
     assert len(draw_indices(dist, 1, 3)) == 3
+    with pytest.raises(SizeLimitError):
+        draw_indices(dist, 1, 4)
+    # 10 million draws are admitted, and the next is refused before any is made.
+    monkeypatch.setattr(errors, "MEMORY_LIMIT", 10_000_000 * DRAW_BYTES)
     tracemalloc.start()
     try:
         with pytest.raises(SizeLimitError):
-            draw_indices(dist, 1, SHOTS_LIMIT + 1)
+            draw_indices(dist, 1, 10_000_001)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

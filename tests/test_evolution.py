@@ -393,6 +393,24 @@ def test_product_size_guard_fires_before_allocation(monkeypatch):
     assert peak < 1_000_000
 
 
+def test_passv_input_guard_fires_before_any_mode_vector():
+    # Two modes up to 2 million photons: 10^12 stored amplitudes, counted at
+    # 3.2e19 bytes with the rotations. The mode vectors alone took 96 MB when
+    # the guard ran only in from_product; at cutoff 10^10 they ended in
+    # numpy's MemoryError, and so did the squeezed vacuum vector on its own.
+    tracemalloc.start()
+    try:
+        for cutoff in (2_000_000, 10 ** 10):
+            with pytest.raises(SizeLimitError):
+                build_passv_input(1, 2, 0.5, ADDED, cutoff)
+        with pytest.raises(SizeLimitError):
+            squeezed_vacuum_vector(0.5, 10 ** 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
 def test_from_product_does_not_alias_the_mode_vectors():
     for modes in (1, 3):
         vectors = [np.array([1.0, 0.5, 0.25], dtype=np.complex128) for _ in range(modes)]
@@ -1073,13 +1091,13 @@ def test_number_distribution_added_one_mode():
 
 def test_number_distribution_refuses_states_over_the_support_limit(monkeypatch):
     st = build_passv_input(1, 2, 0.3, ADDED, 3)  # odd totals 1 and 3: 2 + 4 amplitudes
-    monkeypatch.setattr(evolution, "SUPPORT_SIZE_LIMIT", 6)
+    monkeypatch.setattr(errors, "MEMORY_LIMIT", distributions._table_bytes(6, 2))
     assert len(number_distribution(st)) == 6
 
     def no_keys(_):
         raise AssertionError("keys built before the size guard")
 
-    monkeypatch.setattr(evolution, "SUPPORT_SIZE_LIMIT", 5)
+    monkeypatch.setattr(errors, "MEMORY_LIMIT", distributions._table_bytes(6, 2) - 1)
     monkeypatch.setattr(distributions, "configurations_from_array", no_keys)
     with pytest.raises(SizeLimitError):
         number_distribution(st)
@@ -1224,6 +1242,24 @@ def test_size_guard_counts_the_stored_parity_and_the_rotations():
         assert evolution._amplitude_count(m, d, parity) == amplitudes
         assert evolution._state_bytes(m, d, parity) == (
             amplitudes * per_amplitude + rotations + eigenbases + top_total + first_op)
+
+
+@pytest.mark.parametrize("m, d", [(1, 1_001), (2, 0), (2, 446), (3, 299), (5, 63), (7, 9)])
+def test_closed_form_counts_equal_their_sums_over_totals(m, d):
+    # The counts are summed in closed form, so that a cutoff of 10^10 is
+    # refused at once; these are the sums they replace.
+    mixers = m * (m - 1) // 2
+    rotations = 8 * mixers * sum((s + 1) ** 2 for s in range(d + 1))
+    eigenbases = sum(8 * (s + 1) * (s // 2 + 1) + 1024 for s in range(d + 1))
+    top_total = 40 * (d + 1) ** 2 + (mixers + 1) * 16 * (d + 1) * (d // 2 + 2)
+    per_amplitude = (32 + m * np.min_scalar_type(d).itemsize
+                     + np.min_scalar_type(((d + 1) << m) - 1).itemsize + 4 * max(2 * m - 3, 0))
+    for parity in (None, 0, 1):
+        totals = range(d + 1) if parity is None else range(parity, d + 1, 2)
+        amplitudes = sum(math.comb(t + m - 1, t) for t in totals)
+        assert evolution._amplitude_count(m, d, parity) == amplitudes
+        held = rotations + eigenbases + top_total + evolution.FIRST_OP_BYTES if m > 1 else 0
+        assert evolution._state_bytes(m, d, parity) == amplitudes * per_amplitude + held
 
 
 @pytest.mark.parametrize("d", [0, 38, 413, 1_001])

@@ -12,10 +12,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from passv import distributions, errors
 from passv.configurations import (
     ModeConfiguration,
     collision_free_configurations,
     configuration_array,
+    configuration_count,
     enumerate_configurations,
 )
 from passv.errors import SizeLimitError, ValidationError
@@ -151,10 +153,18 @@ def test_amplitude_validation_and_limits():
         transition_amplitude(haar_unitary(25, 2), (1,) * 25, (1,) * 25)
 
 
-def test_distribution_support_size_guard():
-    # C(44, 6) ~ 7 million outcome configurations exceeds the enumeration cap.
+def test_distribution_support_size_guard(monkeypatch):
+    # C(44, 6) ~ 7 million outcome configurations over 39 modes are counted at 11 GB.
     with pytest.raises(SizeLimitError):
         output_distribution(haar_unitary(39, 3), uniform_input(6, 39))
+    # The 15 outcomes of two photons in five modes are admitted at their count,
+    # and refused one byte under it.
+    net, pump = haar_unitary(5, 3), uniform_input(2, 5)
+    monkeypatch.setattr(errors, "MEMORY_LIMIT", distributions._table_bytes(15, 5))
+    assert len(output_distribution(net, pump)) == 15
+    monkeypatch.setattr(errors, "MEMORY_LIMIT", distributions._table_bytes(15, 5) - 1)
+    with pytest.raises(SizeLimitError):
+        output_distribution(net, pump)
 
 
 # ------------------------------------------------- the batched output table
@@ -217,13 +227,16 @@ def test_outcome_array_and_configurations_give_identical_probabilities(input_con
     assert output_distribution(net, input_config).probabilities.tolist() == from_array.tolist()
 
 
-def test_table_guards_fire_before_allocation():
+def test_table_guards_fire_before_allocation(monkeypatch):
     net = haar_unitary(39, 3)
+    # A limit that admits three photons in 38 modes: the 10,660 outcomes over
+    # 39 modes, whose occupation array alone is 3.3 MB, are refused.
+    monkeypatch.setattr(errors, "MEMORY_LIMIT",
+                        distributions._table_bytes(configuration_count(3, 38), 38))
     tracemalloc.start()
     try:
-        # C(44, 6), about 7 million outcomes, exceeds the support limit.
         with pytest.raises(SizeLimitError):
-            output_distribution(net, uniform_input(6, 39))
+            output_distribution(net, uniform_input(3, 39))
         # More photons than AMPLITUDE_PHOTON_LIMIT allows.
         with pytest.raises(SizeLimitError):
             output_distribution(haar_unitary(2, 4), (AMPLITUDE_PHOTON_LIMIT + 1, 0))
