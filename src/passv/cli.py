@@ -40,7 +40,7 @@ from collections.abc import Iterable, Iterator
 import numpy as np
 
 from .configurations import configuration_count, occupation_fields, serialize_rows
-from .distributions import OutputDistribution, check_shots, check_table_size, draw_indices
+from .distributions import OutputDistribution, check_table_size, draw_indices
 from .errors import SizeLimitError, ValidationError, check_memory
 from .experiments import brute_force_parity, run_equivalence_experiment
 from .networks import (
@@ -259,13 +259,13 @@ def _distribution_json(keys: list[str], dist: OutputDistribution, config: dict) 
 
 
 def _run_sample_fock(args):
-    check_shots(args.shots)  # before the table is written
     if args.shots and args.seed is None:
         raise ValidationError("--seed is required to draw samples")
-    if args.m is not None and not args.matrix and args.n <= args.m:
-        # Before a network is drawn; output_distribution counts the table again.
-        check_table_size(configuration_count(args.n, args.m), args.m)
+    if args.m is not None and not args.matrix:
+        _check_sample_fock_size(args.n, args.m, args.shots)  # before a network is drawn
     net, source = _resolve_network(args)
+    if args.matrix:
+        _check_sample_fock_size(args.n, net.dimension, args.shots)
     pump = uniform_input(args.n, net.dimension)
     dist = output_distribution(net, pump)
     # The table's CSV fields in its canonical order, built once for both CSV artifacts.
@@ -280,6 +280,17 @@ def _run_sample_fock(args):
     if args.shots:
         indices = draw_indices(dist, int(args.seed) + 1, args.shots)
         _write_artifact(_samples_path(args.output), _samples_csv(fields, indices, config))
+
+
+def _check_sample_fock_size(n: int, m: int, shots: int) -> None:
+    """Count the table of n photons over m modes and its draws together, before either is made.
+
+    While the draws are made and written, the table's occupation array,
+    fields and CDF are held beside them. ``output_distribution`` counts the
+    table again; n > m is refused by ``uniform_input``.
+    """
+    if n <= m:
+        check_table_size(configuration_count(n, m), m, shots)
 
 
 def _samples_csv(fields: np.ndarray, indices: np.ndarray, config: dict) -> Iterator[str | np.ndarray]:

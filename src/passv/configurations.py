@@ -123,31 +123,81 @@ def configuration_count(total_photons: int, modes: int) -> int:
     return math.comb(total_photons + modes - 1, total_photons)
 
 
+def occupation_count(modes: int, cutoff: int, parity: int | None = None) -> int:
+    """Occupation tuples over ``modes`` with total <= ``cutoff``, of ``parity`` if one is set.
+
+    The column count of ``bounded_occupations``, in O(m) binomials however
+    large the cutoff: over k modes, the tuples whose total has the cutoff's
+    parity number half the sum of C(D + k, k) and their count over k - 1
+    modes, and the other parity has the rest.
+    """
+    total = math.comb(cutoff + modes, modes)
+    if parity is None:
+        return total
+    same = int(cutoff >= 0 and cutoff % 2 == 0)  # over no modes: the empty tuple, of total 0
+    for k in range(1, modes):
+        same = (math.comb(cutoff + k, k) + same) // 2
+    return (total + same) // 2 if parity == cutoff % 2 else (total - same) // 2
+
+
 def bounded_occupations(modes: int, cutoff: int, parity: int | None = None) -> np.ndarray:
     """Every occupation tuple over ``modes`` with total <= ``cutoff``, as a (modes, K) table.
 
     Column k is tuple k, in lexicographic order with the first mode most
     significant, so the vacuum comes first and K = C(cutoff + modes, modes).
-    A partial tuple with b photons left expands into b + 1 tuples, one per
-    occupation of the next mode. With a ``parity`` (0 or 1), only the tuples
-    whose total has that parity are made: the last mode takes only the
-    levels that give it, every other level apart. The dtype is the smallest
-    unsigned integer that holds ``cutoff``.
+    With a ``parity`` (0 or 1), only the tuples whose total has that parity
+    are made. The dtype is the smallest unsigned integer that holds
+    ``cutoff``. Each row is written once (``_fill_occupations``), so the
+    table takes O(modes K) time, and no temporary is larger than a few
+    intp rows.
     """
-    table = np.zeros((0, 1), dtype=np.min_scalar_type(cutoff))
+    table = np.empty((modes, occupation_count(modes, cutoff, parity)),
+                     dtype=np.min_scalar_type(cutoff))
+    _fill_occupations(table, cutoff, parity)
+    return table
+
+
+def _fill_occupations(rows: np.ndarray, cutoff: int, parity: int | None) -> np.ndarray:
+    """Write the rows of ``bounded_occupations`` into ``rows``; return the photons each tuple leaves.
+
+    The prefixes over modes 0..j are expanded a mode at a time: a prefix
+    with b photons left expands into b + 1, one per occupation of the next
+    mode, and on the last mode with a ``parity`` only into the occupations
+    that give it, every other level apart. A prefix over modes 0..j that
+    leaves b photons spans ``spans[j][b]`` adjacent columns, so row j is its
+    prefixes' last occupations, each repeated that many times; the last row
+    is its prefixes themselves.
+    """
+    modes = len(rows)
+    # spans[j][b]: the tuples that end a prefix over modes 0..j leaving b
+    # photons, for j < m - 1. With no mode left, a prefix is a tuple when its
+    # total has the parity (always, without one); each mode before adds a
+    # running sum, one term per occupation of that mode.
+    spans = []
+    if modes > 1:
+        b = np.arange(cutoff + 1)
+        span = np.ones_like(b) if parity is None else (cutoff - b + parity + 1) % 2
+        for _ in range(modes - 1):
+            span = np.cumsum(span)
+            spans.insert(0, span)
     left = np.array([cutoff])
-    for mode in range(modes):
+    for mode, row in enumerate(rows):
         if parity is None or mode < modes - 1:
-            first, step = np.zeros_like(left), 1
+            first, step = None, 1
         else:
             first, step = (cutoff - left + parity) % 2, 2  # cutoff - left photons so far
-        counts = (left - first) // step + 1  # 0 when one photon is left short
+        counts = left + 1 if first is None else (left - first) // step + 1  # 0 when one short
         parent = np.repeat(np.arange(len(left)), counts)
-        rank = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts, counts)
-        level = first[parent] + step * rank
-        table = np.vstack((table[:, parent], level.astype(table.dtype)))
-        left = left[parent] - level
-    return table
+        level = np.arange(len(parent))
+        level -= (np.cumsum(counts) - counts).take(parent)  # the rank among its siblings
+        if first is not None:
+            level *= step
+            level += first.take(parent)
+        left = left.take(parent)
+        del parent
+        left -= level
+        row[...] = level if mode == modes - 1 else np.repeat(level, spans[mode].take(left))
+    return left
 
 
 def configuration_array(total_photons: int, modes: int) -> np.ndarray:
@@ -159,10 +209,12 @@ def configuration_array(total_photons: int, modes: int) -> np.ndarray:
     the last mode takes the photons left.
     """
     _check_dimensions(total_photons, modes)
-    head = bounded_occupations(modes - 1, total_photons)
+    head = np.empty((modes - 1, configuration_count(total_photons, modes)),
+                    dtype=np.min_scalar_type(total_photons))
+    left = _fill_occupations(head, total_photons, None)
     table = np.empty((head.shape[1], modes), dtype=np.intp)
     table[:, :-1] = head[:, ::-1].T
-    np.subtract(total_photons, table[:, :-1].sum(axis=1), out=table[:, -1])
+    table[:, -1] = left[::-1]
     return table
 
 

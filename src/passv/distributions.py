@@ -6,12 +6,15 @@ ModeConfiguration keys, and the key index, only when a caller first asks for
 keys, items or a lookup; its length, probabilities and total never need them.
 
 ``draw_indices`` samples by inverse CDF with an exact guide table (Chen and
-Asau, 1974): equal buckets of [0, 1) bracket the index of every draw, and a
-vectorized bisection closes the brackets, one block of draws at a time. The
-indices equal those of a plain ``searchsorted`` over the CDF.
+Asau, 1974): equal buckets of [0, 1) bracket the index of every draw. One
+probe closes every bracket of at most one index, and a vectorized bisection
+closes the wider ones, one block of draws at a time; the uniforms are drawn
+a block at a time too. The indices equal those of a plain ``searchsorted``
+over the CDF.
 
-``check_table_size`` and ``check_shots`` count the bytes of a table and of
-its draws against ``errors.MEMORY_LIMIT``, before either is made.
+``check_table_size`` counts the bytes of a table, with any draws held beside
+it, and ``check_shots`` those of draws alone, against ``errors.MEMORY_LIMIT``,
+before either is made.
 """
 
 from __future__ import annotations
@@ -33,7 +36,11 @@ DRAW_BLOCK = 1 << 14  # draws per block of draw_indices; bounds its temporaries
 # FIRST_OP_BYTES) in CSV and 70-84% in JSON, the most at n = 7, m = 18.
 TABLE_MODE_BYTES = 24
 TABLE_OUTCOME_BYTES = 640
-DRAW_BYTES = 24  # per draw: its uniform and its index, and draw_samples' list slot
+# Per draw: its index, and draw_samples' list slot. The uniforms are drawn a
+# block at a time, so none is held per draw: a cold sample-fock --n 2 --m 3
+# with 16,000,000 draws raised max RSS by 136 MB, 8.0 bytes per draw beside
+# the modules a first op maps (it rose 264 MB when a uniform was held too).
+DRAW_BYTES = 16
 
 
 def _table_bytes(outcomes: int, modes: int) -> int:
@@ -41,15 +48,19 @@ def _table_bytes(outcomes: int, modes: int) -> int:
     return outcomes * (TABLE_MODE_BYTES * modes + TABLE_OUTCOME_BYTES) + FIRST_OP_BYTES
 
 
-def check_table_size(outcomes: int, modes: int) -> None:
-    """Refuse a table of ``outcomes`` over ``modes`` whose count is over MEMORY_LIMIT.
+def check_table_size(outcomes: int, modes: int, shots: int = 0) -> None:
+    """Refuse a table of ``outcomes`` over ``modes``, and ``shots`` draws from it, over MEMORY_LIMIT.
 
     The count is TABLE_MODE_BYTES per outcome and mode, TABLE_OUTCOME_BYTES
-    per outcome, and FIRST_OP_BYTES; callers run it before the occupation
-    array is made.
+    per outcome, FIRST_OP_BYTES, and DRAW_BYTES per draw held beside the
+    table; callers run it before the occupation array is made. Negative
+    shots are refused.
     """
-    check_memory(_table_bytes(outcomes, modes),
-                 f"a table of {outcomes:,} outcomes over {modes} modes")
+    if shots < 0:
+        raise ValidationError(f"shots must be non-negative, got {shots}")
+    what = f"a table of {outcomes:,} outcomes over {modes} modes"
+    check_memory(_table_bytes(outcomes, modes) + DRAW_BYTES * shots,
+                 what + (f" and {shots:,} shots drawn from it" if shots else ""))
 
 
 class OutputDistribution:
@@ -200,8 +211,9 @@ def _row_key(row: np.ndarray) -> ModeConfiguration:
 def draw_indices(distribution: OutputDistribution, seed: int, shots: int) -> np.ndarray:
     """Draw indices into ``distribution.keys`` by inverse-CDF sampling.
 
-    Deterministic for a given seed: one ``rng.random(shots)`` stream, each
-    draw mapped to the first CDF entry above it, as many as ``check_shots`` admits.
+    Deterministic for a given seed: the stream of one ``rng.random(shots)``
+    call, drawn DRAW_BLOCK uniforms at a time into one buffer, each draw
+    mapped to the first CDF entry above it, as many as ``check_shots`` admits.
     The distribution must be normalized within 1e-6; the residual defect is
     renormalized away before drawing.
     """
@@ -221,7 +233,13 @@ def draw_indices(distribution: OutputDistribution, seed: int, shots: int) -> np.
     cdf = np.cumsum(probs / total)
     cdf[-1] = 1.0
     rng = np.random.default_rng(seed)
-    return inverse_cdf(cdf, rng.random(shots))
+    search = _guide_search(cdf)
+    out = np.empty(shots, dtype=np.intp)
+    draws = np.empty(min(shots, DRAW_BLOCK))
+    for start in range(0, shots, DRAW_BLOCK):
+        u = rng.random(out=draws[:min(DRAW_BLOCK, shots - start)])
+        search(u, out[start:start + len(u)])
+    return out
 
 
 def check_shots(shots: int):
@@ -239,24 +257,41 @@ def inverse_cdf(cdf: np.ndarray, draws: np.ndarray) -> np.ndarray:
     An exact guide-table search. With B the smallest power of two >= K, a
     draw u falls in bucket b = floor(u * B), and its index lies in
     [guide[b], min(guide[b + 1], K - 1)], where guide[b] counts the entries
-    <= b / B; u * B and b / B are exact in binary floating point. A bisection
-    in power-of-two steps over the widest bracket of a block closes every
-    bracket of the block in ceil(log2(width + 1)) steps, never more than a
-    plain binary search. The result equals
+    <= b / B; u * B and b / B are exact in binary floating point. A bracket
+    of at most one index is closed by one probe, guide[b] plus one if
+    cdf[guide[b]] <= u. Only the draws in wider brackets are bisected, in
+    power-of-two steps over the widest of them in a block of DRAW_BLOCK
+    draws, ceil(log2(width + 1)) steps, never more than a plain binary
+    search. The result equals
     ``minimum(searchsorted(cdf, draws, side="right"), K - 1)``.
     """
+    search = _guide_search(cdf)
+    out = np.empty(len(draws), dtype=np.intp)
+    for start in range(0, len(draws), DRAW_BLOCK):
+        search(draws[start:start + DRAW_BLOCK], out[start:start + DRAW_BLOCK])
+    return out
+
+
+def _guide_search(cdf: np.ndarray):
+    """``inverse_cdf``'s search over ``cdf``, as a function that writes a block's indices to ``out``."""
     k = len(cdf)
     buckets = 1 << (k - 1).bit_length()
     guide = np.searchsorted(cdf, np.arange(buckets + 1) / buckets, side="right")
     np.minimum(guide, k - 1, out=guide)
     width = np.diff(guide)
+    wide = width > 1
     # Entries past a bracket are >= its upper end, which lies above the draw;
     # the padding keeps every probe of the widest bracket in range.
     padded = np.concatenate((cdf, np.ones(k)))
-    out = np.empty(len(draws), dtype=np.intp)
-    for start in range(0, len(draws), DRAW_BLOCK):
-        u = draws[start:start + DRAW_BLOCK]
+
+    def search(u: np.ndarray, out: np.ndarray):
         bucket = (u * buckets).astype(np.intp)
+        guide.take(bucket, out=out, mode="clip")  # in range; "raise" would buffer a copy
+        out += padded.take(out) <= u  # exact for a bracket of at most one index
+        slow = np.flatnonzero(wide.take(bucket))
+        if not slow.size:
+            return
+        u, bucket = u[slow], bucket[slow]
         below = guide[bucket]
         below -= 1  # the last index whose entry is known <= u, or -1
         probe = np.empty_like(below)
@@ -266,8 +301,9 @@ def inverse_cdf(cdf: np.ndarray, draws: np.ndarray) -> np.ndarray:
             np.add(below, step, out=probe)
             np.copyto(below, probe, where=padded[probe] <= u)
         below += 1
-        out[start:start + len(u)] = below
-    return out
+        out[slow] = below
+
+    return search
 
 
 def draw_samples(distribution: OutputDistribution, seed: int, shots: int) -> list:

@@ -63,6 +63,7 @@ from .configurations import (
     ParityPattern,
     _as_configuration,
     bounded_occupations,
+    occupation_count,
 )
 from .distributions import OutputDistribution, check_table_size
 from .errors import FIRST_OP_BYTES, SizeLimitError, ValidationError, check_memory
@@ -113,22 +114,6 @@ def as_squeezing(value) -> Squeezing:
     return Squeezing(float(value))
 
 
-def _amplitude_count(modes: int, cutoff: int, parity: int | None) -> int:
-    """Occupation tuples over ``modes`` with total <= ``cutoff``, of ``parity`` if one is set.
-
-    In O(m) binomials, however large the cutoff: over k modes, the tuples
-    whose total has the cutoff's parity number half the sum of C(D + k, k)
-    and their count over k - 1 modes, and the other parity has the rest.
-    """
-    total = math.comb(cutoff + modes, modes)
-    if parity is None:
-        return total
-    same = int(cutoff >= 0 and cutoff % 2 == 0)  # over no modes: the empty tuple, of total 0
-    for k in range(1, modes):
-        same = (math.comb(cutoff + k, k) + same) // 2
-    return (total + same) // 2 if parity == cutoff % 2 else (total - same) // 2
-
-
 def _held_moves(modes: int) -> int:
     """Moves between pair-sorted orders that ``_pair_gather`` holds at most: 2m - 3.
 
@@ -166,7 +151,7 @@ def _state_bytes(modes: int, cutoff: int, parity: int | None = None) -> int:
     bin_bytes = np.min_scalar_type(((cutoff + 1) << modes) - 1).itemsize
     per_amplitude = (32 + modes * np.min_scalar_type(cutoff).itemsize + bin_bytes
                      + 4 * _held_moves(modes))
-    amplitudes = _amplitude_count(modes, cutoff, parity) * per_amplitude
+    amplitudes = occupation_count(modes, cutoff, parity) * per_amplitude
     if modes < 2:
         return amplitudes
     mixers = modes * (modes - 1) // 2
@@ -178,20 +163,26 @@ def _state_bytes(modes: int, cutoff: int, parity: int | None = None) -> int:
     return amplitudes + held + top_total + FIRST_OP_BYTES
 
 
-def _check_state_size(modes: int, cutoff: int, parity: int | None = None) -> None:
-    """Refuse a state whose arrays, as ``_state_bytes`` counts them, exceed MEMORY_LIMIT."""
-    check_memory(_state_bytes(modes, cutoff, parity),
+def _check_state_size(modes: int, cutoff: int, parity: int | None = None,
+                      besides: int = 0) -> None:
+    """Refuse a state whose arrays, as ``_state_bytes`` counts them, and ``besides``
+    bytes held while it is made, exceed MEMORY_LIMIT."""
+    check_memory(_state_bytes(modes, cutoff, parity) + besides,
                  f"a {modes}-mode state up to {cutoff} photons "
-                 f"({_amplitude_count(modes, cutoff, parity)} amplitudes)",
+                 f"({occupation_count(modes, cutoff, parity)} amplitudes)",
                  "; reduce the squeezing or raise epsilon_tail")
 
 
-def _real_or_complex(values) -> np.ndarray:
-    """A new float64 array of ``values`` if no imaginary part is nonzero, else complex128."""
+def _real_or_complex(values, copy: bool = True) -> np.ndarray:
+    """``values`` as float64 if no imaginary part is nonzero, else as complex128.
+
+    A new array, or without ``copy`` the input itself or a view of it where
+    that has the dtype already (a complex array's real part is a view).
+    """
     values = np.asarray(values)
     if np.iscomplexobj(values) and np.any(values.imag):
-        return values.astype(np.complex128)
-    return values.real.astype(np.float64)
+        return values.astype(np.complex128, copy=copy)
+    return values.real.astype(np.float64, copy=copy)
 
 
 @dataclass
@@ -399,14 +390,15 @@ class TruncatedFockState:
         state takes over without __init__'s copy. The product is float64
         unless some vector has a nonzero imaginary part.
         """
-        vectors = [_real_or_complex(v) for v in vectors]
+        # Views where they can be: the product is formed into a new array.
+        vectors = [_real_or_complex(v, copy=False) for v in vectors]
         if not vectors:
             raise ValidationError("product state needs at least one mode vector")
         lengths = {v.shape for v in vectors}
         if len(lengths) != 1 or vectors[0].ndim != 1:
             raise ValidationError("mode vectors must be 1-D and equally long")
         modes, cutoff = len(vectors), vectors[0].shape[0] - 1
-        level_parities = [set((np.flatnonzero(v) % 2).tolist()) for v in vectors]
+        level_parities = [{p for p in (0, 1) if np.any(v[p::2])} for v in vectors]
         parity = None
         if all(len(found) <= 1 for found in level_parities):
             parity = sum(sum(found) for found in level_parities) % 2
@@ -455,30 +447,32 @@ def squeezed_vacuum_vector(xi, cutoff: int) -> tuple[np.ndarray, float]:
     the terms above it as ``sector_weights`` does: each ratio is below
     tanh^2 r, so terms are made until the rest is negligible. Where the kept
     mass is under 1/2, 1 minus it is as exact, and is taken instead. The
-    vector and the kept masses, a float in a list per even level, are
-    counted at 32 (cutoff + 1) bytes against MEMORY_LIMIT before either is made.
+    kept mass is summed from the vector's even levels once the recurrence
+    ends. The vector, 16 bytes per level, and those levels' squared
+    magnitudes, 8 bytes per even level, are counted at 20 (cutoff + 2)
+    bytes against MEMORY_LIMIT before either is made.
     """
     sq = as_squeezing(xi)
     if cutoff < 0:
         raise ValidationError(f"cutoff must be non-negative, got {cutoff}")
-    check_memory(32 * (cutoff + 1), f"a squeezed vacuum vector up to {cutoff} photons")
+    check_memory(20 * (cutoff + 2), f"a squeezed vacuum vector up to {cutoff} photons")
     vec = np.zeros(cutoff + 1, dtype=np.complex128)
     r, theta = sq.r, sq.theta
     c = complex(1.0 / math.sqrt(math.cosh(r)))
-    kept = []
     t = math.tanh(r)
     phase = complex(math.cos(theta), math.sin(theta))
     k = 0
     while 2 * k <= cutoff:
         vec[2 * k] = c
-        kept.append(abs(c) ** 2)
         c = c * (-phase * t) * math.sqrt((2 * k + 1) * (2 * k + 2)) / (2.0 * (k + 1))
         k += 1
         if c == 0.0:
             break
     t2 = t * t
-    if math.fsum(kept) < 0.5 or t2 >= 1.0:
-        return vec, max(0.0, 1.0 - math.fsum(kept))
+    kept = np.abs(vec[::2])
+    kept = math.fsum(np.square(kept, out=kept))  # each abs(c) ** 2 of the recurrence
+    if kept < 0.5 or t2 >= 1.0:
+        return vec, max(0.0, 1.0 - kept)
     terms, weight, rough = [], abs(c) ** 2, 0.0
     while weight > 0.0:
         terms.append(weight)
@@ -539,13 +533,14 @@ def mode_ladder(vector, direction: str) -> np.ndarray:
     """
     if direction not in ("raise", "lower"):
         raise ValidationError(f"ladder direction must be 'raise' or 'lower', got {direction!r}")
-    vector = _real_or_complex(vector)
+    vector = _real_or_complex(vector, copy=False)
     out = np.zeros_like(vector)
-    weights = np.sqrt(np.arange(1, len(vector)))
+    weights = np.arange(1.0, len(vector))
+    np.sqrt(weights, out=weights)
     if direction == "raise":
-        out[1:] = vector[:-1] * weights
+        np.multiply(vector[:-1], weights, out=out[1:])
     else:
-        out[:-1] = vector[1:] * weights
+        np.multiply(vector[1:], weights, out=out[:-1])
     return out
 
 
@@ -781,16 +776,22 @@ def build_passv_input(total_photons: int, modes: int, xi, variant: str,
     sq = _check_passv_input(total_photons, modes, xi, variant)
     if cutoff < 0:
         raise ValidationError(f"cutoff must be non-negative, got {cutoff}")
-    _check_state_size(modes, cutoff, total_photons % 2)  # before any mode vector is made
+    # Before any mode vector is made. One mode's state is no longer than the
+    # vectors it is formed from, so they are counted beside it: 32 bytes per
+    # level of the D + 2, the complex squeezed vector and the ladder's complex
+    # output. From two modes on, the state's own count is at least D times theirs.
+    _check_state_size(modes, cutoff, total_photons % 2, 32 * (cutoff + 2) if modes == 1 else 0)
     # One level past the cutoff, so that lowering fills level D too.
-    vec, _ = squeezed_vacuum_vector(sq, cutoff + 1)
+    vec = _real_or_complex(squeezed_vacuum_vector(sq, cutoff + 1)[0])
     if variant == ADDED:
-        laddered = mode_ladder(vec, "raise") / math.cosh(sq.r)
+        laddered = mode_ladder(vec, "raise")
+        laddered /= math.cosh(sq.r)
     else:
-        laddered = mode_ladder(vec, "lower") / math.sinh(sq.r)
-    state = TruncatedFockState.from_product(
-        [laddered[:cutoff + 1]] * total_photons + [vec[:cutoff + 1]] * (modes - total_photons)
-    )
+        laddered = mode_ladder(vec, "lower")
+        laddered /= math.sinh(sq.r)
+    vectors = [laddered[:cutoff + 1]] * total_photons + [vec[:cutoff + 1]] * (modes - total_photons)
+    del vec, laddered  # a vector no mode takes is freed before the product is formed
+    state = TruncatedFockState.from_product(vectors)
     if state.squared_norm() <= 1e-12:
         raise ValidationError("the prepared state vanished; increase the cutoff or the squeezing")
     return state

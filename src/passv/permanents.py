@@ -23,7 +23,11 @@ from .errors import SizeLimitError, ValidationError
 
 NAIVE_LIMIT = 9
 RYSER_LIMIT = 30
-TABLE_BLOCK = 1 << 13  # outcomes x sign vectors per block of permanent_table; bounds its temporaries
+# Outcomes x sign vectors per block of permanent_table; bounds its temporaries.
+# Against 2^13, in alternating runs on a 2-vCPU Xeon (numpy 2.4.6), the median
+# permanent_table time fell 5% at n = 5 (the 4,368 outcomes over 12 modes),
+# 2% at n = 8, 8% at n = 10 and 7% at n = 14.
+TABLE_BLOCK = 1 << 14
 
 
 def _as_square(matrix) -> np.ndarray:

@@ -299,6 +299,27 @@ def test_sample_fock_shots_over_the_limit_exit_two_before_writing(tmp_path, caps
     assert peak < 1_000_000
 
 
+def test_sample_fock_counts_its_table_and_draws_together(tmp_path, capsys):
+    # The table edge at n = 3 with the most draws a count of the draws alone
+    # would admit: each passed on its own, and a cold run rose 413 MB.
+    code, _ = _run(tmp_path, "t.csv", ["sample-fock", "--n", "3", "--m", "92", "--seed", "7",
+                                       "--shots", "16666666"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "size limit" in err and "outcomes" in err and "shots" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sample_fock_joint_count_edge(tmp_path, monkeypatch):
+    # A limit of the (2, 3) table's count and 50 draws admits 50 and refuses 51.
+    table = distributions._table_bytes(configuration_count(2, 3), 3)
+    monkeypatch.setattr(errors, "MEMORY_LIMIT", table + 50 * DRAW_BYTES)
+    args = ["sample-fock", "--n", "2", "--m", "3", "--seed", "1", "--shots"]
+    assert _run(tmp_path, "a.csv", args + ["50"])[0] == 0
+    assert _run(tmp_path, "b.csv", args + ["51"])[0] == 2
+    assert not (tmp_path / "b.csv").exists()
+
+
 # The largest m whose table the count admits, in either format, at n = 2, 3 and 5.
 TABLE_EDGES = {2: 309, 3: 92, 5: 30}
 

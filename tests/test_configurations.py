@@ -4,6 +4,7 @@ import csv
 import io
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from passv.configurations import (
     configuration_array,
     configuration_count,
     enumerate_configurations,
+    occupation_count,
     occupation_fields,
     parity_pattern_of,
     serialize_rows,
@@ -58,10 +60,27 @@ def test_configuration_array_matches_an_itertools_reference(n, m):
 
 @pytest.mark.parametrize("n,m", ARRAY_GRID)
 def test_bounded_occupations_match_an_itertools_reference(n, m):
-    reference = [c for c in itertools.product(range(n + 1), repeat=m) if sum(c) <= n]
-    table = bounded_occupations(m, n)
-    assert table.shape == (m, math.comb(n + m, m))
-    assert [tuple(col) for col in table.T.tolist()] == reference
+    for parity in (None, 0, 1):
+        reference = [c for c in itertools.product(range(n + 1), repeat=m)
+                     if sum(c) <= n and parity in (None, sum(c) % 2)]
+        table = bounded_occupations(m, n, parity)
+        assert table.dtype == np.min_scalar_type(n)
+        assert table.shape == (m, occupation_count(m, n, parity))
+        assert [tuple(col) for col in table.T.tolist()] == reference
+    assert table.shape[1] + bounded_occupations(m, n, 0).shape[1] == math.comb(n + m, m)
+
+
+def test_configuration_array_peaks_near_its_result():
+    # 134,044 rows over 92 modes, 98.7 MB of intp; each row of the bounded
+    # table below it is written once, so the builder holds no growing copy.
+    tracemalloc.start()
+    try:
+        table = configuration_array(3, 92)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (configuration_count(3, 92), 92)
+    assert peak <= 1.2 * table.nbytes
 
 
 @pytest.mark.parametrize("n,m", ARRAY_GRID)

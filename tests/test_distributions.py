@@ -288,10 +288,29 @@ WEIGHT = st.one_of(st.just(0.0), st.floats(1e-300, 1e-200), st.floats(1e-9, 1.0)
 @example(weights=[0.0] * 99 + [1.0], shots=7, seed=3)  # point mass on the last entry
 @example(weights=[0.0] * 40 + [1.0] * 3 + [0.0] * 40 + [2.0] + [0.0] * 20, shots=500, seed=4)
 @example(weights=[1e-9] * 255 + [1.0], shots=3 * DRAW_BLOCK - 1, seed=5)  # one bucket
+# Steps of 1/100 over 128 buckets: every bracket holds at most one index, so
+# every draw is closed by the one probe.
+@example(weights=[1.0] * 100, shots=2 * DRAW_BLOCK + 5, seed=6)
+# Each step of 1/40 carries two entries 1e-9 above it into its bucket: 40 of
+# the 128 brackets are 3 wide, and a third of the draws of every block is bisected.
+@example(weights=[1.0, 1e-9, 1e-9] * 40, shots=2 * DRAW_BLOCK + 5, seed=7)
 def test_guide_table_search_equals_searchsorted(weights, shots, seed):
     cdf = _cdf(weights)
     draws = _probing_draws(cdf, shots, seed)
     assert np.array_equal(inverse_cdf(cdf, draws), _reference_indices(cdf, draws))
+
+
+def test_the_examples_have_the_bracket_widths_they_claim():
+    def widths(weights):
+        cdf = _cdf(weights)
+        buckets = 1 << (len(cdf) - 1).bit_length()
+        guide = np.minimum(np.searchsorted(cdf, np.arange(buckets + 1) / buckets, side="right"),
+                           len(cdf) - 1)
+        return np.diff(guide)
+
+    assert widths([1.0] * 100).max() == 1
+    wide = widths([1.0, 1e-9, 1e-9] * 40)
+    assert wide.max() == 3 and np.count_nonzero(wide > 1) == 40
 
 
 def test_guide_table_search_with_every_entry_in_one_bucket():
@@ -304,7 +323,8 @@ def test_guide_table_search_with_every_entry_in_one_bucket():
     assert set(found.tolist()) == set(range(256))
 
 
-@pytest.mark.parametrize("shots", [0, 1, DRAW_BLOCK, DRAW_BLOCK + 1, 3 * DRAW_BLOCK - 7])
+@pytest.mark.parametrize("shots", [0, 1, DRAW_BLOCK, DRAW_BLOCK + 1, 3 * DRAW_BLOCK - 7,
+                                   4 * DRAW_BLOCK + 3])
 def test_draw_indices_equal_searchsorted_over_the_same_stream(shots):
     rows = configuration_array(3, 5)
     probs = np.random.default_rng(9).random(len(rows)) ** 4

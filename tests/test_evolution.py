@@ -32,7 +32,7 @@ except ImportError:  # numpy < 1.25
     from numpy import ComplexWarning
 
 from passv import distributions, errors, evolution
-from passv.configurations import ModeConfiguration, ParityPattern
+from passv.configurations import ModeConfiguration, ParityPattern, occupation_count
 from passv.errors import SizeLimitError, ValidationError
 from passv.evolution import (
     ADDED,
@@ -409,6 +409,26 @@ def test_passv_input_guard_fires_before_any_mode_vector():
     finally:
         tracemalloc.stop()
     assert peak < 100_000
+
+
+@pytest.mark.parametrize("xi", [0.5, 0.5j])
+def test_one_mode_passv_input_holds_its_count(monkeypatch, xi):
+    # One mode's state is as long as its mode vectors; their 32 bytes per
+    # level are counted beside it. The input took 50-74 bytes per level
+    # against the state's 20 before its ladder and product stopped copying.
+    d = 1_000_000
+    count = evolution._state_bytes(1, d, 1) + 32 * (d + 2)
+    monkeypatch.setattr(errors, "MEMORY_LIMIT", count)
+    tracemalloc.start()
+    try:
+        state = build_passv_input(1, 1, xi, ADDED, d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert state.amplitudes.shape == ((d + 1) // 2,)
+    assert peak <= count, f"peak {peak} on a count of {count}"
+    with pytest.raises(SizeLimitError):
+        build_passv_input(1, 1, xi, ADDED, d + 1)
 
 
 def test_from_product_does_not_alias_the_mode_vectors():
@@ -1179,7 +1199,7 @@ def test_one_parity_table_is_the_full_table_of_that_parity():
             kept = full.sum(axis=0) % 2 == parity
             np.testing.assert_array_equal(table, full[:, kept])
             np.testing.assert_array_equal(bins, _index_tables(m, d)[1][kept])
-            assert len(table[0]) == evolution._amplitude_count(m, d, parity)
+            assert len(table[0]) == occupation_count(m, d, parity)
 
 
 def test_from_product_infers_the_parity_of_its_totals():
@@ -1239,7 +1259,7 @@ def test_size_guard_counts_the_stored_parity_and_the_rotations():
     first_op = 12 * 2 ** 20  # the modules and library code a first op maps
     per_amplitude = 32 + m + 2 + 4 * (2 * m - 3)  # 2m - 3 held moves
     for parity, amplitudes in ((None, math.comb(d + m, m)), (0, 58_730), (1, 53_200)):
-        assert evolution._amplitude_count(m, d, parity) == amplitudes
+        assert occupation_count(m, d, parity) == amplitudes
         assert evolution._state_bytes(m, d, parity) == (
             amplitudes * per_amplitude + rotations + eigenbases + top_total + first_op)
 
@@ -1257,7 +1277,7 @@ def test_closed_form_counts_equal_their_sums_over_totals(m, d):
     for parity in (None, 0, 1):
         totals = range(d + 1) if parity is None else range(parity, d + 1, 2)
         amplitudes = sum(math.comb(t + m - 1, t) for t in totals)
-        assert evolution._amplitude_count(m, d, parity) == amplitudes
+        assert occupation_count(m, d, parity) == amplitudes
         held = rotations + eigenbases + top_total + evolution.FIRST_OP_BYTES if m > 1 else 0
         assert evolution._state_bytes(m, d, parity) == amplitudes * per_amplitude + held
 
@@ -1265,7 +1285,7 @@ def test_closed_form_counts_equal_their_sums_over_totals(m, d):
 @pytest.mark.parametrize("d", [0, 38, 413, 1_001])
 def test_size_guard_counts_amplitudes_alone_for_one_mode(d):
     # One mode has no mixer, so nothing is held per photon total.
-    amplitudes = evolution._amplitude_count(1, d, 1)
+    amplitudes = occupation_count(1, d, 1)
     assert amplitudes == (d + 1) // 2
     levels, bins = np.min_scalar_type(d).itemsize, np.min_scalar_type(2 * d + 1).itemsize
     assert evolution._state_bytes(1, d, 1) == amplitudes * (32 + levels + bins)
@@ -1308,7 +1328,7 @@ def test_one_layout_is_held_and_a_new_one_drops_it():
     apply_network(second, reck_decompose(haar_special_orthogonal(3, 7)))
     assert slot.key == (3, 20, 1) and len(slot.eigenbases) == 21
     table, bins, moves = slot.tables
-    assert table.shape == (3, evolution._amplitude_count(3, 20, 1)) and len(moves) == 3
+    assert table.shape == (3, occupation_count(3, 20, 1)) and len(moves) == 3
     assert all(move.shape == bins.shape for move, _ in moves.values())
     assert [ref() for ref in dropped] == [None, None]
 
