@@ -147,6 +147,34 @@ def test_sample_fock_artifacts_match_golden_digests(tmp_path, fmt):
     assert digests == GOLDEN_SAMPLE_FOCK[fmt]
 
 
+# SHA-256 of the artifacts of `compare --n 2 --m 3 --xi 0.2,0.4 --variant
+# subtracted --seed 5` and `sample-passv --n 2 --m 3 --xi 0.4 --variant added
+# --seed 5`, as JSON and as CSV: the parity tables, their pattern order and
+# their float formatting. The brute-force route pins the last bits of the
+# mixers' matmuls and the predictions those of the permanent kernel, which
+# already depend on numpy's SIMD path, as the sample-fock digests above do.
+GOLDEN_PARITY = {
+    ("compare", "json"): "179e21ea374302c18be931e9448bd82ac91d2f850916715fd524b39cffdb3e49",
+    ("compare", "csv"): "86c8b23b6028d3e3279b32d8467e9ad1ce983c63d55ee7dd24e0a51ae494ba00",
+    ("sample-passv", "json"): "f5ed52aff92423796155883945283b3c438da799c776c17fce6470d80030890d",
+    ("sample-passv", "csv"): "7e56c37f06cedb62a428c56e4e8a7f8550c78f94de5aaaeeb30da45d18444794",
+}
+PARITY_COMMANDS = {
+    "compare": ["--n", "2", "--m", "3", "--xi", "0.2,0.4", "--variant", "subtracted",
+                "--seed", "5"],
+    "sample-passv": ["--n", "2", "--m", "3", "--xi", "0.4", "--variant", "added",
+                     "--seed", "5"],
+}
+
+
+@pytest.mark.parametrize("command, fmt", sorted(GOLDEN_PARITY))
+def test_parity_artifacts_match_golden_digests(tmp_path, command, fmt):
+    code, out = _run(tmp_path, f"{command}.{fmt}",
+                     [command, *PARITY_COMMANDS[command], "--format", fmt])
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_PARITY[command, fmt]
+
+
 def test_sample_fock_draws_shots_into_sibling_file(tmp_path):
     code, out = _run(tmp_path, "fock.csv",
                      ["sample-fock", "--n", "1", "--m", "2", "--kind", "orthogonal",
