@@ -324,12 +324,12 @@ def _run_sample_passv(args):
         "variant": args.variant, "seed": args.seed, "cutoff": cutoff,
         "epsilon_tail": args.epsilon_tail, "truncation_loss": loss,
     }
-    keys = [key.serialize() for key in dist.keys]
+    # ParityPattern.serialize of each parity row: m bytes, no comma, so never quoted.
+    fields = np.frombuffer(b"+-", dtype=np.uint8)[dist.occupations]
     if args.format == "csv":
-        # Sign patterns are m bytes each and hold no comma, so never quoted.
-        fields = np.array(keys, dtype=f"S{args.m}").view(np.uint8).reshape(len(keys), args.m)
         _write_artifact(args.output, _distribution_csv(fields, dist, config))
     else:
+        keys = fields.view(f"S{args.m}")[:, 0].astype(str).tolist()
         _write_artifact(args.output, _distribution_json(keys, dist, config))
 
 

@@ -231,6 +231,21 @@ def configurations_from_array(occupations: np.ndarray) -> list[ModeConfiguration
     return configs
 
 
+def patterns_from_array(rows: np.ndarray) -> list[ParityPattern]:
+    """ParityPattern objects of the rows of a validated parity array, 1 on each odd mode."""
+    patterns = []
+    for signs in map(tuple, (1 - 2 * rows).tolist()):
+        pattern = object.__new__(ParityPattern)
+        object.__setattr__(pattern, "outcomes", signs)
+        patterns.append(pattern)
+    return patterns
+
+
+def parity_array(modes: int) -> np.ndarray:
+    """The (2^m, m) parity rows over ``modes``: bit m - 1 - i of row j is mode i's, 1 when odd."""
+    return (np.arange(1 << modes)[:, np.newaxis] >> np.arange(modes - 1, -1, -1)) & 1
+
+
 def occupation_fields(occupations: np.ndarray, *, quote: bool) -> np.ndarray:
     """``ModeConfiguration.serialize`` of every row of a (K, m) occupation array, as bytes.
 
@@ -277,9 +292,14 @@ def enumerate_configurations(total_photons: int, modes: int) -> list[ModeConfigu
 
 
 def collision_free_configurations(total_photons: int, modes: int) -> list[ModeConfiguration]:
-    """All configurations with at most one photon per mode, same ordering.
+    """The rows of ``collision_free_array`` as configurations."""
+    return configurations_from_array(collision_free_array(total_photons, modes))
 
-    Requires n <= m; the list length is C(m, n).
+
+def collision_free_array(total_photons: int, modes: int) -> np.ndarray:
+    """Every configuration with at most one photon per mode, as a (C(m, n), m) intp array.
+
+    Requires n <= m; rows are in the order of ``configuration_array``, first mode descending.
     """
     _check_dimensions(total_photons, modes)
     if total_photons > modes:
@@ -289,7 +309,7 @@ def collision_free_configurations(total_photons: int, modes: int) -> list[ModeCo
     occupied = np.array(list(combinations(range(modes), total_photons)), dtype=np.intp)
     occupations = np.zeros((len(occupied), modes), dtype=np.intp)
     np.put_along_axis(occupations, occupied, 1, axis=1)
-    return configurations_from_array(occupations)
+    return occupations
 
 
 def _as_configuration(value) -> ModeConfiguration:

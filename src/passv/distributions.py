@@ -1,9 +1,9 @@
 """Discrete output distributions keyed by configurations or parity patterns.
 
-A table is built from (key, probability) pairs, or from a (K, m) occupation
-array and a probability vector. The array form keeps the array and makes its
-ModeConfiguration keys, and the key index, only when a caller first asks for
-keys, items or a lookup; its length, probabilities and total never need them.
+Every table is a (K, m) row array beside a probability vector, keyed by
+ModeConfiguration (occupation rows) or ParityPattern (parity rows). It makes
+its key objects, and the key index, only when a caller first asks for keys,
+items or a lookup; its length, probabilities and total never need them.
 
 ``draw_indices`` samples by inverse CDF with an exact guide table (Chen and
 Asau, 1974): equal buckets of [0, 1) bracket the index of every draw. One
@@ -19,11 +19,14 @@ before either is made.
 
 from __future__ import annotations
 
-from collections import Counter
-
 import numpy as np
 
-from .configurations import ModeConfiguration, configurations_from_array
+from .configurations import (
+    ModeConfiguration,
+    ParityPattern,
+    configurations_from_array,
+    patterns_from_array,
+)
 from .errors import FIRST_OP_BYTES, ValidationError, check_memory
 
 SAMPLING_DEFECT_LIMIT = 1e-6
@@ -66,53 +69,49 @@ def check_table_size(outcomes: int, modes: int, shots: int = 0) -> None:
 class OutputDistribution:
     """An ordered probability table with a declared normalization defect.
 
-    Keys are hashable domain objects (ModeConfiguration or ParityPattern),
-    given as ``(key, p)`` pairs, or ModeConfigurations given as the rows of an
-    ``occupations`` array beside a ``probabilities`` vector. Zero-probability
-    entries are retained so that serialized artifacts diff cleanly.
-    ``normalization_defect`` records |1 - sum| and may be large on purpose for
-    deliberately sub-normalized tables.
+    A (K, m) integer ``rows`` array beside ``probabilities``. A ``key`` of
+    ModeConfiguration reads each row as occupations; ParityPattern reads it as
+    parities, 0 even and 1 odd, so a collision-free occupation row is its own
+    parity row. Zero-probability entries are retained so that serialized
+    artifacts diff cleanly. ``normalization_defect`` records |1 - sum| and
+    may be large on purpose for deliberately sub-normalized tables.
     """
 
-    def __init__(self, pairs=None, *, occupations=None, probabilities=None,
+    def __init__(self, rows, probabilities, *, key: type = ModeConfiguration,
                  normalization_defect: float | None = None):
-        if (pairs is None) == (occupations is None) or (
-                occupations is None) != (probabilities is None):
-            raise ValidationError("give (key, p) pairs, or occupations with probabilities")
-        if pairs is not None:
-            pairs = list(pairs)
-            keys = [key for key, _ in pairs]
-            probabilities = [p for _, p in pairs]
-            if len(set(keys)) != len(keys):
-                duplicate = next(key for key, count in Counter(keys).items() if count > 1)
-                raise ValidationError(f"duplicate distribution key {duplicate!r}")
-        else:
-            keys = None  # made from the rows on first use
-            occupations = _occupation_rows(occupations)
-            duplicate = _duplicate_row(occupations)
-            if duplicate is not None:
-                raise ValidationError(f"duplicate distribution key {_row_key(duplicate)!r}")
+        if key not in (ModeConfiguration, ParityPattern):
+            raise ValidationError(f"key must be ModeConfiguration or ParityPattern, not {key!r}")
+        self.key = key
+        rows = _occupation_rows(rows)
+        if key is ParityPattern and rows.size and rows.max() > 1:
+            raise ValidationError("parity rows must hold 0 (even) or 1 (odd)")
+        duplicate = _duplicate_row(rows)
+        if duplicate is not None:
+            raise ValidationError(f"duplicate distribution key {self._keys_of(duplicate)[0]!r}")
         probs = np.array(probabilities, dtype=np.float64)
-        size = len(keys) if keys is not None else len(occupations)
-        if probs.shape != (size,):
-            raise ValidationError(f"{probs.shape} probabilities for {size} keys")
+        if probs.shape != (len(rows),):
+            raise ValidationError(f"{probs.shape} probabilities for {len(rows)} keys")
         negative = np.flatnonzero(probs < -1e-12)
         if negative.size:
             i = negative[0]
-            key = keys[i] if keys is not None else _row_key(occupations[i])
+            key = self._keys_of(rows[i])[0]
             raise ValidationError(f"negative probability {probs[i]} for key {key!r}")
         np.maximum(probs, 0.0, out=probs)
-        self._keys = keys
-        self._occupations = occupations
+        self._rows = rows
         self._probs = probs
+        self._keys = None  # made from the rows on first use
         self._index = None  # key -> position, built on the first lookup
         if normalization_defect is None:
             normalization_defect = abs(1.0 - float(probs.sum()))
         self.normalization_defect = float(normalization_defect)
 
+    def _keys_of(self, rows: np.ndarray) -> list:
+        build = patterns_from_array if self.key is ParityPattern else configurations_from_array
+        return build(np.atleast_2d(rows))
+
     def _key_list(self) -> list:
         if self._keys is None:
-            self._keys = configurations_from_array(self._occupations)
+            self._keys = self._keys_of(self._rows)
         return self._keys
 
     def _position(self, key) -> int | None:
@@ -125,9 +124,9 @@ class OutputDistribution:
         return list(self._key_list())
 
     @property
-    def occupations(self) -> np.ndarray | None:
-        """The read-only (K, m) array of an array-built table, else None."""
-        return self._occupations
+    def occupations(self) -> np.ndarray:
+        """The read-only (K, m) rows: occupations, or parities (1 odd) for ParityPattern keys."""
+        return self._rows
 
     @property
     def probabilities(self) -> np.ndarray:
@@ -157,26 +156,24 @@ class OutputDistribution:
         s = self.total()
         if s <= 0.0:
             raise ValidationError("cannot normalize a distribution with zero mass")
-        if self._occupations is not None:
-            return OutputDistribution(occupations=self._occupations,
-                                      probabilities=self._probs / s, normalization_defect=0.0)
-        return OutputDistribution(
-            zip(self._keys, (self._probs / s).tolist()), normalization_defect=0.0
-        )
+        return OutputDistribution(self._rows, self._probs / s, key=self.key,
+                                  normalization_defect=0.0)
 
     def restrict(self, predicate) -> "OutputDistribution":
         """Sub-table of keys satisfying ``predicate``; defect is recomputed."""
-        return OutputDistribution(
-            (key, p) for key, p in self.items() if predicate(key)
-        )
+        mask = np.fromiter(map(predicate, self._key_list()), dtype=bool, count=len(self))
+        return OutputDistribution(self._rows[mask], self._probs[mask], key=self.key)
 
 
 def _occupation_rows(occupations) -> np.ndarray:
     """A read-only view of a (K, m) array of non-negative integers, m >= 1, as intp."""
-    occupations = np.asarray(occupations)
+    try:
+        occupations = np.asarray(occupations)
+    except ValueError:  # ragged, as (key, p) pairs are; refused below
+        occupations = np.empty(0)
     if occupations.ndim != 2 or occupations.shape[1] < 1 or not np.issubdtype(
             occupations.dtype, np.integer) or (occupations.size and occupations.min() < 0):
-        raise ValidationError("occupations must be a (K, m) array of non-negative integers")
+        raise ValidationError("rows must be a (K, m) array of non-negative integers")
     rows = occupations.astype(np.intp, copy=False).view()
     rows.flags.writeable = False
     return rows
@@ -202,10 +199,6 @@ def _duplicate_row(occupations: np.ndarray) -> np.ndarray | None:
     ordered = occupations[np.lexsort(occupations.T[::-1])]
     repeats = np.flatnonzero((ordered[1:] == ordered[:-1]).all(axis=1))
     return ordered[repeats[0]] if repeats.size else None
-
-
-def _row_key(row: np.ndarray) -> ModeConfiguration:
-    return ModeConfiguration(tuple(row.tolist()))
 
 
 def draw_indices(distribution: OutputDistribution, seed: int, shots: int) -> np.ndarray:
@@ -317,9 +310,7 @@ def total_variation_distance(p: OutputDistribution, q: OutputDistribution) -> fl
 
     Refuses to compare tables keyed by different domain types.
     """
-    kinds = {type(k) for k in p.keys} | {type(k) for k in q.keys}
-    if len(kinds) > 1:
-        names = sorted(t.__name__ for t in kinds)
-        raise ValidationError(f"cannot compare distributions keyed by {names}")
-    union = list(dict.fromkeys(list(p.keys) + list(q.keys)))
+    if p.key is not q.key:
+        raise ValidationError(f"cannot compare {p.key.__name__} and {q.key.__name__} tables")
+    union = list(dict.fromkeys(p.keys + q.keys))
     return 0.5 * sum(abs(p.probability(k) - q.probability(k)) for k in union)

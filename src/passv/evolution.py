@@ -64,6 +64,7 @@ from .configurations import (
     _as_configuration,
     bounded_occupations,
     occupation_count,
+    parity_array,
 )
 from .distributions import OutputDistribution, check_table_size
 from .errors import FIRST_OP_BYTES, SizeLimitError, ValidationError, check_memory
@@ -800,8 +801,8 @@ def build_passv_input(total_photons: int, modes: int, xi, variant: str,
 def parity_sectors(state: TruncatedFockState) -> np.ndarray:
     """Squared amplitudes summed per photon total (row) and parity pattern (column).
 
-    Column bits, the first mode most significant, are set on odd modes. A
-    one-parity state's rows of the other parity are zero.
+    Column j is row j of ``parity_array``: its bits, the first mode most
+    significant, are set on odd modes. Rows of the other parity are zero.
     """
     bins = _index_tables(state.modes, state.cutoff, state.parity)[1]
     probs = np.abs(state.amplitudes)
@@ -810,23 +811,15 @@ def parity_sectors(state: TruncatedFockState) -> np.ndarray:
     return table.reshape(state.cutoff + 1, -1)
 
 
-def _parity_keys(modes: int) -> list[ParityPattern]:
-    """The 2^m parity patterns in the column order of ``parity_sectors``."""
-    return [ParityPattern(tuple(1 - 2 * b for b in idx)) for idx in np.ndindex((2,) * modes)]
-
-
 def parity_distribution(state: TruncatedFockState) -> OutputDistribution:
-    """Joint per-mode parity probabilities, normalized by the squared norm.
-
-    Covers all 2^m sign patterns, even outcome first per mode.
-    """
+    """Parity probabilities of the 2^m rows of ``parity_array``, normalized by the squared norm."""
     norm2 = state.squared_norm()
     if norm2 <= 1e-300:
         raise ValidationError("parity distribution is undefined for the zero state")
     if norm2 > 1.0 + 1e-9:
         raise ValidationError(f"state squared norm {norm2} exceeds 1")
     table = parity_sectors(state).sum(axis=0) / norm2
-    return OutputDistribution(zip(_parity_keys(state.modes), table.tolist()))
+    return OutputDistribution(parity_array(state.modes), table, key=ParityPattern)
 
 
 def number_distribution(state: TruncatedFockState) -> OutputDistribution:
@@ -844,7 +837,7 @@ def number_distribution(state: TruncatedFockState) -> OutputDistribution:
         raise ValidationError("number distribution is undefined for the zero state")
     probs = np.abs(state.amplitudes) ** 2 / norm2
     occupations = _index_tables(state.modes, state.cutoff, state.parity)[0]
-    return OutputDistribution(occupations=occupations.T, probabilities=probs)
+    return OutputDistribution(occupations.T, probs)
 
 
 def state_overlap(a: TruncatedFockState, b: TruncatedFockState) -> complex:

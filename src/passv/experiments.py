@@ -46,11 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .configurations import (
-    ParityPattern,
-    collision_free_configurations,
-    parity_pattern_of,
-)
+from .configurations import ParityPattern, collision_free_array, parity_array
 from .distributions import OutputDistribution
 from .errors import ValidationError
 from .evolution import (
@@ -59,7 +55,6 @@ from .evolution import (
     Squeezing,
     _check_passv_input,
     _check_state_size,
-    _parity_keys,
     apply_network,
     as_squeezing,
     build_passv_input,
@@ -90,7 +85,8 @@ def predicted_parity_distribution(network: LinearNetwork,
 
     The table is deliberately sub-normalized: patterns with fewer than n odd
     modes (collision sectors) carry squeezing-dependent mass and are not
-    predicted, so their total shows up in ``normalization_defect``.
+    predicted, so their total shows up in ``normalization_defect``. Each
+    collision-free outcome row is also its parity row, 1 on the n odd modes.
 
     It serves both variants: the subtracted variant samples the elementwise
     conjugate of the network, which for a real network is the network itself.
@@ -103,9 +99,9 @@ def predicted_parity_distribution(network: LinearNetwork,
     n = total_photons
     if not (1 <= n <= m):
         raise ValidationError(f"need 1 <= n <= m, got n={n}, m={m}")
-    outcomes = collision_free_configurations(n, m)
+    outcomes = collision_free_array(n, m)
     probs = outcome_probabilities(network, uniform_input(n, m), outcomes)
-    return OutputDistribution(zip(map(parity_pattern_of, outcomes), probs.tolist()))
+    return OutputDistribution(outcomes, probs, key=ParityPattern)
 
 
 @dataclass
@@ -200,7 +196,7 @@ def brute_force_parity(total_photons: int, modes: int, xi, variant: str = ADDED,
     decomposition = reck_decompose(haar_special_orthogonal(modes, seed))
     rows, _ = _parity_rows(total_photons, inputs, variant, decomposition)
     [(_, _, tail, cutoff)] = inputs
-    return OutputDistribution(zip(_parity_keys(modes), rows[0].tolist())), cutoff, tail
+    return OutputDistribution(parity_array(modes), rows[0], key=ParityPattern), cutoff, tail
 
 
 def _checked_inputs(n: int, m: int, xi_values: list, variant: str, epsilon_tail: float
@@ -267,19 +263,17 @@ def run_equivalence_experiment(total_photons: int, modes: int, xi_values,
     decomposition = reck_decompose(network)
     rows, sectors = _parity_rows(n, inputs, variant, decomposition)
     predicted_dist = predicted_parity_distribution(network, n)
-    patterns = predicted_dist.keys
-    predicted = [predicted_dist.probability(p) for p in patterns]
+    predicted = predicted_dist.probabilities.tolist()
     # The column of parity_sectors: bit m - 1 - i is set when mode i is odd.
-    columns = [sum(1 << (m - 1 - i) for i, sign in enumerate(p) if sign == -1)
-               for p in patterns]
+    columns = predicted_dist.occupations @ (1 << np.arange(m - 1, -1, -1))
     brute = rows[:, columns]
     brute_rows = brute.tolist()
 
     transpose_dev = None
     if variant == SUBTRACTED:
         transposed = LinearNetwork(network.entries.T, ORTHOGONAL, allow_reflection=True)
-        alt = predicted_parity_distribution(transposed, n)
-        alt_row = [alt.probability(p) for p in patterns]
+        # Its rows are the same collision-free outcomes, in the same order.
+        alt_row = predicted_parity_distribution(transposed, n).probabilities
         transpose_dev = float(np.max(np.abs(brute - alt_row)))
 
     return EquivalenceReport(
@@ -290,7 +284,7 @@ def run_equivalence_experiment(total_photons: int, modes: int, xi_values,
         seed=int(seed),
         epsilon_tail=float(epsilon_tail),
         cutoffs=[cutoff for *_, cutoff in inputs],
-        patterns=patterns,
+        patterns=predicted_dist.keys,
         predicted=predicted,
         brute=brute_rows,
         max_deviation=float(np.max(np.abs(brute - predicted))),

@@ -9,11 +9,10 @@ Every amplitude goes through one private helper, ``_outcome_permanents``: it
 checks the input and the outcomes, applies the photon guard, hands the whole
 (K, m) outcome array to ``permanent_table`` (one Glynn pass over the input
 columns, vectorized across outcomes) and returns the factorial weights.
-``outcome_probabilities`` builds tables from it, for ``output_distribution``
-and the parity predictions in ``experiments``; ``transition_amplitude`` is
-its one-outcome case. ``output_distribution`` hands the outcome array and
-the probabilities to an array-backed ``OutputDistribution``, so no key object
-is made unless a caller reads keys.
+``outcome_probabilities`` builds tables from it; ``transition_amplitude`` is
+its one-outcome case. ``output_distribution`` and the parity predictions in
+``experiments`` pass its outcome array on as their table's rows, so no key
+object is made unless a caller reads keys.
 """
 
 from __future__ import annotations
@@ -104,7 +103,7 @@ def output_distribution(network: LinearNetwork, input_config) -> OutputDistribut
     check_table_size(configuration_count(n, m), m)
     outcomes = configuration_array(n, m)
     probs = outcome_probabilities(network, t, outcomes)
-    return OutputDistribution(occupations=outcomes, probabilities=probs)
+    return OutputDistribution(outcomes, probs)
 
 
 def uniform_input(total_photons: int, modes: int) -> ModeConfiguration:

@@ -14,13 +14,17 @@ from passv.configurations import (
     ModeConfiguration,
     ParityPattern,
     bounded_occupations,
+    collision_free_array,
     collision_free_configurations,
     configuration_array,
     configuration_count,
+    configurations_from_array,
     enumerate_configurations,
     occupation_count,
     occupation_fields,
+    parity_array,
     parity_pattern_of,
+    patterns_from_array,
     serialize_rows,
 )
 from passv.errors import ValidationError
@@ -217,6 +221,27 @@ def test_parity_pattern_of_occupations():
     assert parity_pattern_of(ModeConfiguration((1, 0, 2))).outcomes == (-1, 1, 1)
     assert parity_pattern_of((0, 0)).outcomes == (1, 1)
     assert parity_pattern_of((3, 1)).outcomes == (-1, -1)
+
+
+def test_parity_rows_are_the_occupations_modulo_two():
+    rows = configuration_array(3, 4)
+    expected = [parity_pattern_of(c) for c in enumerate_configurations(3, 4)]
+    assert patterns_from_array(rows % 2) == expected
+
+
+def test_parity_array_rows_are_the_bits_of_their_index():
+    for m in range(1, 6):
+        rows = parity_array(m)
+        assert rows.shape == (2 ** m, m)
+        assert rows.tolist() == [list(bits) for bits in itertools.product((0, 1), repeat=m)]
+        assert (rows @ (1 << np.arange(m - 1, -1, -1))).tolist() == list(range(2 ** m))
+
+
+def test_collision_free_rows_are_their_own_parity_rows():
+    rows = collision_free_array(2, 4)
+    assert configurations_from_array(rows) == collision_free_configurations(2, 4)
+    assert patterns_from_array(rows) == [parity_pattern_of(c)
+                                         for c in collision_free_configurations(2, 4)]
 
 
 def test_parity_unchanged_by_photon_pairs():

@@ -23,39 +23,46 @@ from passv.distributions import (
     total_variation_distance,
 )
 from passv.errors import SizeLimitError, ValidationError
+from passv.evolution import build_passv_input, parity_distribution
+from passv.experiments import brute_force_parity, predicted_parity_distribution
+from passv.networks import haar_special_orthogonal
 
 A = ModeConfiguration((1, 0))
 B = ModeConfiguration((0, 1))
 
 
+def _array_table(occupations, probs, **kwargs):
+    return OutputDistribution(np.array(occupations, dtype=np.intp), probs, **kwargs)
+
+
 def _coin(p: float) -> OutputDistribution:
-    return OutputDistribution([(A, p), (B, 1.0 - p)])
+    return _array_table([[1, 0], [0, 1]], [p, 1.0 - p])
 
 
 def test_defect_is_computed_when_not_supplied():
-    dist = OutputDistribution([(A, 0.25), (B, 0.25)])
+    dist = _array_table([[1, 0], [0, 1]], [0.25, 0.25])
     assert dist.normalization_defect == pytest.approx(0.5)
     assert dist.total() == pytest.approx(0.5)
 
 
 def test_declared_defect_is_kept():
-    dist = OutputDistribution([(A, 0.25)], normalization_defect=0.75)
+    dist = _array_table([[1, 0]], [0.25], normalization_defect=0.75)
     assert dist.normalization_defect == 0.75
 
 
 def test_duplicate_keys_rejected():
     with pytest.raises(ValidationError):
-        OutputDistribution([(A, 0.5), (A, 0.5)])
+        _array_table([[1, 0], [1, 0]], [0.5, 0.5])
     with pytest.raises(ValidationError, match=r"duplicate .*\(0, 1\)"):
-        OutputDistribution([(B, 0.2), (A, 0.3), (B, 0.1), (A, 0.4)])
+        _array_table([[0, 1], [1, 0], [0, 1], [1, 0]], [0.2, 0.3, 0.1, 0.4])
 
 
 def test_negative_probability_rejected_but_noise_clipped():
     with pytest.raises(ValidationError):
-        OutputDistribution([(A, -0.1)])
+        _array_table([[1, 0]], [-0.1])
     with pytest.raises(ValidationError, match=r"-0.25 for key .*\(0, 1\)"):
-        OutputDistribution([(A, 0.5), (B, -0.25)])
-    dist = OutputDistribution([(A, -1e-15), (B, 1.0)])
+        _array_table([[1, 0], [0, 1]], [0.5, -0.25])
+    dist = _array_table([[1, 0], [0, 1]], [-1e-15, 1.0])
     assert dist.probability(A) == 0.0
     assert dist.probabilities.tolist() == [0.0, 1.0]
     assert dist.normalization_defect == 0.0
@@ -64,7 +71,7 @@ def test_negative_probability_rejected_but_noise_clipped():
 def test_lazy_index_answers_lookups_like_a_dict():
     keys = enumerate_configurations(3, 4)
     probs = np.random.default_rng(3).random(len(keys))
-    dist = OutputDistribution(zip(keys, probs.tolist()))
+    dist = OutputDistribution(configuration_array(3, 4), probs)
     assert dist._index is None  # built on the first lookup, not by the constructor
     reference = dict(zip(keys, probs.tolist()))
     for key in keys:
@@ -76,11 +83,6 @@ def test_lazy_index_answers_lookups_like_a_dict():
 
 
 # ------------------------------------------------------------- array-backed form
-
-
-def _array_table(occupations, probs, **kwargs):
-    return OutputDistribution(occupations=np.array(occupations, dtype=np.intp),
-                              probabilities=probs, **kwargs)
 
 
 def test_array_form_rejects_duplicate_rows_naming_the_configuration():
@@ -141,41 +143,41 @@ def test_array_form_rejects_malformed_input():
     for bad in (np.array([1, 0]), np.array([[1.0, 0.0]]), np.array([[1, -1]]),
                 np.zeros((1, 0), dtype=np.intp)):
         with pytest.raises(ValidationError):
-            OutputDistribution(occupations=bad, probabilities=[1.0])
+            OutputDistribution(bad, [1.0])
     with pytest.raises(ValidationError):
         _array_table([[1, 0], [0, 1]], [1.0])
-    with pytest.raises(ValidationError):
-        OutputDistribution([(A, 1.0)], occupations=np.array([[1, 0]]), probabilities=[1.0])
-    with pytest.raises(ValidationError):
-        OutputDistribution(occupations=np.array([[1, 0]]))
+    with pytest.raises(ValidationError):  # (key, p) pairs are not rows
+        OutputDistribution([(A, 1.0)], [1.0])
+    with pytest.raises(TypeError):
+        OutputDistribution(np.array([[1, 0]]))
 
 
-def test_array_form_answers_like_the_pair_form():
+def test_array_form_answers_like_a_dict_of_its_keys():
     rows = configuration_array(3, 4)
     probs = np.random.default_rng(5).random(len(rows))
     probs[[0, 4, len(rows) - 1]] = 0.0
     keys = enumerate_configurations(3, 4)
-    by_array = OutputDistribution(occupations=rows, probabilities=probs)
-    by_pairs = OutputDistribution(zip(keys, probs.tolist()))
-    assert len(by_array) == len(by_pairs)
-    assert by_array.total() == by_pairs.total()
-    assert by_array.normalization_defect == by_pairs.normalization_defect
-    assert by_array._keys is None  # nothing above needed a key object
-    assert by_array.keys == by_pairs.keys
-    assert list(by_array.items()) == list(by_pairs.items())
-    assert by_array.support == by_pairs.support
+    reference = dict(zip(keys, probs.tolist()))
+    dist = OutputDistribution(rows, probs)
+    assert len(dist) == len(reference)
+    assert dist.total() == float(probs.sum())
+    assert dist.normalization_defect == abs(1.0 - float(probs.sum()))
+    assert dist._keys is None  # nothing above needed a key object
+    assert dist.keys == keys
+    assert list(dist.items()) == list(reference.items())
+    assert dist.support == list(reference.items())
     for key in keys + [ModeConfiguration((4, 0, 0, 0)), ModeConfiguration((1, 0)), "3,0,0,0"]:
-        assert (key in by_array) == (key in by_pairs)
-        assert by_array.probability(key, default=-1.0) == by_pairs.probability(key, default=-1.0)
-    normalized = by_array.normalized()
-    assert normalized.occupations is not None and normalized._keys is None
-    assert list(normalized.items()) == list(by_pairs.normalized().items())
+        assert (key in dist) == (key in reference)
+        assert dist.probability(key, default=-1.0) == reference.get(key, -1.0)
+    normalized = dist.normalized()
+    assert np.array_equal(normalized.occupations, rows) and normalized._keys is None
+    assert list(normalized.items()) == list(zip(keys, (probs / dist.total()).tolist()))
     assert normalized.normalization_defect == 0.0
 
 
 def test_array_form_keeps_a_read_only_view_of_the_rows():
     rows = configuration_array(2, 3)
-    dist = OutputDistribution(occupations=rows, probabilities=np.full(len(rows), 1 / 6))
+    dist = OutputDistribution(rows, np.full(len(rows), 1 / 6))
     assert np.array_equal(dist.occupations, rows)
     with pytest.raises(ValueError):
         dist.occupations[0, 0] = 9
@@ -200,6 +202,43 @@ def test_array_form_builds_keys_once_on_first_use(monkeypatch):
     assert calls == [2]
 
 
+def test_parity_table_refuses_rows_above_one_and_other_keys():
+    assert _array_table([[1, 0], [0, 2]], [0.5, 0.5]).keys[1] == ModeConfiguration((0, 2))
+    with pytest.raises(ValidationError, match="0 .*or 1"):
+        _array_table([[1, 0], [0, 2]], [0.5, 0.5], key=ParityPattern)
+    parity = _array_table([[1, 0], [0, 1], [0, 0]], [0.5, 0.5, 0.0], key=ParityPattern)
+    assert parity.keys == [ParityPattern((-1, 1)), ParityPattern((1, -1)), ParityPattern((1, 1))]
+    with pytest.raises(ValidationError, match=r"duplicate .*\(1, -1\)"):
+        _array_table([[0, 1], [0, 1]], [0.5, 0.5], key=ParityPattern)
+    for key in (tuple, str, "ParityPattern", None):
+        with pytest.raises(ValidationError, match="key must be"):
+            _array_table([[1, 0]], [1.0], key=key)
+
+
+@pytest.mark.parametrize("build", ["predicted", "brute_force", "state"])
+def test_parity_tables_make_no_pattern_until_keys_are_used(monkeypatch, build):
+    lookup = ParityPattern((-1, -1, 1))
+    made, built = [], []
+    post_init = ParityPattern.__post_init__
+    monkeypatch.setattr(ParityPattern, "__post_init__",
+                        lambda self: made.append(self) or post_init(self))
+    original = distributions.patterns_from_array
+    monkeypatch.setattr(distributions, "patterns_from_array",
+                        lambda rows: built.append(len(rows)) or original(rows))
+    if build == "predicted":
+        dist = predicted_parity_distribution(haar_special_orthogonal(3, 2), 2)
+    elif build == "brute_force":
+        dist, _, _ = brute_force_parity(2, 3, 0.4, seed=2)
+    else:
+        dist = parity_distribution(build_passv_input(2, 3, 0.4, "added", 6))
+    assert len(dist) == len(dist.occupations) and dist.total() > 0
+    assert dist.key is ParityPattern and dist.normalized().key is ParityPattern
+    assert made == [] and built == []
+    assert dist.probability(lookup) > 0
+    assert made == [] and built == [len(dist)]
+    assert lookup in dist.keys and built == [len(dist)]
+
+
 # ------------------------------------------------------------------- lookups
 
 
@@ -216,18 +255,18 @@ def test_lookup_and_container_protocol():
 
 
 def test_zero_probabilities_are_retained():
-    dist = OutputDistribution([(A, 0.0), (B, 1.0)])
+    dist = _array_table([[1, 0], [0, 1]], [0.0, 1.0])
     assert len(dist) == 2
     assert dist.support[0] == (A, 0.0)
 
 
 def test_normalized_rescales_to_unit_mass():
-    dist = OutputDistribution([(A, 0.2), (B, 0.6)]).normalized()
+    dist = _array_table([[1, 0], [0, 1]], [0.2, 0.6]).normalized()
     assert dist.probability(A) == pytest.approx(0.25)
     assert dist.probability(B) == pytest.approx(0.75)
     assert dist.normalization_defect == 0.0
     with pytest.raises(ValidationError):
-        OutputDistribution([(A, 0.0)]).normalized()
+        _array_table([[1, 0]], [0.0]).normalized()
 
 
 def test_restrict_filters_and_recomputes_defect():
@@ -254,7 +293,7 @@ def test_draw_samples_frequencies_near_probabilities():
 
 
 def test_draw_samples_point_mass():
-    dist = OutputDistribution([(A, 1.0), (B, 0.0)])
+    dist = _array_table([[1, 0], [0, 1]], [1.0, 0.0])
     assert set(draw_samples(dist, 5, 50)) == {A}
 
 
@@ -329,7 +368,7 @@ def test_draw_indices_equal_searchsorted_over_the_same_stream(shots):
     rows = configuration_array(3, 5)
     probs = np.random.default_rng(9).random(len(rows)) ** 4
     probs[10:20] = 0.0
-    dist = OutputDistribution(occupations=rows, probabilities=probs / probs.sum())
+    dist = OutputDistribution(rows, probs / probs.sum())
     cdf = _cdf(dist.probabilities)
     draws = np.random.default_rng(11).random(shots)
     found = draw_indices(dist, 11, shots)
@@ -339,7 +378,7 @@ def test_draw_indices_equal_searchsorted_over_the_same_stream(shots):
 
 def test_draw_samples_refuses_subnormalized_tables():
     with pytest.raises(ValidationError):
-        draw_samples(OutputDistribution([(A, 0.7)]), 1, 10)
+        draw_samples(_array_table([[1, 0]], [0.7]), 1, 10)
     with pytest.raises(ValidationError):
         draw_samples(_coin(0.5), -3, 10)
     with pytest.raises(ValidationError):
@@ -374,8 +413,8 @@ def test_tvd_known_value():
 
 
 def test_tvd_disjoint_supports():
-    p = OutputDistribution([(A, 1.0)])
-    q = OutputDistribution([(B, 1.0)])
+    p = _array_table([[1, 0]], [1.0])
+    q = _array_table([[0, 1]], [1.0])
     assert total_variation_distance(p, q) == pytest.approx(1.0)
 
 
@@ -386,7 +425,8 @@ def test_tvd_is_symmetric():
 
 
 def test_tvd_rejects_mixed_key_domains():
-    p = OutputDistribution([(A, 1.0)])
-    q = OutputDistribution([(ParityPattern((-1, 1)), 1.0)])
+    p = _array_table([[1, 0]], [1.0])
+    q = _array_table([[1, 0]], [1.0], key=ParityPattern)
+    assert q.keys == [ParityPattern((-1, 1))]
     with pytest.raises(ValidationError):
         total_variation_distance(p, q)

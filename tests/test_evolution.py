@@ -32,7 +32,7 @@ except ImportError:  # numpy < 1.25
     from numpy import ComplexWarning
 
 from passv import distributions, errors, evolution
-from passv.configurations import ModeConfiguration, ParityPattern, occupation_count
+from passv.configurations import ModeConfiguration, ParityPattern, occupation_count, parity_array
 from passv.errors import SizeLimitError, ValidationError
 from passv.evolution import (
     ADDED,
@@ -1072,9 +1072,24 @@ def test_parity_sectors_split_the_distribution_by_photon_total():
         reference[sum(config), column] += abs(a) ** 2
     np.testing.assert_allclose(table, reference, rtol=1e-13, atol=0.0)
     dist = parity_distribution(st)
-    assert dist.keys == evolution._parity_keys(m)
+    assert dist.keys == [ParityPattern(signs) for signs in itertools.product((1, -1), repeat=m)]
     np.testing.assert_allclose(dist.probabilities, table.sum(axis=0) / st.squared_norm(),
                                rtol=1e-15, atol=0.0)
+
+
+def test_parity_rows_are_in_the_column_order_of_parity_sectors():
+    # Mass on one occupation tuple lands in the parity_sectors column whose
+    # parity_array row is that tuple modulo two, and parity_distribution
+    # keeps those rows as its own.
+    for m, d in ((1, 3), (2, 4), (3, 3)):
+        occupations = _index_tables(m, d)[0].T.astype(np.intp)
+        for k, config in enumerate(occupations):
+            amplitudes = np.zeros(len(occupations))
+            amplitudes[k] = 1.0
+            st = TruncatedFockState(m, d, amplitudes)
+            (column,) = np.flatnonzero(parity_sectors(st).sum(axis=0))
+            assert parity_array(m)[column].tolist() == (config % 2).tolist()
+            assert np.array_equal(parity_distribution(st).occupations, parity_array(m))
 
 
 def test_parity_of_squeezed_vacuum_is_all_even():
