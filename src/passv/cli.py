@@ -10,14 +10,14 @@ share its guards (n <= m <= 5 and the state size limit, which bounds the
 squeezing), its cutoff choice and its truncation budget; the cutoff is
 chosen by the oracle and recorded, never set.
 
-sample-fock writes its CSV artifacts from one byte table of key fields
-(``configurations.occupation_fields``): a NUL-padded (K, W) uint8 matrix,
-one quoted key per outcome. The table CSV sets each field beside a comma,
-the probability's repr and a line break, and drops every NUL in one pass;
-the samples CSV takes SAMPLE_CHUNK field-plus-newline rows at a time, and
-compacts a chunk only when the fields differ in width (an occupation of 10
-or more). Artifacts are written as bytes: atomically to a file, or to
-``sys.stdout.buffer``.
+sample-fock writes all three artifacts, and sample-passv its table, from one
+NUL-padded (K, W) uint8 matrix of unquoted key fields
+(``configurations.occupation_fields``, or the sign rows). Either table format
+frames each field and the probability's repr with fixed bytes and drops every
+NUL in one pass (``_table_rows``); CSV fields are quoted when they hold a comma.
+The samples CSV takes SAMPLE_CHUNK rows at a time, compacted only when the
+fields differ in width. Artifacts are written as bytes: atomically to a file,
+or to ``sys.stdout.buffer``.
 
 Exit codes: 0 success, 1 validation failure or bad usage, 2 size-limit guard.
 The PASSV_LOG environment variable (quiet, info, debug) sets stderr
@@ -39,7 +39,7 @@ from collections.abc import Iterable, Iterator
 
 import numpy as np
 
-from .configurations import configuration_count, occupation_fields, serialize_rows
+from .configurations import configuration_count, occupation_fields
 from .distributions import OutputDistribution, check_table_size, draw_indices
 from .errors import SizeLimitError, ValidationError, check_memory
 from .experiments import brute_force_parity, run_equivalence_experiment
@@ -60,6 +60,8 @@ logger = logging.getLogger("passv")
 LOG_LEVELS = {"quiet": logging.WARNING, "info": logging.INFO, "debug": logging.DEBUG}
 
 SAMPLE_CHUNK = 8192  # sample rows per chunk written to the samples artifact
+# The prefix, separator and suffix of a [key, p] pair in a JSON table at indent 2.
+JSON_ROW = ('    [\n      "', '",\n      ', "\n    ],\n")
 # Per number of a matrix record: a float object and its list slot, 32 bytes, and
 # its text at indent 2, at most 32: a repr of up to 24 characters, 6 of indent, a
 # comma and a line break.
@@ -231,31 +233,52 @@ def _config_comment(config: dict) -> str:
     return "# config " + json.dumps(config, sort_keys=True)
 
 
-def _byte_column(rows: int, char: str) -> np.ndarray:
-    return np.full((rows, 1), ord(char), dtype=np.uint8)
+def _byte_columns(rows: int, text: str) -> np.ndarray:
+    """``text`` repeated on each of ``rows`` rows: a read-only (rows, len(text)) uint8 view."""
+    return np.broadcast_to(np.frombuffer(text.encode("ascii"), dtype=np.uint8), (rows, len(text)))
 
 
-def _distribution_csv(fields: np.ndarray, dist: OutputDistribution, config: dict) -> tuple[str, np.ndarray]:
-    """The table CSV, as its header and body, from a NUL-padded (K, W) byte matrix of key fields.
+def _quote(fields: np.ndarray) -> str:
+    """``csv.writer``'s minimal quote for key fields: '"' when they hold a comma (m > 1 occupations)."""
+    return '"' if ord(",") in fields[:1] else ""
 
-    Each row of the body is its field, a comma, ``repr(p)`` (at most 24 bytes,
-    NUL-padded) and a line break; the NULs are dropped from the whole matrix
-    at once.
+
+def _table_rows(fields: np.ndarray, dist: OutputDistribution, prefix: str, separator: str,
+                suffix: str) -> np.ndarray:
+    """The rows of a table artifact as bytes, from a NUL-padded (K, W) byte matrix of key fields.
+
+    Row k is ``prefix``, field k, ``separator``, ``repr(p_k)`` (at most 24
+    bytes, NUL-padded) and ``suffix``; the NULs are dropped from the whole
+    matrix at once.
     """
     k = len(fields)
     reprs = np.array(list(map(repr, dist.probabilities.tolist())), dtype="S24")
-    rows = np.hstack((fields, _byte_column(k, ","), reprs.view(np.uint8).reshape(k, 24),
-                      _byte_column(k, "\n")))
-    return _config_comment(config) + "\nkey,probability\n", rows[rows != 0]
+    rows = np.hstack((_byte_columns(k, prefix), fields, _byte_columns(k, separator),
+                      reprs.view(np.uint8).reshape(k, 24), _byte_columns(k, suffix)))
+    return rows[rows != 0]
 
 
-def _distribution_json(keys: list[str], dist: OutputDistribution, config: dict) -> str:
-    record = {
-        "config": config,
-        "normalization_defect": dist.normalization_defect,
-        "distribution": [[key, p] for key, p in zip(keys, dist.probabilities.tolist())],
-    }
-    return json.dumps(record, sort_keys=True, indent=2) + "\n"
+def _distribution_csv(fields: np.ndarray, dist: OutputDistribution, config: dict) -> tuple[str, np.ndarray]:
+    """The table CSV as header and body: per row the field (quoted), a comma, ``repr(p)``, a line break."""
+    quote = _quote(fields)
+    return (_config_comment(config) + "\nkey,probability\n",
+            _table_rows(fields, dist, quote, quote + ",", "\n"))
+
+
+def _distribution_json(fields: np.ndarray, dist: OutputDistribution, config: dict) -> tuple:
+    """The table JSON as head, rows (the last one's comma dropped) and tail; at least one row.
+
+    The bytes are ``json.dumps(sort_keys=True, indent=2)`` and a line break of
+    the record of config, normalization defect and [key, p] pairs: keys need
+    no escaping, and a finite float's ``repr`` is the text ``json`` writes.
+    """
+    head = json.dumps({"config": config}, sort_keys=True, indent=2)[:-2]  # without "\n}"
+    defect = json.dumps(dist.normalization_defect)
+    return (head + ',\n  "distribution": [\n', _table_rows(fields, dist, *JSON_ROW)[:-2],
+            f'\n  ],\n  "normalization_defect": {defect}\n}}\n')
+
+
+TABLE_WRITERS = {"csv": _distribution_csv, "json": _distribution_json}
 
 
 def _run_sample_fock(args):
@@ -268,15 +291,11 @@ def _run_sample_fock(args):
         _check_sample_fock_size(args.n, net.dimension, args.shots)
     pump = uniform_input(args.n, net.dimension)
     dist = output_distribution(net, pump)
-    # The table's CSV fields in its canonical order, built once for both CSV artifacts.
-    fields = occupation_fields(dist.occupations, quote=True)
+    # The table's key fields in its canonical order, built once for all three artifacts.
+    fields = occupation_fields(dist.occupations)
     config = {"subcommand": "sample-fock", "n": args.n, "input": pump.serialize(),
               "shots": args.shots, **source}
-    if args.format == "csv":
-        _write_artifact(args.output, _distribution_csv(fields, dist, config))
-    else:
-        _write_artifact(args.output,
-                        _distribution_json(serialize_rows(dist.occupations), dist, config))
+    _write_artifact(args.output, TABLE_WRITERS[args.format](fields, dist, config))
     if args.shots:
         indices = draw_indices(dist, int(args.seed) + 1, args.shots)
         _write_artifact(_samples_path(args.output), _samples_csv(fields, indices, config))
@@ -296,10 +315,12 @@ def _check_sample_fock_size(n: int, m: int, shots: int) -> None:
 def _samples_csv(fields: np.ndarray, indices: np.ndarray, config: dict) -> Iterator[str | np.ndarray]:
     """The sample CSV in chunks of SAMPLE_CHUNK rows, each one ``take`` of field-plus-newline rows.
 
-    A chunk is compacted only when the fields hold NUL padding, that is when
-    their widths differ.
+    Fields are quoted as in the table CSV. A chunk is compacted only when the
+    fields hold NUL padding, that is when their widths differ.
     """
-    lines = np.hstack((fields, _byte_column(len(fields), "\n")))
+    quote = _quote(fields)
+    lines = np.hstack((_byte_columns(len(fields), quote), fields,
+                       _byte_columns(len(fields), quote + "\n")))
     padded = not lines.all()
     yield _config_comment(config) + "\nsample\n"
     for start in range(0, len(indices), SAMPLE_CHUNK):
@@ -326,11 +347,7 @@ def _run_sample_passv(args):
     }
     # ParityPattern.serialize of each parity row: m bytes, no comma, so never quoted.
     fields = np.frombuffer(b"+-", dtype=np.uint8)[dist.occupations]
-    if args.format == "csv":
-        _write_artifact(args.output, _distribution_csv(fields, dist, config))
-    else:
-        keys = fields.view(f"S{args.m}")[:, 0].astype(str).tolist()
-        _write_artifact(args.output, _distribution_json(keys, dist, config))
+    _write_artifact(args.output, TABLE_WRITERS[args.format](fields, dist, config))
 
 
 def _parse_xi_list(text: str) -> list[float]:

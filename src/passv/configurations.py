@@ -246,7 +246,7 @@ def parity_array(modes: int) -> np.ndarray:
     return (np.arange(1 << modes)[:, np.newaxis] >> np.arange(modes - 1, -1, -1)) & 1
 
 
-def occupation_fields(occupations: np.ndarray, *, quote: bool) -> np.ndarray:
+def occupation_fields(occupations: np.ndarray) -> np.ndarray:
     """``ModeConfiguration.serialize`` of every row of a (K, m) occupation array, as bytes.
 
     Returns a (K, W) uint8 matrix, one row per key, padded with NUL bytes.
@@ -255,31 +255,12 @@ def occupation_fields(occupations: np.ndarray, *, quote: bool) -> np.ndarray:
     gather lays the words out in rows, and the last comma is dropped.
     Dropping the NULs gives the key. Every row has the same width when every
     occupation has the same number of digits, as when all are below 10.
-    With ``quote``, a key that holds a comma (m > 1) is wrapped in double
-    quotes, the whole of ``csv.writer``'s minimal quoting for keys of digits
-    and commas.
     """
-    k, m = occupations.shape
     top = int(occupations.max(initial=0))
     width = len(str(top))
     words = np.array([str(v).rjust(width, "\0") + "," for v in range(top + 1)],
                      dtype=f"S{width + 1}")
-    fields = words[occupations].view(np.uint8)[:, :-1]
-    if quote and m > 1:
-        quotes = np.full((k, 1), ord('"'), dtype=np.uint8)
-        fields = np.hstack((quotes, fields, quotes))
-    return fields
-
-
-def serialize_rows(occupations: np.ndarray) -> list[str]:
-    """``ModeConfiguration.serialize`` of every row of a (K, m) occupation array.
-
-    The unquoted ``occupation_fields``, each row ended by a line break, with
-    the NULs dropped in one pass and the text split once.
-    """
-    fields = occupation_fields(occupations, quote=False)
-    lines = np.hstack((fields, np.full((len(fields), 1), ord("\n"), dtype=np.uint8)))
-    return lines[lines != 0].tobytes().decode("ascii").split("\n")[:-1]
+    return words[occupations].view(np.uint8)[:, :-1]
 
 
 def enumerate_configurations(total_photons: int, modes: int) -> list[ModeConfiguration]:

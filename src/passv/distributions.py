@@ -35,10 +35,10 @@ DRAW_BLOCK = 1 << 14  # draws per block of draw_indices; bounds its temporaries
 # TABLE_OUTCOME_BYTES: its occupation array and probabilities, the duplicate
 # check and permanent table that build it, and the artifact sample-fock writes
 # from it, in either format. At the largest m admitted for each n = 2 to 11,
-# the max RSS of a cold sample-fock rose by 39-67% of the count (with
-# FIRST_OP_BYTES) in CSV and 70-84% in JSON, the most at n = 7, m = 18.
+# the max RSS of a cold sample-fock rose by 62-70% of the count (with
+# FIRST_OP_BYTES) in CSV and 69-77% in JSON, and by 82% in JSON at n = 11, m = 11.
 TABLE_MODE_BYTES = 24
-TABLE_OUTCOME_BYTES = 640
+TABLE_OUTCOME_BYTES = 256
 # Per draw: its index, and draw_samples' list slot. The uniforms are drawn a
 # block at a time, so none is held per draw: a cold sample-fock --n 2 --m 3
 # with 16,000,000 draws raised max RSS by 136 MB, 8.0 bytes per draw beside

@@ -21,11 +21,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from passv import cli, distributions, errors, evolution, experiments
 from passv.cli import execute
-from passv.configurations import ModeConfiguration, configuration_count
-from passv.distributions import DRAW_BYTES, draw_samples
+from passv.configurations import (
+    ModeConfiguration,
+    ParityPattern,
+    configuration_count,
+    occupation_fields,
+)
+from passv.distributions import DRAW_BYTES, OutputDistribution, draw_samples
 from passv.evolution import required_cutoff
 from passv.experiments import brute_force_parity
 from passv.networks import haar_special_orthogonal, haar_unitary
@@ -192,30 +198,88 @@ def test_sample_fock_draws_shots_into_sibling_file(tmp_path):
 def test_sample_fock_streamed_samples_match_per_sample_csv(tmp_path, monkeypatch, capsys):
     # Small chunks, so the artifact is written in many pieces.
     monkeypatch.setattr(cli, "SAMPLE_CHUNK", 7)
-    code, out = _run(tmp_path, "fock.csv",
-                     ["sample-fock", "--n", "3", "--m", "5", "--shots", "2000",
-                      "--seed", "4"])
-    assert code == 0
-    config = {"subcommand": "sample-fock", "n": 3, "input": "1,1,1,0,0", "shots": 2000,
-              "m": 5, "kind": "orthogonal", "seed": 4}
-    dist = output_distribution(haar_special_orthogonal(5, 4), uniform_input(3, 5))
-    buf = io.StringIO()
-    buf.write("# config " + json.dumps(config, sort_keys=True) + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["sample"])
-    for key in draw_samples(dist, 5, 2000):
-        writer.writerow([key.serialize()])
-    reference = buf.getvalue()
-    assert '"1,0,1,0,1"' in reference  # keys are quoted, since they hold commas
-    assert _first_difference((tmp_path / "fock.samples.csv").read_text(encoding="utf-8"),
-                             reference) is None
+    for n, m in ((3, 5), (1, 1)):
+        args = ["sample-fock", "--n", str(n), "--m", str(m), "--shots", "2000", "--seed", "4"]
+        code, out = _run(tmp_path, f"fock{m}.csv", args)
+        assert code == 0
+        pump = uniform_input(n, m)
+        config = {"subcommand": "sample-fock", "n": n, "input": pump.serialize(), "shots": 2000,
+                  "m": m, "kind": "orthogonal", "seed": 4}
+        dist = output_distribution(haar_special_orthogonal(m, 4), pump)
+        buf = io.StringIO()
+        buf.write("# config " + json.dumps(config, sort_keys=True) + "\n")
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["sample"])
+        for key in draw_samples(dist, 5, 2000):
+            writer.writerow([key.serialize()])
+        reference = buf.getvalue()
+        # Keys are quoted when they hold commas: over five modes, not over one.
+        body = reference.split("\nsample\n", 1)[1]
+        assert ('"1,0,1,0,1"' in body) if m > 1 else body == "1\n" * 2000
+        assert _first_difference((tmp_path / f"fock{m}.samples.csv").read_text(encoding="utf-8"),
+                                 reference) is None
 
-    # Without --output both artifacts go to stdout, table first.
-    capsys.readouterr()
-    assert execute(["sample-fock", "--n", "3", "--m", "5", "--shots", "2000",
-                    "--seed", "4"]) == 0
-    assert _first_difference(capsys.readouterr().out,
-                             out.read_text(encoding="utf-8") + reference) is None
+        # Without --output both artifacts go to stdout, table first.
+        capsys.readouterr()
+        assert execute(args) == 0
+        assert _first_difference(capsys.readouterr().out,
+                                 out.read_text(encoding="utf-8") + reference) is None
+
+
+# Distinct occupation rows of one to six modes with values of one to three
+# digits, so that fields of one matrix differ in width; distinct parity rows
+# of one to five modes; and probabilities that include the extremes of repr.
+OCCUPATION_TABLES = st.integers(1, 6).flatmap(lambda m: st.lists(
+    st.tuples(*[st.integers(0, 120)] * m), min_size=1, max_size=40, unique=True))
+PARITY_TABLES = st.integers(1, 5).flatmap(lambda m: st.lists(
+    st.tuples(*[st.integers(0, 1)] * m), min_size=1, max_size=32, unique=True))
+PROBABILITIES = st.one_of(st.sampled_from([0.0, 5e-324, 1.0]), st.floats(0.0, 1.0))
+TABLE_CONFIG = {"subcommand": "sample-passv", "n": 2, "xi": [0.4, 1e-300], "input": "1,1,0",
+                "truncation_loss": 2.5e-09}
+
+
+def _table(rows, key, data, defect=None) -> tuple[OutputDistribution, np.ndarray]:
+    """A table of ``rows`` with drawn probabilities, and its key fields as the CLI builds them."""
+    probabilities = data.draw(st.lists(PROBABILITIES, min_size=len(rows), max_size=len(rows)))
+    dist = OutputDistribution(np.array(rows), probabilities, key=key, normalization_defect=defect)
+    if key is ParityPattern:
+        return dist, np.frombuffer(b"+-", dtype=np.uint8)[dist.occupations]
+    return dist, occupation_fields(dist.occupations)
+
+
+def _joined(chunks) -> str:
+    return b"".join(c.encode() if isinstance(c, str) else c.tobytes() for c in chunks).decode()
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=OCCUPATION_TABLES, data=st.data())
+def test_csv_writers_quote_keys_as_csv_writer_does(rows, data):
+    dist, fields = _table(rows, ModeConfiguration, data)
+    indices = np.array(data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=30)),
+                       dtype=np.intp)
+    table, samples = io.StringIO(), io.StringIO()
+    for buf, header in ((table, "key,probability"), (samples, "sample")):
+        buf.write(cli._config_comment(TABLE_CONFIG) + "\n" + header + "\n")
+    csv.writer(table, lineterminator="\n").writerows(
+        [key.serialize(), repr(p)] for key, p in dist.items())
+    keys = dist.keys
+    csv.writer(samples, lineterminator="\n").writerows([keys[i].serialize()] for i in indices)
+    assert _joined(cli._distribution_csv(fields, dist, TABLE_CONFIG)) == table.getvalue()
+    assert _joined(cli._samples_csv(fields, indices, TABLE_CONFIG)) == samples.getvalue()
+
+
+@settings(max_examples=80, deadline=None)
+@given(table=st.one_of(OCCUPATION_TABLES.map(lambda rows: (rows, ModeConfiguration)),
+                       PARITY_TABLES.map(lambda rows: (rows, ParityPattern))),
+       defect=st.one_of(st.none(), st.sampled_from([0.0, 5e-324, 1.0]), st.floats(0.0, 1.0)),
+       data=st.data())
+def test_json_tables_are_the_json_dumps_text(table, defect, data):
+    # A defect of None is computed from the probabilities; any other is declared.
+    dist, fields = _table(*table, data, defect)
+    record = {"config": TABLE_CONFIG, "normalization_defect": dist.normalization_defect,
+              "distribution": [[key.serialize(), p] for key, p in dist.items()]}
+    assert (_joined(cli._distribution_json(fields, dist, TABLE_CONFIG))
+            == json.dumps(record, sort_keys=True, indent=2) + "\n")
 
 
 def _first_difference(text, expected):
@@ -329,8 +393,9 @@ def test_sample_fock_shots_over_the_limit_exit_two_before_writing(tmp_path, caps
 
 def test_sample_fock_counts_its_table_and_draws_together(tmp_path, capsys):
     # The table edge at n = 3 with the most draws a count of the draws alone
-    # would admit: each passed on its own, and a cold run rose 413 MB.
-    code, _ = _run(tmp_path, "t.csv", ["sample-fock", "--n", "3", "--m", "92", "--seed", "7",
+    # would admit: each passes on its own. When they were counted apart, such
+    # a run at m = 92 rose 413 MB.
+    code, _ = _run(tmp_path, "t.csv", ["sample-fock", "--n", "3", "--m", "95", "--seed", "7",
                                        "--shots", "16666666"])
     assert code == 2
     err = capsys.readouterr().err
@@ -349,7 +414,7 @@ def test_sample_fock_joint_count_edge(tmp_path, monkeypatch):
 
 
 # The largest m whose table the count admits, in either format, at n = 2, 3 and 5.
-TABLE_EDGES = {2: 309, 3: 92, 5: 30}
+TABLE_EDGES = {2: 314, 3: 95, 5: 32}
 
 
 def test_table_edges_are_the_largest_admitted_m():
@@ -810,8 +875,8 @@ def test_embed_of_a_thousand_modes_exits_two_before_allocating():
                     reason="the child reads VmHWM from Linux's /proc")
 @pytest.mark.parametrize("fmt, n", [("csv", 2), ("json", 5)])
 def test_the_table_edge_holds_its_count_in_max_rss(tmp_path, fmt, n):
-    # Max RSS rose 267 MB (CSV, n = 2, m = 309) and 316 MB (JSON, n = 5,
-    # m = 30), on counts of 398 and 391 MB.
+    # Max RSS rose 278 MB (CSV, n = 2, m = 314) and 284 MB (JSON, n = 5,
+    # m = 32), on counts of 398 and 399 MB.
     m = TABLE_EDGES[n]
     out = tmp_path / f"table.{fmt}"
     result = subprocess.run(
@@ -824,6 +889,25 @@ def test_the_table_edge_holds_its_count_in_max_rss(tmp_path, fmt, n):
     assert out.stat().st_size > configuration_count(n, m) * 2 * m
     assert int(rise) <= distributions._table_bytes(configuration_count(n, m), m), (
         f"max RSS rose {int(rise)} bytes")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="the child reads VmHWM from Linux's /proc")
+def test_a_json_table_peaks_near_the_same_table_in_csv(tmp_path):
+    # Both formats frame one byte matrix of key fields. At n = 5, m = 22
+    # (65,780 outcomes) max RSS rose 43 MB in CSV and 48 MB in JSON; a JSON
+    # record of Python lists, encoded whole, rose 70 MB.
+    rises = {}
+    for fmt in ("csv", "json"):
+        result = subprocess.run(
+            [sys.executable, "-c", CLI_RSS_CHILD, "sample-fock", "--n", "5", "--m", "22",
+             "--seed", "7", "--format", fmt, "--output", str(tmp_path / f"table.{fmt}")],
+            capture_output=True, text=True, timeout=300,
+        )
+        code, rise = result.stdout.split()
+        assert code == "0", result.stderr
+        rises[fmt] = int(rise)
+    assert rises["json"] <= 1.25 * rises["csv"], rises
 
 
 def test_embed_rejects_orthogonal_input(tmp_path, capsys):

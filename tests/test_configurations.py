@@ -25,7 +25,6 @@ from passv.configurations import (
     parity_array,
     parity_pattern_of,
     patterns_from_array,
-    serialize_rows,
 )
 from passv.errors import ValidationError
 
@@ -87,9 +86,14 @@ def test_configuration_array_peaks_near_its_result():
     assert peak <= 1.2 * table.nbytes
 
 
+def _decoded(fields: np.ndarray) -> list[str]:
+    """The keys of a NUL-padded byte matrix of fields: each row with its NULs dropped."""
+    return [bytes(row[row != 0]).decode("ascii") for row in fields]
+
+
 @pytest.mark.parametrize("n,m", ARRAY_GRID)
 def test_serialized_rows_match_configuration_serialize(n, m):
-    keys = serialize_rows(configuration_array(n, m))
+    keys = _decoded(occupation_fields(configuration_array(n, m)))
     assert keys == [c.serialize() for c in enumerate_configurations(n, m)]
     if n >= 10:
         assert f"{n}" + ",0" * (m - 1) == keys[0]
@@ -113,22 +117,24 @@ def test_occupation_fields_decode_to_csv_writer_fields(shape_rows):
     m, rows = shape_rows
     occupations = np.array(rows, dtype=np.intp).reshape(len(rows), m)
     keys = [ModeConfiguration(tuple(row)).serialize() for row in rows]
-    for quote, expected in ((True, [_csv_field(key) for key in keys]), (False, keys)):
-        fields = occupation_fields(occupations, quote=quote)
-        assert fields.dtype == np.uint8 and fields.shape[0] == len(rows)
-        assert [bytes(row[row != 0]).decode("ascii") for row in fields] == expected
-    assert serialize_rows(occupations) == keys
+    fields = occupation_fields(occupations)
+    assert fields.dtype == np.uint8 and fields.shape[0] == len(rows)
+    assert _decoded(fields) == keys
+    # csv.writer quotes every key of the matrix or none: those of m > 1 modes,
+    # which hold commas. The CSV writers of the CLI quote by the same rule.
+    assert [_csv_field(key) for key in keys] == [f'"{key}"' if m > 1 else key for key in keys]
 
 
 def test_occupation_fields_pad_only_where_widths_differ():
-    fields = occupation_fields(np.array([[10, 0], [9, 1], [0, 120]]), quote=True)
-    assert fields.shape == (3, 9)
-    assert bytes(fields[0]) == b'"\x0010,\x00\x000"'
-    assert occupation_fields(np.array([[3, 0], [2, 1]]), quote=True).all()
+    fields = occupation_fields(np.array([[10, 0], [9, 1], [0, 120]]))
+    assert fields.shape == (3, 7)
+    assert bytes(fields[0]) == b'\x0010,\x00\x000'
+    assert occupation_fields(np.array([[3, 0], [2, 1]])).all()
 
 
 def test_serialize_rows_of_an_empty_table():
-    assert serialize_rows(np.zeros((0, 3), dtype=np.intp)) == []
+    fields = occupation_fields(np.zeros((0, 3), dtype=np.intp))
+    assert fields.shape == (0, 5) and _decoded(fields) == []
 
 
 def test_configuration_count_closed_form():
