@@ -13,8 +13,10 @@ chosen by the oracle and recorded, never set.
 sample-fock writes all three artifacts, and sample-passv its table, from one
 NUL-padded (K, W) uint8 matrix of unquoted key fields
 (``configurations.occupation_fields``, or the sign rows). Either table format
-frames each field and the probability's repr with fixed bytes and drops every
-NUL in one pass (``_table_rows``); CSV fields are quoted when they hold a comma.
+lays out each field, the probability's repr (``floatrepr.float_reprs``, written
+into the same matrix) and fixed framing bytes in one byte matrix and drops
+every NUL in one pass (``_table_rows``); CSV fields are quoted when they hold a
+comma.
 The samples CSV takes SAMPLE_CHUNK rows at a time, compacted only when the
 fields differ in width. Artifacts are written as bytes: atomically to a file,
 or to ``sys.stdout.buffer``.
@@ -43,6 +45,7 @@ from .configurations import configuration_count, occupation_fields
 from .distributions import OutputDistribution, check_table_size, draw_indices
 from .errors import SizeLimitError, ValidationError, check_memory
 from .experiments import brute_force_parity, run_equivalence_experiment
+from .floatrepr import WIDTH, float_reprs
 from .networks import (
     LinearNetwork,
     embed_unitary_as_orthogonal,
@@ -247,14 +250,19 @@ def _table_rows(fields: np.ndarray, dist: OutputDistribution, prefix: str, separ
                 suffix: str) -> np.ndarray:
     """The rows of a table artifact as bytes, from a NUL-padded (K, W) byte matrix of key fields.
 
-    Row k is ``prefix``, field k, ``separator``, ``repr(p_k)`` (at most 24
-    bytes, NUL-padded) and ``suffix``; the NULs are dropped from the whole
-    matrix at once.
+    Row k of one byte matrix is ``prefix``, field k, ``separator``,
+    ``repr(p_k)`` and ``suffix``. ``float_reprs`` writes the reprs into the
+    matrix, as NUL-padded rows of WIDTH bytes, straight from the table's
+    probabilities; the NULs are dropped from the whole matrix at once.
     """
-    k = len(fields)
-    reprs = np.array(list(map(repr, dist.probabilities.tolist())), dtype="S24")
-    rows = np.hstack((_byte_columns(k, prefix), fields, _byte_columns(k, separator),
-                      reprs.view(np.uint8).reshape(k, 24), _byte_columns(k, suffix)))
+    k, w = fields.shape
+    start = len(prefix) + w + len(separator)
+    rows = np.empty((k, start + WIDTH + len(suffix)), dtype=np.uint8)
+    rows[:, :len(prefix)] = _byte_columns(k, prefix)
+    rows[:, len(prefix):len(prefix) + w] = fields
+    rows[:, start - len(separator):start] = _byte_columns(k, separator)
+    float_reprs(dist.probabilities, out=rows[:, start:start + WIDTH])
+    rows[:, start + WIDTH:] = _byte_columns(k, suffix)
     return rows[rows != 0]
 
 

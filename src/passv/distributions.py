@@ -19,6 +19,8 @@ before either is made.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .configurations import (
@@ -79,24 +81,41 @@ class OutputDistribution:
 
     def __init__(self, rows, probabilities, *, key: type = ModeConfiguration,
                  normalization_defect: float | None = None):
+        self._fill(rows, probabilities, key, normalization_defect)
+        duplicate = _duplicate_row(self._rows)
+        if duplicate is not None:
+            raise ValidationError(f"duplicate distribution key {self._keys_of(duplicate)[0]!r}")
+
+    @classmethod
+    def _of_distinct_rows(cls, rows, probabilities, *, key: type = ModeConfiguration,
+                          normalization_defect: float | None = None) -> "OutputDistribution":
+        """A table over rows that differ by construction, made without the duplicate check.
+
+        For the builders' rows (``configuration_array``, ``collision_free_array``,
+        ``parity_array``, a layout's occupation table) and a table's own.
+        """
+        table = cls.__new__(cls)
+        table._fill(rows, probabilities, key, normalization_defect)
+        return table
+
+    def _fill(self, rows, probabilities, key: type, normalization_defect: float | None):
         if key not in (ModeConfiguration, ParityPattern):
             raise ValidationError(f"key must be ModeConfiguration or ParityPattern, not {key!r}")
         self.key = key
         rows = _occupation_rows(rows)
         if key is ParityPattern and rows.size and rows.max() > 1:
             raise ValidationError("parity rows must hold 0 (even) or 1 (odd)")
-        duplicate = _duplicate_row(rows)
-        if duplicate is not None:
-            raise ValidationError(f"duplicate distribution key {self._keys_of(duplicate)[0]!r}")
         probs = np.array(probabilities, dtype=np.float64)
         if probs.shape != (len(rows),):
             raise ValidationError(f"{probs.shape} probabilities for {len(rows)} keys")
-        negative = np.flatnonzero(probs < -1e-12)
-        if negative.size:
-            i = negative[0]
-            key = self._keys_of(rows[i])[0]
-            raise ValidationError(f"negative probability {probs[i]} for key {key!r}")
+        for name, bad in (("non-finite", ~np.isfinite(probs)), ("negative", probs < -1e-12)):
+            positions = np.flatnonzero(bad)
+            if positions.size:
+                i = positions[0]
+                key = self._keys_of(rows[i])[0]
+                raise ValidationError(f"{name} probability {probs[i]} for key {key!r}")
         np.maximum(probs, 0.0, out=probs)
+        probs.flags.writeable = False
         self._rows = rows
         self._probs = probs
         self._keys = None  # made from the rows on first use
@@ -104,6 +123,8 @@ class OutputDistribution:
         if normalization_defect is None:
             normalization_defect = abs(1.0 - float(probs.sum()))
         self.normalization_defect = float(normalization_defect)
+        if not math.isfinite(self.normalization_defect):
+            raise ValidationError(f"non-finite normalization_defect {self.normalization_defect}")
 
     def _keys_of(self, rows: np.ndarray) -> list:
         build = patterns_from_array if self.key is ParityPattern else configurations_from_array
@@ -130,7 +151,8 @@ class OutputDistribution:
 
     @property
     def probabilities(self) -> np.ndarray:
-        return self._probs.copy()
+        """The read-only (K,) probabilities, in row order."""
+        return self._probs
 
     @property
     def support(self) -> list[tuple]:
@@ -156,13 +178,13 @@ class OutputDistribution:
         s = self.total()
         if s <= 0.0:
             raise ValidationError("cannot normalize a distribution with zero mass")
-        return OutputDistribution(self._rows, self._probs / s, key=self.key,
-                                  normalization_defect=0.0)
+        return OutputDistribution._of_distinct_rows(self._rows, self._probs / s, key=self.key,
+                                                    normalization_defect=0.0)
 
     def restrict(self, predicate) -> "OutputDistribution":
         """Sub-table of keys satisfying ``predicate``; defect is recomputed."""
         mask = np.fromiter(map(predicate, self._key_list()), dtype=bool, count=len(self))
-        return OutputDistribution(self._rows[mask], self._probs[mask], key=self.key)
+        return OutputDistribution._of_distinct_rows(self._rows[mask], self._probs[mask], key=self.key)
 
 
 def _occupation_rows(occupations) -> np.ndarray:

@@ -819,7 +819,7 @@ def parity_distribution(state: TruncatedFockState) -> OutputDistribution:
     if norm2 > 1.0 + 1e-9:
         raise ValidationError(f"state squared norm {norm2} exceeds 1")
     table = parity_sectors(state).sum(axis=0) / norm2
-    return OutputDistribution(parity_array(state.modes), table, key=ParityPattern)
+    return OutputDistribution._of_distinct_rows(parity_array(state.modes), table, key=ParityPattern)
 
 
 def number_distribution(state: TruncatedFockState) -> OutputDistribution:
@@ -837,7 +837,7 @@ def number_distribution(state: TruncatedFockState) -> OutputDistribution:
         raise ValidationError("number distribution is undefined for the zero state")
     probs = np.abs(state.amplitudes) ** 2 / norm2
     occupations = _index_tables(state.modes, state.cutoff, state.parity)[0]
-    return OutputDistribution(occupations.T, probs)
+    return OutputDistribution._of_distinct_rows(occupations.T, probs)
 
 
 def state_overlap(a: TruncatedFockState, b: TruncatedFockState) -> complex:

@@ -101,7 +101,7 @@ def predicted_parity_distribution(network: LinearNetwork,
         raise ValidationError(f"need 1 <= n <= m, got n={n}, m={m}")
     outcomes = collision_free_array(n, m)
     probs = outcome_probabilities(network, uniform_input(n, m), outcomes)
-    return OutputDistribution(outcomes, probs, key=ParityPattern)
+    return OutputDistribution._of_distinct_rows(outcomes, probs, key=ParityPattern)
 
 
 @dataclass
@@ -196,7 +196,8 @@ def brute_force_parity(total_photons: int, modes: int, xi, variant: str = ADDED,
     decomposition = reck_decompose(haar_special_orthogonal(modes, seed))
     rows, _ = _parity_rows(total_photons, inputs, variant, decomposition)
     [(_, _, tail, cutoff)] = inputs
-    return OutputDistribution(parity_array(modes), rows[0], key=ParityPattern), cutoff, tail
+    table = OutputDistribution._of_distinct_rows(parity_array(modes), rows[0], key=ParityPattern)
+    return table, cutoff, tail
 
 
 def _checked_inputs(n: int, m: int, xi_values: list, variant: str, epsilon_tail: float

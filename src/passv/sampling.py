@@ -103,7 +103,7 @@ def output_distribution(network: LinearNetwork, input_config) -> OutputDistribut
     check_table_size(configuration_count(n, m), m)
     outcomes = configuration_array(n, m)
     probs = outcome_probabilities(network, t, outcomes)
-    return OutputDistribution(outcomes, probs)
+    return OutputDistribution._of_distinct_rows(outcomes, probs)
 
 
 def uniform_input(total_photons: int, modes: int) -> ModeConfiguration:

@@ -10,8 +10,11 @@ from passv import distributions, errors
 from passv.configurations import (
     ModeConfiguration,
     ParityPattern,
+    bounded_occupations,
+    collision_free_array,
     configuration_array,
     enumerate_configurations,
+    parity_array,
 )
 from passv.distributions import (
     DRAW_BLOCK,
@@ -66,6 +69,32 @@ def test_negative_probability_rejected_but_noise_clipped():
     assert dist.probability(A) == 0.0
     assert dist.probabilities.tolist() == [0.0, 1.0]
     assert dist.normalization_defect == 0.0
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_probability_or_defect_rejected_naming_the_key(bad):
+    with pytest.raises(ValidationError, match=r"non-finite probability .* for key .*\(0, 1\)"):
+        _array_table([[1, 0], [0, 1]], [1.0, bad])
+    with pytest.raises(ValidationError, match=r"non-finite probability .*\(0,\)"):
+        OutputDistribution(np.array([[0], [1]]), [bad, 1.0])
+    with pytest.raises(ValidationError, match="non-finite normalization_defect"):
+        _array_table([[1, 0], [0, 1]], [0.5, 0.5], normalization_defect=bad)
+
+
+def test_probabilities_are_the_tables_own_read_only_vector():
+    dist = _array_table([[1, 0], [0, 1]], [0.25, 0.75])
+    assert dist.probabilities is dist.probabilities
+    with pytest.raises(ValueError):
+        dist.probabilities[0] = 0.5
+    assert dist.normalized().probabilities.tolist() == [0.25, 0.75]
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (2, 3), (3, 5), (4, 4), (2, 12)])
+def test_builders_rows_are_distinct(n, m):
+    """The rows that tables take without the duplicate check differ by construction."""
+    layouts = [bounded_occupations(m, n + 3, parity).T for parity in (None, 0, 1)]
+    for rows in [configuration_array(n, m), collision_free_array(n, m), parity_array(m), *layouts]:
+        assert distributions._duplicate_row(distributions._occupation_rows(rows)) is None
 
 
 def test_lazy_index_answers_lookups_like_a_dict():
