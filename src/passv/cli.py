@@ -180,9 +180,13 @@ def main():
 
 
 def _resolve_network(args) -> tuple[LinearNetwork, dict]:
-    """Load a matrix file or generate one from (kind, m, seed); the file wins."""
+    """Load a matrix file or generate one from (kind, m, seed); the file wins.
+
+    The seed is recorded when it is used, for the network or sample-fock's draws.
+    """
+    draws = getattr(args, "shots", 0)  # only sample-fock draws samples
     if args.matrix:
-        if args.seed is not None:
+        if args.seed is not None and not draws:
             logger.warning("--matrix file wins over --kind/--seed generation")
         try:
             with open(args.matrix, "r", encoding="utf-8") as fh:
@@ -190,7 +194,8 @@ def _resolve_network(args) -> tuple[LinearNetwork, dict]:
         except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ValidationError(f"cannot read matrix file {args.matrix}: {exc}") from exc
         net = LinearNetwork.from_json_dict(data)
-        return net, {"matrix": args.matrix, "m": net.dimension, "kind": net.kind}
+        source = {"matrix": args.matrix, "m": net.dimension, "kind": net.kind}
+        return net, {**source, "seed": args.seed} if draws else source
     if args.m is None:
         raise ValidationError("either --matrix or --m is required")
     if args.seed is None:
@@ -202,15 +207,13 @@ def _resolve_network(args) -> tuple[LinearNetwork, dict]:
     return net, {"m": args.m, "kind": args.kind, "seed": args.seed}
 
 
-def _write_artifact(path: str | None, chunks: str | Iterable[str | np.ndarray]):
-    """Write text, or chunks of text or uint8 arrays, to stdout or atomically to ``path``.
+def _write_artifact(path: str | None, chunks: Iterable[str | np.ndarray]):
+    """Write chunks of text or uint8 arrays to stdout or atomically to ``path``.
 
     Text is encoded as UTF-8; an array chunk must be C-contiguous, and its
     bytes are written as they lie. Stdout gets the bytes through
     ``sys.stdout.buffer``, after whatever its text layer holds.
     """
-    if isinstance(chunks, str):
-        chunks = (chunks,)
     chunks = (chunk.encode("utf-8") if isinstance(chunk, str) else chunk for chunk in chunks)
     if path is None:
         sys.stdout.flush()
@@ -377,14 +380,14 @@ def _run_compare(args):
     }
     if args.format == "json":
         record = {"config": config, "report": report.to_json_dict()}
-        _write_artifact(args.output, json.dumps(record, sort_keys=True, indent=2) + "\n")
+        _write_artifact(args.output, _json_chunks(record))
     else:
         buf = io.StringIO()
         buf.write(_config_comment(config) + "\n")
         writer = csv.writer(buf, lineterminator="\n")
         for row in report.to_csv_rows():
             writer.writerow(row)
-        _write_artifact(args.output, buf.getvalue())
+        _write_artifact(args.output, (buf.getvalue(),))
 
 
 def _check_record_size(subcommand: str, m: int, needed: int) -> None:
@@ -399,7 +402,7 @@ def _check_record_size(subcommand: str, m: int, needed: int) -> None:
 
 
 def _json_chunks(record: dict) -> Iterator[str]:
-    """The text of ``json.dumps(record, sort_keys=True, indent=2)`` and a line break, in chunks."""
+    """``json.dumps(sort_keys=True, indent=2)`` of ``record`` and a line break, in chunks."""
     yield from json.JSONEncoder(sort_keys=True, indent=2).iterencode(record)
     yield "\n"
 

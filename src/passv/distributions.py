@@ -204,20 +204,9 @@ def _occupation_rows(occupations) -> np.ndarray:
 def _duplicate_row(occupations: np.ndarray) -> np.ndarray | None:
     """The first repeated row in lexicographic order, or None if every row differs.
 
-    When (max + 1)^m < 2^63, each row is sorted as one int64 key, its digits
-    in base max + 1 with the first column most significant; wider rows are
-    sorted column by column.
+    The rows are sorted column by column, the first column most significant,
+    so a row of any width and magnitude is compared exactly.
     """
-    if len(occupations) < 2:
-        return None
-    base = int(occupations.max()) + 1
-    if base ** occupations.shape[1] < 2 ** 63:
-        keys = occupations @ base ** np.arange(occupations.shape[1] - 1, -1, -1, dtype=np.int64)
-        ordered = np.sort(keys)
-        repeats = np.flatnonzero(ordered[1:] == ordered[:-1])
-        if not repeats.size:
-            return None
-        return occupations[np.flatnonzero(keys == ordered[repeats[0]])[0]]
     ordered = occupations[np.lexsort(occupations.T[::-1])]
     repeats = np.flatnonzero((ordered[1:] == ordered[:-1]).all(axis=1))
     return ordered[repeats[0]] if repeats.size else None

@@ -42,9 +42,9 @@ core.
 A state's dtype follows its inputs: float64 when every amplitude it is built
 from has a zero imaginary part, complex128 otherwise. Sector rotations are
 real, so a mixer keeps a real state real; it multiplies a complex state's
-interleaved real and imaginary parts as one real matrix. A mode factor with
-a nonzero imaginary part (a complex residual or element phase) promotes a
-real state to complex128 once, the first time one is applied.
+interleaved real and imaginary parts as one real matrix. A network that is
+not real (a complex residual or element phase) promotes a real state to
+complex128 once, before its first factor; at cutoff 0 every factor is 1.
 
 Networks are applied as ReckDecompositions, in the matrix-factor order of
 the decomposition module: the first element is the last operation applied to
@@ -548,15 +548,11 @@ def mode_ladder(vector, direction: str) -> np.ndarray:
 def _apply_mode_factors(state: TruncatedFockState, mode: int, factors: np.ndarray):
     """Multiply each amplitude by the factor of its occupation of ``mode``, in place.
 
-    Real factors keep a real state real; the first factor with a nonzero
-    imaginary part promotes the state to complex128 (``_state_bytes`` counts
-    16 bytes per amplitude, so the promoted state still fits). The factors
-    are gathered AMPLITUDE_BLOCK amplitudes at a time, so no state-sized
-    temporary is made beside the promoted state.
+    Real factors stay real; ``apply_network`` has made the state complex
+    when they are not. The factors are gathered AMPLITUDE_BLOCK amplitudes
+    at a time, so no state-sized temporary is made.
     """
     factors = _real_or_complex(factors)
-    if factors.dtype == np.complex128 and state.amplitudes.dtype == np.float64:
-        state.amplitudes = state.amplitudes.astype(np.complex128)
     levels = _index_tables(state.modes, state.cutoff, state.parity)[0][mode]
     gathered = np.empty(min(AMPLITUDE_BLOCK, len(levels)), dtype=factors.dtype)
     for start in range(0, len(levels), AMPLITUDE_BLOCK):
@@ -647,10 +643,10 @@ def _mix(state: TruncatedFockState, pairs: list[tuple[int, int]], stacks: list[n
     that array. The rotation is real, so it acts on a float64 view of each
     block: the block itself for a real state, interleaved real and imaginary
     parts for a complex one. Row p of a block is the first mode's occupation
-    p, so the element phase exp(1j phi p) scales it; the first phase with a
-    nonzero imaginary part promotes the state and the spare to complex128.
-    A move that is not held, past the 2m - 3 held for the walk, is built
-    when it is reached and dropped after its use, beside the spare.
+    p, so the element phase exp(1j phi p) scales it; ``apply_network`` has
+    made the state complex when a phase is. A move that is not held, past
+    the 2m - 3 held for the walk, is built when it is reached and dropped
+    after its use, beside the spare.
     """
     occupations, _, moves = _index_tables(state.modes, state.cutoff, state.parity)
     cutoff = state.cutoff
@@ -677,11 +673,6 @@ def _mix(state: TruncatedFockState, pairs: list[tuple[int, int]], stacks: list[n
             a, spare = spare, a
         if phases[e]:
             factors = _real_or_complex(np.exp(1j * phases[e] * levels))
-            if factors.dtype == np.complex128 and a.dtype == np.float64:
-                a = a.astype(np.complex128)
-                # Both real arrays are dropped before the complex spare is made.
-                state.amplitudes = spare = a
-                state.amplitudes = spare = np.empty_like(a)
             for total in range(cutoff + 1):
                 rows = a[bounds[total]:bounds[total + 1]].reshape(total + 1, -1)
                 rows *= factors[:total + 1, None]
@@ -716,8 +707,9 @@ def apply_network(state: TruncatedFockState,
     photon total before the first element is applied, and the elements are
     mixed in pair-sorted order (``_mix``); a network without elements builds
     none. Restricted to the single-photon sector this reproduces the matrix
-    action of ``reconstruct``. A real state stays real through real elements
-    and a residual of +-1.
+    action of ``reconstruct``. A real state stays real through a real
+    network, and at cutoff 0; otherwise it is promoted to complex128 once,
+    before the residual (``_state_bytes`` counts 16 bytes per amplitude).
     """
     if not isinstance(decomposition, ReckDecomposition):
         raise ValidationError("apply_network expects a ReckDecomposition")
@@ -733,13 +725,15 @@ def apply_network(state: TruncatedFockState,
         if el.j >= state.modes:
             raise ValidationError(f"modes ({el.i}, {el.j}) out of range for {state.modes} modes")
     # The state's layout and its moves first: its rotations are never built
-    # beside another layout, and no order is sorted beside the spare or a copy
-    # that a complex phase has promoted.
+    # beside another layout, and no order is sorted beside the spare or the
+    # promoted copy.
     _index_tables(state.modes, state.cutoff, state.parity)
     pairs = [(el.i, el.j) for el in elements]
     if pairs:
         _pair_gather(state.modes, state.cutoff, state.parity,
                      [*zip([None, *pairs], pairs), (None, pairs[-1])])
+    if state.cutoff > 0 and not decomposition.is_real:
+        state.amplitudes = state.amplitudes.astype(np.complex128, copy=False)
     levels = np.arange(state.cutoff + 1)
     for mode, z in enumerate(decomposition.residual):
         z = complex(z)

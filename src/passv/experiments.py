@@ -42,7 +42,7 @@ runs for every squeezing before the network is drawn.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -146,28 +146,14 @@ class EquivalenceReport:
         )
 
     def to_json_dict(self) -> dict:
-        d = {
-            "n": self.total_photons,
-            "m": self.modes,
-            "variant": self.variant,
-            "xi": [float(x) for x in self.xi_values],
-            "seed": self.seed,
-            "epsilon_tail": self.epsilon_tail,
-            "cutoffs": list(self.cutoffs),
-            "patterns": [p.serialize() for p in self.patterns],
-            "predicted": [float(x) for x in self.predicted],
-            "brute": [[float(x) for x in row] for row in self.brute],
-            "max_deviation": float(self.max_deviation),
-            "cross_xi_deviation": float(self.cross_xi_deviation),
-            "sector_deviation": float(self.sector_deviation),
-            "collision_sector_mass": [float(x) for x in self.collision_sector_mass],
-            "truncation_loss": [float(x) for x in self.truncation_loss],
-            "truncation_budget": float(self.truncation_budget),
-            "tolerance": float(self.tolerance),
-            "passes": self.passes(),
-        }
-        if self.transpose_convention_deviation is not None:
-            d["transpose_convention_deviation"] = float(self.transpose_convention_deviation)
+        """The fields, n, m and xi for total_photons, modes and xi_values, patterns
+        serialized, ``passes`` added and a None transpose_convention_deviation left out."""
+        names = {"total_photons": "n", "modes": "m", "xi_values": "xi"}
+        d = {names.get(f.name, f.name): getattr(self, f.name) for f in fields(self)}
+        d["patterns"] = [p.serialize() for p in self.patterns]
+        d["passes"] = self.passes()
+        if self.transpose_convention_deviation is None:
+            del d["transpose_convention_deviation"]
         return d
 
     def to_csv_rows(self) -> list[list[str]]:

@@ -128,6 +128,8 @@ class TwoModeElement:
     def __post_init__(self):
         if not (0 <= self.i < self.j):
             raise ValidationError(f"element needs 0 <= i < j, got ({self.i}, {self.j})")
+        if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
+            raise ValidationError(f"element angles must be finite, got ({self.theta}, {self.phi})")
 
     @property
     def is_real(self) -> bool:

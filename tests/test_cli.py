@@ -470,6 +470,24 @@ def test_sample_fock_reads_matrix_file_and_warns_on_conflict(tmp_path, caplog):
     assert body == ref_body
 
 
+def test_sample_fock_records_the_seed_its_matrix_file_draws_from(tmp_path, caplog):
+    matrix_file = tmp_path / "net.json"
+    matrix_file.write_text(json.dumps(haar_unitary(2, 8).to_json_dict()))
+    configs, samples = [], []
+    for seed in (1, 2):
+        code, out = _run(tmp_path, f"fock{seed}.csv",
+                         ["sample-fock", "--n", "1", "--matrix", str(matrix_file),
+                          "--shots", "200", "--seed", str(seed)])
+        assert code == 0
+        drawn = (tmp_path / f"fock{seed}.samples.csv").read_text().splitlines()
+        assert drawn[0] == out.read_text().splitlines()[0]
+        configs.append(json.loads(drawn[0].removeprefix("# config ")))
+        samples.append(drawn[2:])
+    assert [config["seed"] for config in configs] == [1, 2]
+    assert samples[0] != samples[1]
+    assert not any("matrix file" in rec.message for rec in caplog.records)
+
+
 def test_sample_passv_parity_table(tmp_path):
     code, out = _run(tmp_path, "parity.csv",
                      ["sample-passv", "--n", "1", "--m", "2", "--xi", "0.4",
@@ -777,6 +795,32 @@ def test_malformed_matrix_file_exits_one_without_a_traceback(tmp_path, content):
     )
     assert result.returncode == 1
     assert "validation:" in result.stderr and "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("args, message", [
+    (["decompose", "--matrix", "{not_utf8}"], "cannot read matrix file"),
+    (["decompose", "--seed", "1"], "either --matrix or --m"),
+    (["decompose", "--m", "3"], "--seed is required when generating"),
+    (["sample-fock", "--n", "1", "--m", "2", "--shots", "10"], "--seed is required to draw"),
+], ids=["matrix-not-utf-8", "no-m-or-matrix", "m-without-seed", "shots-without-seed"])
+def test_network_source_usage_errors_exit_one_without_writing(tmp_path, caplog, args, message):
+    not_utf8 = tmp_path / "net.json"
+    not_utf8.write_bytes(b"\xff\xfe{}")
+    args = [arg.format(not_utf8=not_utf8) for arg in args]
+    code, out = _run(tmp_path, "out.json", args)
+    assert code == 1
+    assert any(message in rec.message for rec in caplog.records)
+    assert not out.exists()
+
+
+def test_output_naming_a_directory_exits_one_and_leaves_no_temporary_file(tmp_path, caplog):
+    target = tmp_path / "taken"
+    target.mkdir()
+    code, _ = _run(tmp_path, "taken", ["decompose", "--m", "2", "--seed", "1"])
+    assert code == 1
+    assert any(rec.message.startswith("i/o:") for rec in caplog.records)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+    assert not any(target.iterdir())
 
 
 # The child caps its own address space at 3 GB, so a draw that got past its

@@ -133,9 +133,8 @@ def _first_duplicate(rows) -> list | None:
 @given(rows=st.lists(st.lists(st.integers(0, 6), min_size=3, max_size=3),
                      min_size=0, max_size=40))
 def test_duplicate_row_is_the_first_repeat_in_lexicographic_order(rows):
-    # Narrow rows take the int64 keys; the same rows beside a column of 2^40
-    # are too wide for them and take the column sort, and must name the
-    # same first repeat.
+    # The same rows beside a column of 2^40, too wide for the rows to be read
+    # as one int64 key each, must name the same first repeat.
     narrow = np.array(rows, dtype=np.intp).reshape(-1, 3)
     wide = np.hstack((narrow, np.full((len(narrow), 1), 2 ** 40, dtype=np.intp)))
     assert 7 ** 3 < 2 ** 63 <= (2 ** 40 + 1) ** 4
@@ -147,8 +146,8 @@ def test_duplicate_row_is_the_first_repeat_in_lexicographic_order(rows):
 
 
 def test_duplicate_row_key_widths():
-    # Rows with (max + 1)^m = 2^62 are keyed as one int64; a repeat in rows
-    # with (max + 1)^m >= 2^63 is still found, by the column sort.
+    # A repeat is found whether (max + 1)^m is just under 2^63, so that each
+    # row would fit one int64 key, or past it, where no such key fits.
     fits = np.array([[0, 3], [2, 1], [0, 3], [2, 1]]) * (2 ** 31 - 1) // 3
     assert (int(fits.max()) + 1) ** 2 == 2 ** 62
     assert distributions._duplicate_row(fits).tolist() == fits[0].tolist()

@@ -193,6 +193,25 @@ def test_squeezed_vector_tail_is_summed_from_the_terms_above():
         assert tail == pytest.approx(exact, rel=1e-12)
 
 
+def test_squeezed_vector_tail_is_one_minus_the_kept_mass_below_half():
+    # At r = 3 and D = 4 the kept mass is under 1/2, so 1 minus it is taken;
+    # it matches the terms above D, summed here by their ratio recurrence.
+    r, d = 3.0, 4
+    t2, weight, above = math.tanh(r) ** 2, 1.0 / math.cosh(r), []
+    for k in range(20_000):
+        if k > d // 2:
+            above.append(weight)
+        weight *= t2 * (2 * k + 1) / (2 * k + 2)
+    assert weight < 1e-30
+    _, tail = squeezed_vacuum_vector(r, d)
+    assert abs(tail - math.fsum(above)) <= 1e-15
+    assert abs(tail - 0.8149814766990690) <= 1e-15
+    # At r = 20, tanh^2 r rounds to 1, and no tail can be summed from a ratio of 1.
+    assert math.tanh(20.0) ** 2 == 1.0
+    vec, tail = squeezed_vacuum_vector(20.0, 6)
+    assert tail == 1.0 - math.fsum(np.abs(vec) ** 2)
+
+
 def test_squeezed_vector_matches_factorial_formula():
     r = 0.65
     vec, _ = squeezed_vacuum_vector(r, 20)
@@ -913,7 +932,9 @@ def test_network_dimension_mismatch():
 def test_real_inputs_stay_real_through_orthogonal_networks(variant, special):
     st = build_passv_input(2, 4, 0.5, variant, 10)
     assert st.amplitudes.dtype == np.float64
-    apply_network(st, reck_decompose(haar_special_orthogonal(4, 0, special=special)))
+    dec = reck_decompose(haar_special_orthogonal(4, 0, special=special))
+    assert (dec.residual[-1] == -1.0) == (not special)  # network 0 of O(4) is a reflection
+    apply_network(st, dec)
     assert st.amplitudes.dtype == np.float64
 
 
@@ -933,6 +954,31 @@ def test_complex_squeezing_and_unitary_networks_give_complex_states():
     assert started_complex.amplitudes.dtype == np.complex128
     apply_network(started_complex, dec)
     assert np.max(np.abs(st.amplitudes - started_complex.amplitudes)) <= 1e-14
+
+
+def test_a_network_that_is_not_real_promotes_a_real_state_before_its_first_factor():
+    # The residual is all ones and skipped, and a real mixer acts before the
+    # phased one; the state is promoted before either mixer runs all the same,
+    # so it evolves bit for bit as a state that started complex.
+    dec = ReckDecomposition((TwoModeElement(0, 1, 0.4, 0.9), TwoModeElement(1, 2, 1.1)),
+                            np.ones(3, dtype=np.complex128))
+    assert not dec.is_real
+    st = build_passv_input(2, 3, 0.5, ADDED, 8)
+    started_complex = st.copy()
+    started_complex.amplitudes = st.amplitudes.astype(np.complex128)
+    assert st.amplitudes.dtype == np.float64
+    apply_network(st, dec)
+    apply_network(started_complex, dec)
+    assert st.amplitudes.dtype == np.complex128
+    assert np.array_equal(st.amplitudes, started_complex.amplitudes)
+
+
+def test_a_network_at_cutoff_zero_keeps_a_real_state_real():
+    # Every factor is 1 on the vacuum, the only amplitude held.
+    st = TruncatedFockState(3, 0)
+    apply_network(st, reck_decompose(haar_unitary(3, 4)))
+    assert st.amplitudes.dtype == np.float64
+    assert st.amplitudes.tolist() == [1.0]
 
 
 def test_product_dtype_follows_the_mode_vectors():
@@ -1165,6 +1211,18 @@ def test_overlap_of_prepared_states():
     sq = _squeezed(1, 0.5, 40)
     assert state_overlap(vac, sq) == pytest.approx(C0_HALF, abs=1e-12)
     assert state_overlap(sq, sq).real == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("second_complex", [False, True])
+def test_overlap_conjugates_a_complex_first_state(second_complex):
+    rng = np.random.default_rng(5)
+    size = math.comb(3 + 2, 2)
+    left = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    right = rng.standard_normal(size) + 1j * rng.standard_normal(size) * second_complex
+    a, b = TruncatedFockState(2, 3, left), TruncatedFockState(2, 3, right)
+    assert a.amplitudes.dtype == np.complex128
+    assert b.amplitudes.dtype == (np.complex128 if second_complex else np.float64)
+    assert abs(state_overlap(a, b) - np.vdot(left, right)) <= 1e-14
 
 
 def test_overlap_of_different_layouts_is_refused_and_keeps_the_held_layout(monkeypatch):

@@ -82,6 +82,15 @@ def test_negative_or_non_finite_values_raise(bad):
         float_reprs(np.array(bad))
 
 
+def test_a_2d_input_or_a_misshapen_out_raises():
+    with pytest.raises(ValueError, match="1-d"):
+        float_reprs(np.full((2, 2), 0.5))
+    for out in (np.empty((2, WIDTH), dtype=np.uint8), np.empty((3, WIDTH + 1), dtype=np.uint8),
+                np.empty((3, WIDTH), dtype=np.int8)):
+        with pytest.raises(ValueError, match="out must be"):
+            float_reprs(np.full(3, 0.5), out=out)
+
+
 def test_a_table_across_a_block_boundary_matches_a_repr_built_reference():
     k = BLOCK + 3
     rng = np.random.default_rng(3)

@@ -126,6 +126,13 @@ def test_network_rejects_complex_entries_for_orthogonal_kind():
         LinearNetwork(haar_unitary(3, 3).entries, ORTHOGONAL)
 
 
+def test_orthogonal_entries_with_negligible_imaginary_parts_are_stored_real():
+    rotation = haar_special_orthogonal(3, 3).entries
+    net = LinearNetwork(rotation + 1e-12j, ORTHOGONAL)
+    assert net.entries.dtype == np.float64
+    assert np.array_equal(net.entries, rotation)
+
+
 def test_network_rejects_reflection_unless_allowed():
     reflection = np.diag([1.0, -1.0])
     with pytest.raises(ValidationError):
@@ -205,6 +212,9 @@ def test_element_validation():
         TwoModeElement(-1, 0, 0.5)
     with pytest.raises(ValidationError):
         TwoModeElement(0, 3, 0.5).embedded(3)
+    for theta, phi in ((math.nan, 0.0), (math.inf, 0.0), (0.5, math.nan), (0.5, -math.inf)):
+        with pytest.raises(ValidationError, match="finite"):
+            TwoModeElement(0, 1, theta, phi)
 
 
 def test_element_json_round_trip():
@@ -213,6 +223,9 @@ def test_element_json_round_trip():
     assert TwoModeElement.from_json_dict({"i": 0, "j": 1, "theta": 0.2}).phi == 0.0
     with pytest.raises(ValidationError):
         TwoModeElement.from_json_dict({"i": 0, "theta": 0.2})
+    for record in ({"i": 0, "j": 1, "theta": math.nan}, {"i": 0, "j": 1, "theta": 0.2, "phi": "inf"}):
+        with pytest.raises(ValidationError, match="malformed element record"):
+            TwoModeElement.from_json_dict(record)
 
 
 # ---------------------------------------------------------------- decompose
@@ -271,6 +284,14 @@ def test_decompose_two_by_two_rotation():
     assert dec.elements[0].theta == pytest.approx(theta, abs=1e-12)
     assert dec.is_real
     np.testing.assert_allclose(dec.residual, np.ones(2), atol=1e-12)
+
+
+def test_decompose_swap_takes_a_quarter_turn():
+    # The unitary swap's pivot is exactly 0: a quarter turn without a phase.
+    swap = LinearNetwork(np.array([[0.0, 1.0], [1.0, 0.0]]), UNITARY)
+    dec = reck_decompose(swap)
+    assert [(el.theta, el.phi) for el in dec.elements] == [(math.pi / 2.0, 0.0)]
+    np.testing.assert_allclose(reconstruct(dec).entries, swap.entries, rtol=0.0, atol=1e-15)
 
 
 def test_decompose_identity_needs_no_elements():
